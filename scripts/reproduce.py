@@ -124,6 +124,7 @@ def stage_convert(args) -> None:
         if out.exists():
             continue
         with parse_edf(psg_path) as psg:
+            ep.check_sample_rate(psg, CHANNEL)
             signal = read_signal(psg, CHANNEL)
         with parse_edf(hyp_path) as hyp:
             annotations = hyp.annotations()

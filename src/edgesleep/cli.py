@@ -40,6 +40,7 @@ def _subject_epochs(store: list[epochs.LabeledEpoch], subject: int):
 def cmd_convert(args) -> int:
     parsed = edf.parse_edf(args.psg)
     try:
+        epochs.check_sample_rate(parsed, args.channel)
         signal = edf.read_signal(parsed, args.channel)
         if args.hypnogram:
             hyp = edf.parse_edf(args.hypnogram)

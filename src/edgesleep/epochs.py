@@ -9,6 +9,7 @@ and streaming classification on the identical code path.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .edf import RawAnnotation
+from .edf import EdfFile, RawAnnotation
 
 SAMPLE_RATE = 100
 EPOCH_SECONDS = 30
@@ -107,6 +108,22 @@ def map_label(text: str) -> SleepStage | Discard:
         return _LABEL_MAP[text]
     except KeyError:
         raise PipelineError(f"unrecognized stage label: {text!r}") from None
+
+
+def check_sample_rate(psg: EdfFile, label: str) -> None:
+    """Reject a channel that is not sampled at SAMPLE_RATE.
+
+    Epochs are cut every EPOCH_SAMPLES samples, so a channel at any other
+    rate would give epochs of the wrong duration under the hypnogram's
+    30 s labels.
+    """
+    spr = psg.header.signals[psg.signal_index(label)].samples_per_record
+    duration = psg.header.record_duration
+    rate = spr / duration if duration > 0 else 0.0
+    if not math.isclose(rate, SAMPLE_RATE):
+        raise PipelineError(
+            f"channel {label!r} is sampled at {rate:g} Hz; epochs need {SAMPLE_RATE} Hz"
+        )
 
 
 def segment_epochs(

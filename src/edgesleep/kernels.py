@@ -5,6 +5,12 @@ no autodiff framework is involved.  All kernels are pure functions over
 numpy arrays and preserve the caller's dtype (float64 during training,
 float32 on inference paths).  Outputs are checked finite: a NaN/Inf is a
 hard error, never propagated.
+
+Shape convention: activations are ``[..., L, C]`` -- any number of leading
+batch axes, then positions, then channels.  Every kernel treats the
+leading axes as independent rows, and every parameter gradient is summed
+over them, so a call on ``[N, L, C]`` equals N stacked single calls up to
+floating-point summation order.
 """
 
 from __future__ import annotations
@@ -31,14 +37,31 @@ def _finite(out: np.ndarray, op: str) -> np.ndarray:
     return out
 
 
-def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.ndarray:
-    """Valid (unpadded) 1-D convolution.
+def _rows(a: np.ndarray) -> np.ndarray:
+    """Fold every leading axis into one: [..., C] -> [M, C]."""
+    return a.reshape(-1, a.shape[-1])
 
-    x: [L, Cin], w: [K, Cin, Cout], b: [Cout] -> [Lout, Cout] with
+
+def _im2col(x: np.ndarray, K: int, stride: int) -> np.ndarray:
+    """Unroll the conv windows of x: [..., L, Cin] -> contiguous [M, K*Cin].
+
+    Row m holds window t of leading row n (m = n * Lout + t), laid out
+    k-major so that it lines up with w.reshape(K*Cin, Cout).
+    """
+    windows = sliding_window_view(x, K, axis=-2)[..., ::stride, :, :]  # [..., Lout, Cin, K]
+    return np.ascontiguousarray(windows.swapaxes(-1, -2)).reshape(-1, K * x.shape[-1])
+
+
+def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.ndarray:
+    """Valid (unpadded) 1-D convolution as one GEMM over unrolled windows.
+
+    x: [..., L, Cin], w: [K, Cin, Cout], b: [Cout] -> [..., Lout, Cout] with
     Lout = floor((L - K) / stride) + 1 and
     out[t, co] = b[co] + sum_{k, ci} x[t*stride + k, ci] * w[k, ci, co].
     """
-    L, cin = x.shape
+    if x.ndim < 2:
+        raise KernelError(f"conv1d expects [..., L, Cin], got {x.shape}")
+    L, cin = x.shape[-2:]
     K, cin_w, cout = w.shape
     if cin != cin_w:
         raise KernelError(f"conv1d: input channels {cin} != weight channels {cin_w}")
@@ -48,30 +71,36 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
         raise KernelError(f"conv1d: stride must be >= 1, got {stride}")
     if L < K:
         raise KernelError(f"conv1d: input length {L} shorter than kernel {K}")
-    windows = sliding_window_view(x, K, axis=0)[::stride]  # [Lout, Cin, K] view
-    out = np.einsum("tik,kio->to", windows, w, optimize=True) + b
-    return _finite(out, "conv1d")
+    out = _im2col(x, K, stride) @ w.reshape(K * cin, cout)
+    out += b
+    lout = (L - K) // stride + 1
+    return _finite(out.reshape(*x.shape[:-2], lout, cout), "conv1d")
 
 
 def conv1d_backward(
-    x: np.ndarray, w: np.ndarray, stride: int, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv1d w.r.t. input, weights, and bias."""
-    K = w.shape[0]
-    windows = sliding_window_view(x, K, axis=0)[::stride]
-    dw = np.einsum("tik,to->kio", windows, grad_out, optimize=True)
-    db = grad_out.sum(axis=0)
-    contrib = np.einsum("to,kio->tki", grad_out, w, optimize=True)
+    x: np.ndarray, w: np.ndarray, stride: int, grad_out: np.ndarray, need_dx: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of conv1d w.r.t. input, weights, and bias.
+
+    The weight and bias gradients sum over every leading axis.  With
+    need_dx=False the input gradient is not computed and comes back None.
+    """
+    K, cin, _ = w.shape
+    g = _rows(grad_out)
+    dw = (_im2col(x, K, stride).T @ g).reshape(w.shape)
+    db = g.sum(axis=0)
+    if not need_dx:
+        return None, dw, db
     dx = np.zeros_like(x)
-    positions = np.arange(grad_out.shape[0]) * stride
+    span = stride * (grad_out.shape[-2] - 1) + 1
     for k in range(K):
-        # positions + k are distinct for fixed k, so fancy += is exact
-        dx[positions + k] += contrib[:, k, :]
+        # rows k, k + stride, ... are distinct for a fixed k, so += is exact
+        dx[..., k : k + span : stride, :] += (g @ w[k].T).reshape(*grad_out.shape[:-1], cin)
     return dx, dw, db
 
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine map x @ w + b; x may carry a leading position axis [T, N]."""
+    """Affine map x @ w + b over the last axis of x: [..., N] -> [..., M]."""
     if x.shape[-1] != w.shape[0]:
         raise KernelError(f"dense: input width {x.shape[-1]} != weight rows {w.shape[0]}")
     if b.shape != (w.shape[1],):
@@ -82,10 +111,8 @@ def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dense_backward(
     x: np.ndarray, w: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dx = grad_out @ w.T
-    x2 = x.reshape(-1, x.shape[-1])
-    g2 = grad_out.reshape(-1, grad_out.shape[-1])
-    return dx, x2.T @ g2, g2.sum(axis=0)
+    g = _rows(grad_out)
+    return grad_out @ w.T, _rows(x).T @ g, g.sum(axis=0)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -111,9 +138,9 @@ def softmax_backward(probs: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 def layer_norm(
     x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = LAYER_NORM_EPS
 ) -> np.ndarray:
-    """Per-position normalization of [T, D] over the D axis, then affine."""
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise KernelError(f"layer_norm expects [T, D>=2], got {x.shape}")
+    """Per-position normalization of [..., T, D] over the D axis, then affine."""
+    if x.ndim < 2 or x.shape[-1] < 2:
+        raise KernelError(f"layer_norm expects [..., T, D>=2], got {x.shape}")
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     xhat = (x - mu) / np.sqrt(var + eps)
@@ -127,8 +154,8 @@ def layer_norm_backward(
     var = x.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv_std
-    dgain = (grad_out * xhat).sum(axis=0)
-    dshift = grad_out.sum(axis=0)
+    dgain = _rows(grad_out * xhat).sum(axis=0)
+    dshift = _rows(grad_out).sum(axis=0)
     dxhat = grad_out * gain
     dx = inv_std * (
         dxhat
@@ -143,22 +170,23 @@ class AttentionCache:
     """Intermediates of one attention evaluation, kept for backprop."""
 
     x: np.ndarray
-    q_h: np.ndarray  # [h, T, dh]
+    q_h: np.ndarray  # [..., h, T, dh]
     k_h: np.ndarray
     v_h: np.ndarray
-    attn: np.ndarray  # [h, T, T], rows sum to 1
-    ctx: np.ndarray  # [T, D], heads re-merged, before output projection
+    attn: np.ndarray  # [..., h, T, T], rows sum to 1
+    ctx: np.ndarray  # [..., T, D], heads re-merged, before output projection
     heads: int
 
 
 def _split_heads(z: np.ndarray, heads: int) -> np.ndarray:
-    T, D = z.shape
-    return z.reshape(T, heads, D // heads).transpose(1, 0, 2)
+    """[..., T, D] -> [..., h, T, D/h]."""
+    return z.reshape(*z.shape[:-1], heads, z.shape[-1] // heads).swapaxes(-3, -2)
 
 
 def _merge_heads(z: np.ndarray) -> np.ndarray:
-    h, T, dh = z.shape
-    return z.transpose(1, 0, 2).reshape(T, h * dh)
+    """[..., h, T, dh] -> [..., T, h*dh]."""
+    *lead, h, T, dh = z.shape
+    return z.swapaxes(-3, -2).reshape(*lead, T, h * dh)
 
 
 def multi_head_attention_with_cache(
@@ -173,15 +201,15 @@ def multi_head_attention_with_cache(
     bo: np.ndarray,
     heads: int,
 ) -> tuple[np.ndarray, AttentionCache]:
-    """Scaled dot-product self-attention over x: [T, D], D divisible by heads."""
-    T, D = x.shape
+    """Scaled dot-product self-attention over x: [..., T, D], D divisible by heads."""
+    D = x.shape[-1]
     if D % heads != 0:
         raise KernelError(f"attention: width {D} not divisible by {heads} heads")
     dh = D // heads
     q_h = _split_heads(x @ wq + bq, heads)
     k_h = _split_heads(x @ wk + bk, heads)
     v_h = _split_heads(x @ wv + bv, heads)
-    scores = q_h @ k_h.transpose(0, 2, 1) / np.sqrt(np.asarray(dh, dtype=x.dtype))
+    scores = q_h @ k_h.swapaxes(-1, -2) / np.sqrt(np.asarray(dh, dtype=x.dtype))
     attn = softmax(scores)
     ctx = _merge_heads(attn @ v_h)
     out = _finite(ctx @ wo + bo, "attention")
@@ -201,32 +229,35 @@ def multi_head_attention_backward(
     wo: np.ndarray,
     grad_out: np.ndarray,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Returns (dx, grads) with grads keyed wq/bq/wk/bk/wv/bv/wo/bo."""
+    """Returns (dx, grads) with grads keyed wq/bq/wk/bk/wv/bv/wo/bo; the
+    parameter gradients sum over every leading axis of x."""
     x, attn = cache.x, cache.attn
-    dh = x.shape[1] // cache.heads
+    dh = x.shape[-1] // cache.heads
     scale = 1.0 / np.sqrt(np.asarray(dh, dtype=x.dtype))
 
     d_ctx = grad_out @ wo.T
-    dwo = cache.ctx.T @ grad_out
-    dbo = grad_out.sum(axis=0)
+    g = _rows(grad_out)
+    dwo = _rows(cache.ctx).T @ g
+    dbo = g.sum(axis=0)
 
     d_ctx_h = _split_heads(d_ctx, cache.heads)
-    d_attn = d_ctx_h @ cache.v_h.transpose(0, 2, 1)
-    d_v_h = attn.transpose(0, 2, 1) @ d_ctx_h
+    d_attn = d_ctx_h @ cache.v_h.swapaxes(-1, -2)
+    d_v_h = attn.swapaxes(-1, -2) @ d_ctx_h
     d_scores = softmax_backward(attn, d_attn)
     d_q_h = d_scores @ cache.k_h * scale
-    d_k_h = d_scores.transpose(0, 2, 1) @ cache.q_h * scale
+    d_k_h = d_scores.swapaxes(-1, -2) @ cache.q_h * scale
 
     dq = _merge_heads(d_q_h)
     dk = _merge_heads(d_k_h)
     dv = _merge_heads(d_v_h)
+    x2 = _rows(x)
     grads = {
-        "wq": x.T @ dq,
-        "bq": dq.sum(axis=0),
-        "wk": x.T @ dk,
-        "bk": dk.sum(axis=0),
-        "wv": x.T @ dv,
-        "bv": dv.sum(axis=0),
+        "wq": x2.T @ _rows(dq),
+        "bq": _rows(dq).sum(axis=0),
+        "wk": x2.T @ _rows(dk),
+        "bk": _rows(dk).sum(axis=0),
+        "wv": x2.T @ _rows(dv),
+        "bv": _rows(dv).sum(axis=0),
         "wo": dwo,
         "bo": dbo,
     }

@@ -14,6 +14,7 @@ length, plus a float32 scale after each int8 entry), then raw payloads.
 from __future__ import annotations
 
 import io
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -177,11 +178,14 @@ def init_params(config: ArchConfig, seed: int) -> ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Per-layer activations retained by a training-mode forward pass."""
+    """Per-layer activations retained by a training-mode forward pass.
+
+    Every array keeps the leading batch axes of the forward input.
+    """
 
     conv_inputs: list[np.ndarray] = field(default_factory=list)
     conv_preacts: list[np.ndarray] = field(default_factory=list)
-    features: np.ndarray | None = None  # conv stack output [T, D]
+    features: np.ndarray | None = None  # conv stack output [..., T, D]
     normed1: np.ndarray | None = None
     attn: kernels.AttentionCache | None = None
     resid1: np.ndarray | None = None
@@ -199,17 +203,21 @@ def forward(
     config: ArchConfig,
     mode: str = "infer",
 ) -> tuple[np.ndarray, ForwardCache | None]:
-    """Run the network on one standardized epoch.
+    """Run the network on one standardized epoch or a batch of them.
 
-    x is [3000] or [3000, 1]; returns (probs[5], cache) with cache only in
-    "train" mode.  Compute happens in the dtype the parameters carry.
+    x is [3000] (one epoch) or [N, 3000]; returns (probs, cache) with probs
+    [5] or [N, 5] and the cache only in "train" mode.  Compute happens in
+    the dtype the parameters carry.
     """
     if mode not in ("infer", "train"):
         raise ValueError(f"mode must be 'infer' or 'train', got {mode!r}")
     dtype = params["conv1_w"].dtype
-    h = np.asarray(x, dtype=dtype).reshape(-1, 1)
-    if h.shape[0] != EPOCH_SAMPLES:
-        raise ValueError(f"input must hold {EPOCH_SAMPLES} samples, got {h.shape[0]}")
+    x = np.asarray(x, dtype=dtype)
+    if x.ndim not in (1, 2) or x.shape[-1] != EPOCH_SAMPLES:
+        raise ValueError(
+            f"input must be [{EPOCH_SAMPLES}] or [N, {EPOCH_SAMPLES}], got {x.shape}"
+        )
+    h = x[..., None]  # [..., 3000, 1]
     cache = ForwardCache() if mode == "train" else None
 
     for i, (_, stride, _) in enumerate(config.scaled_conv_table, start=1):
@@ -219,30 +227,19 @@ def forward(
             cache.conv_preacts.append(z)
         h = kernels.relu(z)
 
-    features = h  # [feature_len, d_model]
+    features = h  # [..., feature_len, d_model]
     expected = (config.feature_len, config.scaled_d_model)
-    if features.shape != expected:
+    if features.shape[-2:] != expected:
         raise ValueError(f"conv stack produced {features.shape}, config says {expected}")
     normed1 = kernels.layer_norm(features, params["ln1_gain"], params["ln1_shift"])
-    if cache is not None:
-        attn_out, attn_cache = kernels.multi_head_attention_with_cache(
-            normed1,
-            params["attn_wq"], params["attn_bq"],
-            params["attn_wk"], params["attn_bk"],
-            params["attn_wv"], params["attn_bv"],
-            params["attn_wo"], params["attn_bo"],
-            config.heads,
-        )
-        cache.attn = attn_cache
-    else:
-        attn_out = kernels.multi_head_attention(
-            normed1,
-            params["attn_wq"], params["attn_bq"],
-            params["attn_wk"], params["attn_bk"],
-            params["attn_wv"], params["attn_bv"],
-            params["attn_wo"], params["attn_bo"],
-            config.heads,
-        )
+    attn_out, attn_cache = kernels.multi_head_attention_with_cache(
+        normed1,
+        params["attn_wq"], params["attn_bq"],
+        params["attn_wk"], params["attn_bk"],
+        params["attn_wv"], params["attn_bv"],
+        params["attn_wo"], params["attn_bo"],
+        config.heads,
+    )
     resid1 = features + attn_out
 
     normed2 = kernels.layer_norm(resid1, params["ln2_gain"], params["ln2_shift"])
@@ -251,13 +248,14 @@ def forward(
     ffn_out = kernels.dense(ffn_hidden, params["ffn2_w"], params["ffn2_b"])
     resid2 = resid1 + ffn_out
 
-    flat = resid2.reshape(-1)
+    flat = resid2.reshape(*x.shape[:-1], -1)
     logits = kernels.dense(flat, params["cls_w"], params["cls_b"])
     probs = kernels.softmax(logits)
 
     if cache is not None:
         cache.features = features
         cache.normed1 = normed1
+        cache.attn = attn_cache
         cache.resid1 = resid1
         cache.normed2 = normed2
         cache.ffn_preact = ffn_preact
@@ -373,6 +371,7 @@ def read_slpm(
 ) -> tuple[ArchConfig, int, list[tuple[str, np.ndarray, float | None]]]:
     """Read an SLPM file back into (config, flags, entries)."""
     with open(path, "rb") as f:
+        file_size = os.fstat(f.fileno()).st_size
         if _take(f, 4) != MODEL_MAGIC:
             raise ModelFormatError("bad magic: not an SLPM model file")
         version, flags = struct.unpack("<HH", _take(f, 4))
@@ -392,6 +391,11 @@ def read_slpm(
                 (scale,) = struct.unpack("<f", _take(f, 4))
             elif dtype_code != DTYPE_F32:
                 raise ModelFormatError(f"unknown dtype code {dtype_code} for {name}")
+            if offset + length > file_size:
+                raise ModelFormatError(
+                    f"model file truncated: tensor {name} claims bytes {offset}..{offset + length} "
+                    f"of a {file_size}-byte file"
+                )
             directory.append((name, dims, dtype_code, offset, length, scale))
         entries = []
         for name, dims, dtype_code, offset, length, scale in directory:

@@ -40,6 +40,17 @@ def make_synth_epochs(
     return out
 
 
+def claim_tensor_length(raw: bytes, name: str, length: int) -> bytes:
+    """Rewrite the payload length in one float32 tensor's directory entry."""
+    raw = bytearray(raw)
+    encoded = name.encode("ascii")
+    pos = raw.find(bytes([len(encoded)]) + encoded) + 1 + len(encoded)
+    rank = raw[pos]
+    length_pos = pos + 1 + 4 * rank + 1 + 8  # skip rank, dims, dtype, offset
+    raw[length_pos : length_pos + 8] = length.to_bytes(8, "little")
+    return bytes(raw)
+
+
 OVERFIT_SEED = 3
 OVERFIT_DATA_SEED = 7
 

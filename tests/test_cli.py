@@ -9,7 +9,7 @@ from edgesleep.cli import main
 from edgesleep.metrics import counts_from_csv
 from edgesleep.model import ArchConfig, init_params, load_model, save_model, forward
 
-from conftest import make_synth_epochs
+from conftest import claim_tensor_length, make_synth_epochs
 from edf_fixtures import SignalSpec, build_edf, hypnogram_edf
 
 HYPNOGRAM = [
@@ -84,6 +84,28 @@ class TestConvert:
             ]
         )
         assert code == 3
+
+    def test_channel_not_at_100_hz_rejected(self, tmp_path, capsys):
+        rng = np.random.default_rng(92)
+        data = rng.integers(-2048, 2048, size=6 * 3000, dtype=np.int16)
+        psg = tmp_path / "psg200.edf"
+        psg.write_bytes(
+            build_edf(
+                [SignalSpec(label="EEG Fpz-Cz", samples_per_record=3000, data=data)],
+                n_records=6,
+                record_duration=15.0,  # 200 Hz
+                reserved="EDF+C",
+            )
+        )
+        sidecar = tmp_path / "hyp.txt"
+        sidecar.write_text("0,90,Sleep stage 2\n")
+        out = tmp_path / "night.slpe"
+        code = main(
+            ["convert", str(psg), "--hypnogram-txt", str(sidecar), "--subject", "1", "--out", str(out)]
+        )
+        assert code == 4
+        assert "200 Hz" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -294,3 +316,11 @@ class TestErrorSurface:
         model_path = tmp_path / "m.slpm"
         save_model(init_params(config, 0).astype(np.float32), config, model_path)
         assert main(["budget", "--model", str(model_path), "--profile", "weird"]) == 9
+
+    def test_model_length_beyond_file_code(self, tmp_path, capsys):
+        config = ArchConfig(width_multiplier=0.25)
+        model_path = tmp_path / "m.slpm"
+        save_model(init_params(config, 0).astype(np.float32), config, model_path)
+        model_path.write_bytes(claim_tensor_length(model_path.read_bytes(), "cls_w", 2**40))
+        assert main(["budget", "--model", str(model_path)]) == 6
+        assert "truncated" in capsys.readouterr().err

@@ -285,3 +285,147 @@ class TestDeterminismAndFiniteness:
         w = np.full((2, 1, 1), 1e300)
         with pytest.raises(NonFiniteError):
             conv1d(x, w, np.zeros(1), 1)
+
+
+class TestBatchedKernels:
+    """A call on [N, ...] equals N stacked single calls; parameter
+    gradients of a batched call equal the sum of the single-call ones."""
+
+    N = 3
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(13)
+
+    def stacked(self, fn, xs):
+        return np.stack([fn(x) for x in xs])
+
+    def test_conv1d(self):
+        x = self.rng.normal(size=(self.N, 17, 2))
+        w = self.rng.normal(size=(3, 2, 5))
+        b = self.rng.normal(size=5)
+        want = self.stacked(lambda v: conv1d(v, w, b, 2), x)
+        np.testing.assert_allclose(conv1d(x, w, b, 2), want, rtol=1e-12, atol=1e-12)
+
+    def test_conv1d_backward(self):
+        x = self.rng.normal(size=(self.N, 17, 2))
+        w = self.rng.normal(size=(3, 2, 5))
+        g = self.rng.normal(size=(self.N, 8, 5))
+        dx, dw, db = conv1d_backward(x, w, 2, g)
+        singles = [conv1d_backward(x[n], w, 2, g[n]) for n in range(self.N)]
+        np.testing.assert_allclose(dx, np.stack([s[0] for s in singles]), atol=1e-12)
+        np.testing.assert_allclose(dw, sum(s[1] for s in singles), atol=1e-12)
+        np.testing.assert_allclose(db, sum(s[2] for s in singles), atol=1e-12)
+
+    def test_conv1d_backward_without_dx(self):
+        x = self.rng.normal(size=(self.N, 40, 1))
+        w = self.rng.normal(size=(5, 1, 4))
+        g = self.rng.normal(size=(self.N, 12, 4))
+        _, dw, db = conv1d_backward(x, w, 3, g)
+        skipped, dw0, db0 = conv1d_backward(x, w, 3, g, need_dx=False)
+        assert skipped is None
+        np.testing.assert_array_equal(dw0, dw)
+        np.testing.assert_array_equal(db0, db)
+
+    def test_dense(self):
+        x = self.rng.normal(size=(self.N, 4, 6))
+        w = self.rng.normal(size=(6, 3))
+        b = self.rng.normal(size=3)
+        g = self.rng.normal(size=(self.N, 4, 3))
+        np.testing.assert_allclose(dense(x, w, b), self.stacked(lambda v: dense(v, w, b), x), atol=1e-12)
+        dx, dw, db = dense_backward(x, w, g)
+        singles = [dense_backward(x[n], w, g[n]) for n in range(self.N)]
+        np.testing.assert_allclose(dx, np.stack([s[0] for s in singles]), atol=1e-12)
+        np.testing.assert_allclose(dw, sum(s[1] for s in singles), atol=1e-12)
+        np.testing.assert_allclose(db, sum(s[2] for s in singles), atol=1e-12)
+
+    def test_relu_and_softmax(self):
+        x = self.rng.normal(size=(self.N, 4, 5))
+        g = self.rng.normal(size=(self.N, 4, 5))
+        np.testing.assert_array_equal(relu(x), self.stacked(relu, x))
+        np.testing.assert_array_equal(relu_backward(x, g), np.stack([relu_backward(a, b) for a, b in zip(x, g)]))
+        p = softmax(x)
+        np.testing.assert_allclose(p, self.stacked(softmax, x), atol=1e-15)
+        np.testing.assert_allclose(
+            softmax_backward(p, g), np.stack([softmax_backward(a, b) for a, b in zip(p, g)]), atol=1e-15
+        )
+
+    def test_layer_norm(self):
+        x = self.rng.normal(size=(self.N, 4, 6))
+        gain = self.rng.normal(size=6)
+        shift = self.rng.normal(size=6)
+        g = self.rng.normal(size=(self.N, 4, 6))
+        want = self.stacked(lambda v: layer_norm(v, gain, shift), x)
+        np.testing.assert_allclose(layer_norm(x, gain, shift), want, atol=1e-12)
+        dx, dgain, dshift = layer_norm_backward(x, gain, g)
+        singles = [layer_norm_backward(x[n], gain, g[n]) for n in range(self.N)]
+        np.testing.assert_allclose(dx, np.stack([s[0] for s in singles]), atol=1e-12)
+        np.testing.assert_allclose(dgain, sum(s[1] for s in singles), atol=1e-12)
+        np.testing.assert_allclose(dshift, sum(s[2] for s in singles), atol=1e-12)
+
+    def test_attention(self):
+        w = attention_weights(self.rng, 8)
+        x = self.rng.normal(size=(self.N, 5, 8))
+        g = self.rng.normal(size=(self.N, 5, 8))
+        out, cache = multi_head_attention_with_cache(
+            x, w["wq"], w["bq"], w["wk"], w["bk"], w["wv"], w["bv"], w["wo"], w["bo"], 4
+        )
+        assert cache.attn.shape == (self.N, 4, 5, 5)
+        np.testing.assert_allclose(out, self.stacked(lambda v: run_attention(v, w, 4), x), atol=1e-12)
+        dx, grads = multi_head_attention_backward(cache, w["wq"], w["wk"], w["wv"], w["wo"], g)
+        singles = []
+        for n in range(self.N):
+            _, c = multi_head_attention_with_cache(
+                x[n], w["wq"], w["bq"], w["wk"], w["bk"], w["wv"], w["bv"], w["wo"], w["bo"], 4
+            )
+            singles.append(multi_head_attention_backward(c, w["wq"], w["wk"], w["wv"], w["wo"], g[n]))
+        np.testing.assert_allclose(dx, np.stack([s[0] for s in singles]), atol=1e-12)
+        for name in grads:
+            np.testing.assert_allclose(grads[name], sum(s[1][name] for s in singles), atol=1e-12)
+
+
+class TestBatchedGradients:
+    """Finite-difference checks of the backward kernels on batched input."""
+
+    def test_conv1d_backward(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, 11, 2))
+        w = rng.normal(size=(3, 2, 4))
+        b = rng.normal(size=4)
+        g = rng.normal(size=(2, 5, 4))
+        dx, dw, db = conv1d_backward(x, w, 2, g)
+        loss = lambda out: float((out * g).sum())
+        assert relative_error(dx, numeric_gradient(lambda v: loss(conv1d(v, w, b, 2)), x)) < GRAD_TOL
+        assert relative_error(dw, numeric_gradient(lambda v: loss(conv1d(x, v, b, 2)), w)) < GRAD_TOL
+        assert relative_error(db, numeric_gradient(lambda v: loss(conv1d(x, w, v, 2)), b)) < GRAD_TOL
+
+    def test_layer_norm_backward(self):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(2, 3, 6))
+        gain = rng.normal(size=6)
+        shift = rng.normal(size=6)
+        g = rng.normal(size=(2, 3, 6))
+        dx, dgain, dshift = layer_norm_backward(x, gain, g)
+        loss = lambda out: float((out * g).sum())
+        assert relative_error(dx, numeric_gradient(lambda v: loss(layer_norm(v, gain, shift)), x)) < GRAD_TOL
+        assert relative_error(dgain, numeric_gradient(lambda v: loss(layer_norm(x, v, shift)), gain)) < GRAD_TOL
+        assert relative_error(dshift, numeric_gradient(lambda v: loss(layer_norm(x, gain, v)), shift)) < GRAD_TOL
+
+    def test_attention_backward(self):
+        rng = np.random.default_rng(16)
+        d, heads = 4, 2
+        w = attention_weights(rng, d)
+        x = rng.normal(size=(2, 3, d))
+        g = rng.normal(size=(2, 3, d))
+        _, cache = multi_head_attention_with_cache(
+            x, w["wq"], w["bq"], w["wk"], w["bk"], w["wv"], w["bv"], w["wo"], w["bo"], heads
+        )
+        dx, grads = multi_head_attention_backward(cache, w["wq"], w["wk"], w["wv"], w["wo"], g)
+        loss = lambda out: float((out * g).sum())
+        assert relative_error(dx, numeric_gradient(lambda v: loss(run_attention(v, w, heads)), x)) < GRAD_TOL
+        for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
+            def f(v, name=name):
+                probe = dict(w)
+                probe[name] = v
+                return loss(run_attention(x, probe, heads))
+
+            assert relative_error(grads[name], numeric_gradient(f, w[name])) < GRAD_TOL, name

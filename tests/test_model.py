@@ -14,6 +14,8 @@ from edgesleep.model import (
     save_model,
 )
 
+from conftest import claim_tensor_length
+
 
 def shape_product_recount(config):
     """Independent parameter recount straight from the shape table."""
@@ -134,6 +136,22 @@ class TestForward:
         np.testing.assert_allclose(cache.resid2, cache.features, atol=1e-9)
 
 
+    def test_batch_equals_stacked_single_epochs(self, small_setup):
+        config, params, x = small_setup
+        xs = np.stack([x, -x, np.roll(x, 7)])
+        probs, cache = forward(params, xs, config, mode="train")
+        want = np.stack([forward(params, row, config)[0] for row in xs])
+        np.testing.assert_allclose(probs, want, atol=1e-12)
+        assert cache.conv_inputs[0].shape == (3, EPOCH_SAMPLES, 1)
+        assert cache.features.shape == (3, config.feature_len, config.scaled_d_model)
+
+    @pytest.mark.parametrize("shape", [(2, 2999), (1, 1, EPOCH_SAMPLES), (EPOCH_SAMPLES, 1)])
+    def test_bad_batch_shape_rejected(self, small_setup, shape):
+        config, params, _ = small_setup
+        with pytest.raises(ValueError, match="3000"):
+            forward(params, np.zeros(shape), config)
+
+
 class TestSerialization:
     def test_round_trip_bit_identical(self, tmp_path, small_setup):
         config, params, _ = small_setup
@@ -164,6 +182,14 @@ class TestSerialization:
         path = tmp_path / "cut.slpm"
         save_model(params.astype(np.float32), config, path)
         path.write_bytes(path.read_bytes()[:-50])
+        with pytest.raises(ModelFormatError, match="truncated"):
+            load_model(path)
+
+    def test_directory_length_beyond_file_rejected(self, tmp_path, small_setup):
+        config, params, _ = small_setup
+        path = tmp_path / "huge.slpm"
+        save_model(params.astype(np.float32), config, path)
+        path.write_bytes(claim_tensor_length(path.read_bytes(), "conv1_w", 2**40))
         with pytest.raises(ModelFormatError, match="truncated"):
             load_model(path)
 

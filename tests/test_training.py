@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgesleep import training
 from edgesleep.epochs import standardize
 from edgesleep.model import ArchConfig, init_params, forward
 from edgesleep.training import (
@@ -126,6 +127,44 @@ class TestBackprop:
         for name in batch:
             mean = (singles[0][name] + singles[1][name] + singles[2][name]) / 3.0
             np.testing.assert_allclose(batch[name], mean, atol=1e-12)
+
+
+    def test_batched_backprop_is_sum_of_per_sample(self):
+        epochs = make_synth_epochs(3, seed=26)
+        xs = np.stack([standardize(e.samples) for e in epochs])
+        ys = np.array([int(e.stage) for e in epochs])
+        probs, cache = forward(self.params, xs, self.config, mode="train")
+        assert probs.shape == (3, 5)
+        summed = backprop(self.params, self.config, cache, ys)
+        singles = []
+        for x, y in zip(xs, ys):
+            _, c = forward(self.params, x, self.config, mode="train")
+            singles.append(backprop(self.params, self.config, c, y))
+        for name in summed:
+            np.testing.assert_allclose(summed[name], sum(s[name] for s in singles), atol=1e-12)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_batch_gradients_independent_of_chunk_size(self, chunk, monkeypatch):
+        epochs = make_synth_epochs(7, seed=27)
+        xs = [standardize(e.samples) for e in epochs]
+        ys = np.array([int(e.stage) for e in epochs])
+        want, want_loss = batch_gradients(self.params, self.config, xs, ys)
+        monkeypatch.setattr(training, "CHUNK_ROWS", chunk)
+        got, got_loss = batch_gradients(self.params, self.config, xs, ys)
+        assert got_loss == pytest.approx(want_loss, abs=1e-12)
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], atol=1e-12)
+
+    def test_evaluate_matches_per_epoch_forward(self):
+        epochs = make_synth_epochs(5, seed=28)
+        loss, acc = evaluate_epochs(self.params, self.config, epochs)
+        losses, hits = [], []
+        for e in epochs:
+            probs, _ = forward(self.params, standardize(e.samples), self.config)
+            losses.append(cross_entropy(probs, int(e.stage)))
+            hits.append(int(np.argmax(probs)) == int(e.stage))
+        assert loss == pytest.approx(np.mean(losses), abs=1e-12)
+        assert acc == np.mean(hits)
 
 
 class TestFolds:
