@@ -188,8 +188,12 @@ def cmd_budget(args) -> int:
 
 
 def _stdin_samples(raw, args):
-    """Yield float samples from a binary feed (float32 LE, or int16 with an
-    explicit digital->physical scaling)."""
+    """Yield one float64 block per read of a binary feed (float32 LE, or int16
+    with an explicit digital->physical scaling).
+
+    Reads with `read1` where the stream has it, which returns what a pipe
+    holds instead of waiting for a full buffer, so a live feed's decisions
+    are not held back."""
     if args.int16:
         for flag in ("dig_min", "dig_max", "phys_min", "phys_max"):
             if getattr(args, flag) is None:
@@ -200,15 +204,16 @@ def _stdin_samples(raw, args):
     else:
         dtype = np.dtype("<f4")
         convert = lambda arr: arr.astype(np.float64)
+    read = getattr(raw, "read1", raw.read)
     carry = b""
     while True:
-        chunk = raw.read(65536)
+        chunk = read(65536)
         if not chunk:
             break
         carry += chunk
         usable = len(carry) - len(carry) % dtype.itemsize
         if usable:
-            yield from convert(np.frombuffer(carry[:usable], dtype=dtype))
+            yield convert(np.frombuffer(carry[:usable], dtype=dtype))
             carry = carry[usable:]
     if carry:
         raise streaming.StreamGapError(f"{len(carry)} trailing bytes are not a whole sample")
@@ -221,13 +226,17 @@ def cmd_stream(args) -> int:
         )
     _, obj, config = quant.load_any_model(args.model)
     predict = streaming.make_predictor(obj, config)
+    latencies = []
 
     def sink(decision):
         print(streaming.decision_line(decision), flush=True)
+        if not decision.unscorable:
+            latencies.append(decision.latency_s)
 
-    frames = streaming.frames_from_values(_stdin_samples(sys.stdin.buffer, args))
+    frames = streaming.frames_from_blocks(_stdin_samples(sys.stdin.buffer, args))
     decisions, leftover = streaming.stream_classify(frames, predict, sink)
     print(f"stream ended: {decisions} decisions, {leftover} samples buffered", file=sys.stderr)
+    print(streaming.latency_line(latencies), file=sys.stderr)
     return 0
 
 

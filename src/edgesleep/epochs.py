@@ -10,6 +10,7 @@ and streaming classification on the identical code path.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -279,6 +280,7 @@ def read_store(path: str | Path) -> list[LabeledEpoch]:
     meta_size = struct.calcsize(_EPOCH_META_FMT)
     sample_bytes = EPOCH_SAMPLES * 4
     with open(path, "rb") as f:
+        file_size = os.fstat(f.fileno()).st_size
         head = f.read(struct.calcsize(_HEADER_FMT))
         if len(head) < struct.calcsize(_HEADER_FMT):
             raise StoreError("truncated store header")
@@ -289,6 +291,12 @@ def read_store(path: str | Path) -> list[LabeledEpoch]:
             raise StoreError(f"unsupported store version {version}")
         if rate != SAMPLE_RATE or epoch_len != EPOCH_SAMPLES:
             raise StoreError(f"unexpected geometry: rate={rate}, epoch_len={epoch_len}")
+        declared = len(head) + count * (meta_size + sample_bytes)
+        if declared > file_size:
+            raise StoreError(
+                f"store truncated: header declares {count} epochs ({declared} bytes), "
+                f"file holds {file_size} bytes"
+            )
         epochs = []
         for _ in range(count):
             meta = f.read(meta_size)

@@ -417,23 +417,38 @@ def save_model(params: ModelParams, config: ArchConfig, path: str | Path) -> Non
     write_slpm(path, config, entries, quantized=False)
 
 
-def load_model(path: str | Path) -> tuple[ModelParams, ArchConfig]:
-    """Load a float32 model, validating every tensor shape against its config."""
-    config, flags, entries = read_slpm(path)
-    if flags & FLAG_QUANTIZED:
-        raise ModelFormatError("file holds a quantized model; load it via the quant module")
+def checked_entries(
+    config: ArchConfig, entries: list[tuple[str, np.ndarray, float | None]]
+) -> dict[str, tuple[np.ndarray, float | None]]:
+    """Validate read_slpm entries against the config's tensor shapes.
+
+    Returns name -> (array, scale) in canonical order, whatever the file order.
+    """
     shapes = expected_shapes(config)
-    tensors: dict[str, np.ndarray] = {}
-    for name, arr, _ in entries:
+    found: dict[str, tuple[np.ndarray, float | None]] = {}
+    for name, arr, scale in entries:
         if name not in shapes:
             raise ModelFormatError(f"unexpected tensor {name!r}")
         if arr.shape != shapes[name]:
             raise ModelFormatError(
                 f"tensor {name}: shape {arr.shape} != expected {shapes[name]}"
             )
-        tensors[name] = arr
-    missing = set(shapes) - set(tensors)
+        found[name] = (arr, scale)
+    missing = set(shapes) - set(found)
     if missing:
         raise ModelFormatError(f"missing tensors: {sorted(missing)}")
-    # Restore canonical order regardless of file order.
-    return ModelParams({name: tensors[name] for name in shapes}), config
+    return {name: found[name] for name in shapes}
+
+
+def params_from_entries(
+    config: ArchConfig, entries: list[tuple[str, np.ndarray, float | None]]
+) -> ModelParams:
+    return ModelParams({name: arr for name, (arr, _) in checked_entries(config, entries).items()})
+
+
+def load_model(path: str | Path) -> tuple[ModelParams, ArchConfig]:
+    """Load a float32 model, validating every tensor shape against its config."""
+    config, flags, entries = read_slpm(path)
+    if flags & FLAG_QUANTIZED:
+        raise ModelFormatError("file holds a quantized model; load it via the quant module")
+    return params_from_entries(config, entries), config

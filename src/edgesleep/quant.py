@@ -18,8 +18,10 @@ from .model import (
     ArchConfig,
     ModelFormatError,
     ModelParams,
+    checked_entries,
     expected_shapes,
     forward,
+    params_from_entries,
     read_slpm,
     write_slpm,
 )
@@ -109,36 +111,28 @@ def save_quant_model(qmodel: QuantModel, path) -> None:
     write_slpm(path, qmodel.config, entries, quantized=True)
 
 
-def load_quant_model(path) -> QuantModel:
-    config, flags, entries = read_slpm(path)
-    if not flags & FLAG_QUANTIZED:
-        raise ModelFormatError("file holds a float model, not a quantized one")
-    shapes = expected_shapes(config)
+def quant_model_from_entries(config: ArchConfig, entries) -> QuantModel:
     quantized: dict[str, QuantTensor] = {}
     retained: dict[str, np.ndarray] = {}
-    for name, arr, scale in entries:
-        if name not in shapes:
-            raise ModelFormatError(f"unexpected tensor {name!r}")
-        if arr.shape != shapes[name]:
-            raise ModelFormatError(f"tensor {name}: shape {arr.shape} != {shapes[name]}")
+    for name, (arr, scale) in checked_entries(config, entries).items():
         if scale is not None:
             quantized[name] = QuantTensor(values=arr.reshape(-1), scale=scale, shape=arr.shape)
         else:
             retained[name] = arr
-    missing = set(shapes) - set(quantized) - set(retained)
-    if missing:
-        raise ModelFormatError(f"missing tensors: {sorted(missing)}")
     return QuantModel(config=config, quantized=quantized, retained=retained)
+
+
+def load_quant_model(path) -> QuantModel:
+    config, flags, entries = read_slpm(path)
+    if not flags & FLAG_QUANTIZED:
+        raise ModelFormatError("file holds a float model, not a quantized one")
+    return quant_model_from_entries(config, entries)
 
 
 def load_any_model(path):
     """Dispatch on the quantized flag: returns ("float", params, config) or
     ("quant", qmodel, config)."""
-    _, flags, _ = read_slpm(path)
+    config, flags, entries = read_slpm(path)
     if flags & FLAG_QUANTIZED:
-        qm = load_quant_model(path)
-        return "quant", qm, qm.config
-    from .model import load_model
-
-    params, config = load_model(path)
-    return "float", params, config
+        return "quant", quant_model_from_entries(config, entries), config
+    return "float", params_from_entries(config, entries), config

@@ -1,9 +1,13 @@
 """Real-time classification over a 100 Hz sample feed.
 
-Samples accumulate in a 3000-slot window; every completed window is
+The feed arrives as frames, each a block of consecutive samples numbered
+by the counter of its first sample (a scalar frame is a block of one).
+Blocks are sliced into a 3000-slot window; every completed window is
 standardized and classified exactly like a stored epoch, so streaming
 decisions are bit-identical to batch inference over the same samples.
-Windows never overlap and the buffer resets after each decision.
+A decision is emitted as soon as its window's last sample arrives, before
+the rest of that sample's block is copied.  Windows never overlap and the
+buffer resets after each decision.
 """
 
 from __future__ import annotations
@@ -25,8 +29,11 @@ class StreamGapError(ValueError):
 
 @dataclass(frozen=True)
 class StreamFrame:
+    """A run of consecutive samples: `counter` numbers the first one, and
+    `value` is one sample or a 1-D array of them."""
+
     counter: int
-    value: float
+    value: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -47,9 +54,19 @@ class StageDecision:
         return self.stage is None
 
 
+def frames_from_blocks(
+    blocks: Iterable[np.ndarray], start: int = 0
+) -> Iterator[StreamFrame]:
+    """Number consecutive sample blocks into frames, starting at `start`."""
+    counter = start
+    for block in blocks:
+        yield StreamFrame(counter=counter, value=block)
+        counter += len(block)
+
+
 def frames_from_values(values: Iterable[float], start: int = 0) -> Iterator[StreamFrame]:
-    for i, v in enumerate(values, start=start):
-        yield StreamFrame(counter=i, value=float(v))
+    """Frame a finite sequence of samples as one block starting at `start`."""
+    return frames_from_blocks([np.fromiter(values, dtype=np.float64)], start)
 
 
 def make_predictor(
@@ -60,6 +77,23 @@ def make_predictor(
         dequantized = model_obj.dequantize()  # dequantize once, reuse per window
         return lambda x: forward(dequantized, x, config, mode="infer")[0]
     return lambda x: forward(model_obj, x, config, mode="infer")[0]
+
+
+def _decide(
+    window: np.ndarray, predict: Callable[[np.ndarray], np.ndarray], epoch_index: int
+) -> StageDecision:
+    started = time.perf_counter()
+    try:
+        probs = predict(standardize(window))
+        stage = SleepStage(int(np.argmax(probs)))
+    except DegenerateEpochError:
+        probs, stage = None, None
+    return StageDecision(
+        epoch_index=epoch_index,
+        stage=stage,
+        probs=probs,
+        latency_s=time.perf_counter() - started,
+    )
 
 
 def stream_classify(
@@ -79,31 +113,22 @@ def stream_classify(
     expected = start_counter
     epoch_index = 0
     for frame in source:
+        block = np.atleast_1d(frame.value)
         if frame.counter != expected:
             raise StreamGapError(
                 f"sample counter jumped from {expected} to {frame.counter}"
             )
-        expected += 1
-        window[filled] = frame.value
-        filled += 1
-        if filled < EPOCH_SAMPLES:
-            continue
-        started = time.perf_counter()
-        try:
-            probs = predict(standardize(window))
-            stage = SleepStage(int(np.argmax(probs)))
-        except DegenerateEpochError:
-            probs, stage = None, None
-        sink(
-            StageDecision(
-                epoch_index=epoch_index,
-                stage=stage,
-                probs=probs,
-                latency_s=time.perf_counter() - started,
-            )
-        )
-        epoch_index += 1
-        filled = 0
+        expected += len(block)
+        taken = 0
+        while taken < len(block):
+            n = min(EPOCH_SAMPLES - filled, len(block) - taken)
+            window[filled : filled + n] = block[taken : taken + n]
+            filled += n
+            taken += n
+            if filled == EPOCH_SAMPLES:
+                sink(_decide(window, predict, epoch_index))
+                epoch_index += 1
+                filled = 0
     return epoch_index, filled
 
 
@@ -117,3 +142,12 @@ def decision_line(decision: StageDecision) -> str:
         fields = [str(decision.epoch_index), STAGE_NAMES[int(decision.stage)]]
         fields += [f"{p:.6f}" for p in decision.probs]
     return "\t".join(fields)
+
+
+def latency_line(latencies_s: list[float]) -> str:
+    """key=value summary of decision latencies in milliseconds."""
+    ms = np.asarray(latencies_s, dtype=np.float64) * 1e3
+    if not ms.size:
+        return "latency_ms count=0 p50=nan p99=nan max=nan"
+    p50, p99 = np.percentile(ms, [50, 99])
+    return f"latency_ms count={ms.size} p50={p50:.3f} p99={p99:.3f} max={ms.max():.3f}"

@@ -8,6 +8,8 @@ from edgesleep import epochs as ep
 from edgesleep.cli import main
 from edgesleep.metrics import counts_from_csv
 from edgesleep.model import ArchConfig, init_params, load_model, save_model, forward
+from edgesleep.quant import load_quant_model
+from edgesleep.streaming import StageDecision, decision_line
 
 from conftest import claim_tensor_length, make_synth_epochs
 from edf_fixtures import SignalSpec, build_edf, hypnogram_edf
@@ -291,6 +293,125 @@ class TestStreamCommand:
 
         monkeypatch.setattr("sys.stdin", FakeStdin)
         assert main(["stream", "--model", str(model_path), "--int16"]) == 10
+
+
+class PipeStdin:
+    """Binary stdin over a pipe whose writer sends `chunk` bytes at a time.
+
+    `read1` returns the next chunk as it arrives; `read(n)` waits for n bytes
+    or EOF, as `BufferedReader.read` does on a pipe.  `reads` counts the
+    chunks handed out so far."""
+
+    def __init__(self, data: bytes, chunk: int):
+        self.chunks = [data[i : i + chunk] for i in range(0, len(data), chunk)]
+        self.reads = 0
+
+    def read1(self, n: int = -1) -> bytes:
+        if self.reads == len(self.chunks):
+            return b""
+        self.reads += 1
+        return self.chunks[self.reads - 1]
+
+    def read(self, n: int = -1) -> bytes:
+        out = b""
+        while (n < 0 or len(out) < n) and self.reads < len(self.chunks):
+            out += self.read1()
+        return out
+
+
+class ReadOnlyStdin:
+    """Binary stdin with `read` alone, serving one chunk per call."""
+
+    def __init__(self, data: bytes, chunk: int):
+        self.pipe = PipeStdin(data, chunk)
+
+    def read(self, n: int = -1) -> bytes:
+        return self.pipe.read1(n)
+
+
+def run_stream(monkeypatch, capsys, model_path, stdin, *flags):
+    """(exit code, stdout, first stderr line) of one `stream` run."""
+    monkeypatch.setattr("sys.stdin", type("Stdin", (), {"buffer": stdin}))
+    code = main(["stream", "--model", str(model_path), *flags])
+    out, err = capsys.readouterr()
+    return code, out, err.partition("\n")[0]
+
+
+INT16_FLAGS = ("--int16", "--dig-min", "-2048", "--dig-max", "2047",
+               "--phys-min", "-200", "--phys-max", "200")
+
+
+class TestStreamFeed:
+    def test_decision_printed_before_next_read(self, trained_setup, monkeypatch):
+        store_path, model_path, _, _ = trained_setup
+        stored = ep.read_store(store_path)[:3]
+        # 400 B = 100 float32 samples = 1 s at 100 Hz; a window is 30 reads
+        stdin = PipeStdin(np.concatenate([e.samples for e in stored]).astype("<f4").tobytes(), 400)
+        reads_at_line = []
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                if text.endswith("\n"):
+                    reads_at_line.append(stdin.reads)
+                return super().write(text)
+
+        monkeypatch.setattr("sys.stdin", type("Stdin", (), {"buffer": stdin}))
+        monkeypatch.setattr("sys.stdout", Stdout())
+        assert main(["stream", "--model", str(model_path)]) == 0
+        assert reads_at_line == [30, 60, 90]
+
+    def test_read_only_stdin_gives_same_output(self, trained_setup, capsys, monkeypatch):
+        store_path, model_path, _, _ = trained_setup
+        stored = ep.read_store(store_path)[:2]
+        feed = np.concatenate([e.samples for e in stored]).astype("<f4").tobytes()
+        piped = run_stream(monkeypatch, capsys, model_path, PipeStdin(feed, 400))
+        read_only = run_stream(monkeypatch, capsys, model_path, ReadOnlyStdin(feed, 400))
+        assert read_only == piped
+        assert len(piped[1].splitlines()) == 2
+
+    def test_stdout_bytes_and_stderr_summary(self, trained_setup, capsys, monkeypatch):
+        store_path, _, quant_path, _ = trained_setup
+        stored = ep.read_store(store_path)[:2]
+        windows = [stored[0].samples, np.full(ep.EPOCH_SAMPLES, 3.0, np.float32), stored[1].samples]
+        feed = np.concatenate(windows + [np.ones(5, np.float32)]).astype("<f4").tobytes()
+        monkeypatch.setattr("sys.stdin", type("Stdin", (), {"buffer": PipeStdin(feed, 400)}))
+        assert main(["stream", "--model", str(quant_path)]) == 0
+        out, err = capsys.readouterr()
+        qm = load_quant_model(quant_path)
+        expected = []
+        for k, window in enumerate(windows):
+            if k == 1:
+                decision = StageDecision(k, None, None, 0.0)
+            else:
+                probs, _ = forward(qm.dequantize(), ep.standardize(window), qm.config)
+                decision = StageDecision(k, ep.SleepStage(int(np.argmax(probs))), probs, 0.0)
+            expected.append(decision_line(decision) + "\n")
+        assert out == "".join(expected)
+        ended, summary = err.splitlines()
+        assert ended == "stream ended: 3 decisions, 5 samples buffered"
+        name, *pairs = summary.split(" ")
+        fields = dict(pair.split("=") for pair in pairs)
+        assert name == "latency_ms" and list(fields) == ["count", "p50", "p99", "max"]
+        assert fields["count"] == "2"
+        assert 0 < float(fields["p50"]) <= float(fields["p99"]) <= float(fields["max"])
+
+    def test_int16_sample_split_across_reads(self, trained_setup, capsys, monkeypatch):
+        _, model_path, _, _ = trained_setup
+        rng = np.random.default_rng(98)
+        feed = rng.integers(-2048, 2048, size=2 * ep.EPOCH_SAMPLES + 9, dtype="<i2").tobytes()
+        whole = run_stream(monkeypatch, capsys, model_path, PipeStdin(feed, len(feed)), *INT16_FLAGS)
+        split = run_stream(monkeypatch, capsys, model_path, PipeStdin(feed, 401), *INT16_FLAGS)
+        assert split == whole
+        assert whole[0] == 0 and len(whole[1].splitlines()) == 2
+        assert whole[2] == "stream ended: 2 decisions, 9 samples buffered"
+
+    def test_odd_trailing_byte_exits_10(self, trained_setup, capsys, monkeypatch):
+        _, model_path, _, _ = trained_setup
+        feed = np.zeros(ep.EPOCH_SAMPLES + 2, dtype="<i2").tobytes() + b"\x01"
+        code, out, err = run_stream(monkeypatch, capsys, model_path, PipeStdin(feed, 401), *INT16_FLAGS)
+        assert code == 10
+        assert out.split("\t")[:2] == ["0", "unscorable"]
+        assert "1 trailing bytes" in err
 
 
 class TestErrorSurface:

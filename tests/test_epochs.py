@@ -247,6 +247,23 @@ class TestStore:
         with pytest.raises(StoreError, match="trailing"):
             read_store(path)
 
+    @pytest.mark.parametrize(
+        "count, error",
+        [
+            (2**31, "truncated: header declares 2147483648 epochs"),
+            (3, "truncated: header declares 3 epochs"),
+            (1, "trailing"),
+        ],
+    )
+    def test_header_count_against_file_size(self, tmp_path, count, error):
+        path = tmp_path / "count.slpe"
+        write_store(make_synth_epochs(2), path)
+        raw = bytearray(path.read_bytes())
+        raw[12:16] = count.to_bytes(4, "little")  # epoch_count, after magic/version/rate/len
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StoreError, match=error):
+            read_store(path)
+
 
 class TestHypnogramSidecar:
     def test_parse_lines(self):

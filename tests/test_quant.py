@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesleep.epochs import standardize
+from edgesleep import model as model_mod
 from edgesleep.model import (
     ArchConfig,
     ModelFormatError,
@@ -12,6 +13,7 @@ from edgesleep.model import (
     init_params,
     load_model,
     save_model,
+    write_slpm,
 )
 from edgesleep.quant import (
     QuantError,
@@ -107,6 +109,53 @@ class TestQuantizeModel:
             load_model(path)
         kind, _, _ = load_any_model(path)
         assert kind == "quant"
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_load_any_model_reads_file_once(self, small_quant, tmp_path, monkeypatch, quantized):
+        config, params, qm = small_quant
+        path = tmp_path / "m.slpm"
+        if quantized:
+            save_quant_model(qm, path)
+        else:
+            save_model(params, config, path)
+        calls = []
+        read = model_mod.read_slpm
+        monkeypatch.setattr(
+            "edgesleep.quant.read_slpm", lambda p: calls.append(p) or read(p)
+        )
+        kind, obj, loaded_config = load_any_model(path)
+        assert calls == [path]
+        assert kind == ("quant" if quantized else "float")
+        assert loaded_config == config
+        loaded = obj.dequantize() if quantized else obj
+        expected = qm.dequantize() if quantized else params
+        assert loaded.names() == expected.names()
+        for name in expected.names():
+            np.testing.assert_array_equal(loaded[name], expected[name])
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda e: e + [("extra_w", np.zeros(2, np.float32), None)], "unexpected tensor 'extra_w'"),
+            (lambda e: [(n, a[:1] if n == "cls_b" else a, s) for n, a, s in e], "tensor cls_b: shape"),
+            (lambda e: [x for x in e if x[0] != "cls_b"], r"missing tensors: \['cls_b'\]"),
+        ],
+    )
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_loaders_share_tensor_checks(self, small_quant, tmp_path, tamper, message, quantized):
+        config, params, qm = small_quant
+        if quantized:
+            entries = [(n, qt.values.reshape(qt.shape), qt.scale) for n, qt in qm.quantized.items()]
+            entries += [(n, a, None) for n, a in qm.retained.items()]
+            load = load_quant_model
+        else:
+            entries = [(n, a, None) for n, a in params.tensors.items()]
+            load = load_model
+        path = tmp_path / "bad.slpm"
+        write_slpm(path, config, tamper(entries), quantized=quantized)
+        for loader in (load, load_any_model):
+            with pytest.raises(ModelFormatError, match=message):
+                loader(path)
 
     def test_default_model_size_reduction(self, tmp_path):
         config = default_arch()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesleep.epochs import EPOCH_SAMPLES, SleepStage, standardize
 from edgesleep.model import ArchConfig, forward, init_params
@@ -8,7 +10,9 @@ from edgesleep.streaming import (
     StreamFrame,
     StreamGapError,
     decision_line,
+    frames_from_blocks,
     frames_from_values,
+    latency_line,
     make_predictor,
     stream_classify,
 )
@@ -67,6 +71,142 @@ class TestWindowing:
         values = np.random.default_rng(3).normal(size=EPOCH_SAMPLES * 5)
         decisions, _ = collect(frames_from_values(values), predict)
         assert [d.epoch_index for d in decisions] == list(range(5))
+
+
+def one_sample_frames(values, start=0):
+    return [StreamFrame(start + i, float(v)) for i, v in enumerate(values)]
+
+
+def split_blocks(values, sizes):
+    """Cut values into consecutive blocks, cycling through sizes."""
+    blocks, pos, k = [], 0, 0
+    while pos < len(values):
+        blocks.append(values[pos : pos + sizes[k % len(sizes)]])
+        pos += len(blocks[-1])
+        k += 1
+    return blocks
+
+
+def same_decisions(a, b):
+    assert [(d.epoch_index, d.stage) for d in a] == [(d.epoch_index, d.stage) for d in b]
+    for x, y in zip(a, b):
+        assert (x.probs is None and y.probs is None) or np.array_equal(x.probs, y.probs)
+
+
+class TestBlockFrames:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_windows=st.integers(0, 3),
+        tail=st.integers(0, EPOCH_SAMPLES - 1),
+        flat=st.lists(st.booleans(), min_size=3, max_size=3),
+        sizes=st.lists(st.sampled_from([1, 2999, 3000, 3001, None]), min_size=1, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_block_split_matches_one_sample_frames(
+        self, predictor, n_windows, tail, flat, sizes, seed
+    ):
+        predict = predictor[0]
+        values = np.random.default_rng(seed).normal(size=n_windows * EPOCH_SAMPLES + tail)
+        for k in range(n_windows):
+            if flat[k]:
+                values[k * EPOCH_SAMPLES : (k + 1) * EPOCH_SAMPLES] = 1.5
+        sizes = [(len(values) or 1) if s is None else s for s in sizes]
+        per_sample, per_sample_stats = collect(one_sample_frames(values), predict)
+        blocked, blocked_stats = collect(
+            frames_from_blocks(split_blocks(values, sizes)), predict
+        )
+        assert blocked_stats == per_sample_stats == (n_windows, tail)
+        same_decisions(blocked, per_sample)
+        assert [d.unscorable for d in blocked] == flat[:n_windows]
+
+    def test_decision_emitted_when_last_sample_arrives(self, predictor):
+        predict = predictor[0]
+        values = np.random.default_rng(4).normal(size=2 * EPOCH_SAMPLES)
+        pulled = []
+
+        def source():
+            for frame in frames_from_blocks(split_blocks(values, [1000])):
+                pulled.append(frame.counter)
+                yield frame
+
+        emitted_after = []
+        stream_classify(source(), predict, lambda d: emitted_after.append(len(pulled)))
+        assert emitted_after == [3, 6]
+
+    def test_decision_emitted_before_rest_of_block_is_copied(self, predictor):
+        predict = predictor[0]
+        slices = []
+
+        class SliceCounting(np.ndarray):
+            def __getitem__(self, key):
+                slices.append(key)
+                return np.asarray(self)[key]
+
+        values = np.random.default_rng(9).normal(size=2 * EPOCH_SAMPLES + 500)
+        slices_at_decision = []
+        stream_classify(
+            [StreamFrame(0, values.view(SliceCounting))],
+            predict,
+            lambda d: slices_at_decision.append(len(slices)),
+        )
+        assert slices_at_decision == [1, 2]
+
+    def test_block_completing_several_windows(self, predictor):
+        predict = predictor[0]
+        values = np.random.default_rng(5).normal(size=3 * EPOCH_SAMPLES + 10)
+        blocked, stats = collect(frames_from_blocks([values]), predict)
+        reference, reference_stats = collect(one_sample_frames(values), predict)
+        assert stats == reference_stats == (3, 10)
+        same_decisions(blocked, reference)
+
+    def test_gap_between_blocks_after_earlier_windows(self, predictor):
+        predict = predictor[0]
+        values = np.random.default_rng(6).normal(size=EPOCH_SAMPLES + 500)
+        frames = [
+            StreamFrame(0, values[:EPOCH_SAMPLES + 100]),
+            StreamFrame(EPOCH_SAMPLES + 100, values[EPOCH_SAMPLES + 100 : EPOCH_SAMPLES + 200]),
+            StreamFrame(EPOCH_SAMPLES + 250, values[EPOCH_SAMPLES + 200 :]),
+        ]
+        decisions = []
+        gap = f"jumped from {EPOCH_SAMPLES + 200} to {EPOCH_SAMPLES + 250}"
+        with pytest.raises(StreamGapError, match=gap):
+            stream_classify(frames, predict, decisions.append)
+        assert [d.epoch_index for d in decisions] == [0]
+
+    def test_start_counter_honoured(self, predictor):
+        predict = predictor[0]
+        values = np.random.default_rng(7).normal(size=EPOCH_SAMPLES + 7)
+        frames = list(frames_from_blocks(split_blocks(values, [2000]), start=500))
+        decisions = []
+        assert stream_classify(frames, predict, decisions.append, start_counter=500) == (1, 7)
+        with pytest.raises(StreamGapError, match="jumped from 0 to 500"):
+            stream_classify(frames, predict, decisions.append)
+
+    def test_frames_from_values_accepts_lists_and_arrays(self, predictor):
+        predict = predictor[0]
+        values = np.random.default_rng(8).normal(size=EPOCH_SAMPLES + 3).astype(np.float32)
+        reference, reference_stats = collect(one_sample_frames(values), predict)
+        for given_values in (values, values.tolist()):
+            decisions = []
+            frames = frames_from_values(given_values, start=4)
+            stats = stream_classify(frames, predict, decisions.append, start_counter=4)
+            assert stats == reference_stats == (1, 3)
+            same_decisions(decisions, reference)
+
+
+class TestLatencyLine:
+    def test_summary_fields(self):
+        line = latency_line([0.001, 0.002, 0.004])
+        name, *pairs = line.split(" ")
+        fields = dict(p.split("=") for p in pairs)
+        assert name == "latency_ms"
+        assert fields["count"] == "3"
+        assert float(fields["p50"]) == pytest.approx(2.0)
+        assert float(fields["p99"]) == pytest.approx(3.96)
+        assert float(fields["max"]) == pytest.approx(4.0)
+
+    def test_no_decisions(self):
+        assert latency_line([]) == "latency_ms count=0 p50=nan p99=nan max=nan"
 
 
 class TestBatchEquivalence:
