@@ -50,7 +50,7 @@ from edgesleep import epochs as ep  # noqa: E402
 from edgesleep.adapt import fine_tune, split_adapt  # noqa: E402
 from edgesleep.edf import RawAnnotation, parse_edf, read_signal  # noqa: E402
 from edgesleep.metrics import class_metrics, confusion, counts_to_csv, render_report  # noqa: E402
-from edgesleep.model import default_arch, forward, load_model, save_model  # noqa: E402
+from edgesleep.model import default_arch, load_model, predict, save_model  # noqa: E402
 from edgesleep.quant import quantize_model, save_quant_model  # noqa: E402
 from edgesleep.training import (  # noqa: E402
     TrainConfig,
@@ -192,11 +192,8 @@ def stage_train(args) -> None:
 
 
 def classify(params, config, epochs):
-    predictions = []
-    for e in epochs:
-        probs, _ = forward(params, ep.standardize(e.samples), config)
-        predictions.append(int(np.argmax(probs)))
-    return predictions
+    probs = predict(params, config, [e.samples for e in epochs])
+    return np.argmax(probs, axis=-1).tolist()
 
 
 def stage_evaluate(args) -> None:

@@ -30,6 +30,7 @@ from .model import (
     init_params,
     load_model,
     param_count,
+    predict,
     save_model,
 )
 from .quant import QuantModel, QuantTensor, quant_forward, quantize_model, quantize_tensor

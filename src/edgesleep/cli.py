@@ -106,13 +106,9 @@ def cmd_train(args) -> int:
 
 
 def _evaluate_store(params, config, store):
-    predictions = []
-    labels = []
-    for e in store:
-        probs, _ = model.forward(params, epochs.standardize(e.samples), config)
-        predictions.append(int(np.argmax(probs)))
-        labels.append(int(e.stage))
-    return metrics.class_metrics(metrics.confusion(predictions, labels))
+    probs = model.predict(params, config, [e.samples for e in store])
+    labels = [int(e.stage) for e in store]
+    return metrics.class_metrics(metrics.confusion(np.argmax(probs, axis=-1), labels))
 
 
 def cmd_eval(args) -> int:
@@ -198,6 +194,10 @@ def _stdin_samples(raw, args):
         for flag in ("dig_min", "dig_max", "phys_min", "phys_max"):
             if getattr(args, flag) is None:
                 raise streaming.StreamGapError(f"--int16 requires --{flag.replace('_', '-')}")
+        if args.dig_max == args.dig_min:
+            raise streaming.StreamGapError(
+                f"--dig-max must differ from --dig-min (both {args.dig_min})"
+            )
         gain = (args.phys_max - args.phys_min) / (args.dig_max - args.dig_min)
         dtype = np.dtype("<i2")
         convert = lambda arr: (arr.astype(np.float64) - args.dig_min) * gain + args.phys_min

@@ -200,11 +200,15 @@ def trim_wake(night: SubjectNight) -> SubjectNight:
 
 
 def standardize(samples: np.ndarray) -> np.ndarray:
-    """Scale a sample vector to zero mean, unit (population) standard deviation."""
+    """Scale a sample vector to zero mean, unit (population) standard deviation.
+
+    samples is one vector [L] or a stack [..., L]; each row along the last
+    axis is scaled on its own, bit for bit as if it were passed alone.
+    """
     x = np.asarray(samples, dtype=np.float64)
-    mean = x.mean()
-    std = x.std()
-    if std == 0.0:
+    mean = x.mean(axis=-1, keepdims=True)
+    std = x.std(axis=-1, keepdims=True)
+    if (std == 0.0).any():
         raise DegenerateEpochError("flat epoch has zero variance")
     return (x - mean) / std
 

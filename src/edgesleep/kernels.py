@@ -9,8 +9,15 @@ hard error, never propagated.
 Shape convention: activations are ``[..., L, C]`` -- any number of leading
 batch axes, then positions, then channels.  Every kernel treats the
 leading axes as independent rows, and every parameter gradient is summed
-over them, so a call on ``[N, L, C]`` equals N stacked single calls up to
-floating-point summation order.
+over them.
+
+Row contract: each forward kernel computes a row with the same operations
+on the same shapes whatever the leading axes hold -- products are stacked
+matmuls (one BLAS call per row, never one call over rows folded together),
+reductions run over the last axis -- so a forward call on ``[N, L, C]``
+equals N stacked single calls bit for bit, for any N and either dtype.
+The backward kernels may fold the rows into one product, so they equal
+stacked single calls only up to floating-point summation order.
 """
 
 from __future__ import annotations
@@ -43,17 +50,18 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, K: int, stride: int) -> np.ndarray:
-    """Unroll the conv windows of x: [..., L, Cin] -> contiguous [M, K*Cin].
+    """Unroll the conv windows of x: [..., L, Cin] -> contiguous [..., Lout, K*Cin].
 
-    Row m holds window t of leading row n (m = n * Lout + t), laid out
-    k-major so that it lines up with w.reshape(K*Cin, Cout).
+    Window t of each leading row is laid out k-major, so that it lines up
+    with w.reshape(K*Cin, Cout).
     """
     windows = sliding_window_view(x, K, axis=-2)[..., ::stride, :, :]  # [..., Lout, Cin, K]
-    return np.ascontiguousarray(windows.swapaxes(-1, -2)).reshape(-1, K * x.shape[-1])
+    cols = np.ascontiguousarray(windows.swapaxes(-1, -2))
+    return cols.reshape(*cols.shape[:-2], K * x.shape[-1])
 
 
 def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.ndarray:
-    """Valid (unpadded) 1-D convolution as one GEMM over unrolled windows.
+    """Valid (unpadded) 1-D convolution as one GEMM per row over unrolled windows.
 
     x: [..., L, Cin], w: [K, Cin, Cout], b: [Cout] -> [..., Lout, Cout] with
     Lout = floor((L - K) / stride) + 1 and
@@ -73,8 +81,7 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
         raise KernelError(f"conv1d: input length {L} shorter than kernel {K}")
     out = _im2col(x, K, stride) @ w.reshape(K * cin, cout)
     out += b
-    lout = (L - K) // stride + 1
-    return _finite(out.reshape(*x.shape[:-2], lout, cout), "conv1d")
+    return _finite(out, "conv1d")
 
 
 def conv1d_backward(
@@ -82,12 +89,13 @@ def conv1d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of conv1d w.r.t. input, weights, and bias.
 
-    The weight and bias gradients sum over every leading axis.  With
-    need_dx=False the input gradient is not computed and comes back None.
+    The weight and bias gradients sum over every leading axis, as one GEMM
+    over the windows of all rows.  With need_dx=False the input gradient
+    is not computed and comes back None.
     """
     K, cin, _ = w.shape
     g = _rows(grad_out)
-    dw = (_im2col(x, K, stride).T @ g).reshape(w.shape)
+    dw = (_rows(_im2col(x, K, stride)).T @ g).reshape(w.shape)
     db = g.sum(axis=0)
     if not need_dx:
         return None, dw, db

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .epochs import EPOCH_SAMPLES
+from .epochs import EPOCH_SAMPLES, standardize
 
 MODEL_MAGIC = b"SLPM"
 MODEL_VERSION = 1
@@ -30,6 +30,11 @@ FLAG_QUANTIZED = 0x0001
 
 DTYPE_F32 = 0
 DTYPE_I8 = 1
+
+# Rows per forward in predict: bounds its working memory by the chunk
+# (a 10 MB tracemalloc peak at float32 and full width), not by the number
+# of epochs scored.
+PREDICT_ROWS = 32
 
 
 class ModelFormatError(ValueError):
@@ -207,7 +212,8 @@ def forward(
 
     x is [3000] (one epoch) or [N, 3000]; returns (probs, cache) with probs
     [5] or [N, 5] and the cache only in "train" mode.  Compute happens in
-    the dtype the parameters carry.
+    the dtype the parameters carry.  Each row of probs is the same bits as
+    a call on that epoch alone (the row contract in kernels).
     """
     if mode not in ("infer", "train"):
         raise ValueError(f"mode must be 'infer' or 'train', got {mode!r}")
@@ -249,7 +255,8 @@ def forward(
     resid2 = resid1 + ffn_out
 
     flat = resid2.reshape(*x.shape[:-1], -1)
-    logits = kernels.dense(flat, params["cls_w"], params["cls_b"])
+    # one [1, flat_dim] product per row, so a row's logits do not depend on N
+    logits = kernels.dense(flat[..., None, :], params["cls_w"], params["cls_b"])[..., 0, :]
     probs = kernels.softmax(logits)
 
     if cache is not None:
@@ -264,6 +271,22 @@ def forward(
         cache.flat = flat
         cache.probs = probs
     return probs, cache
+
+
+def predict(params: ModelParams, config: ArchConfig, X) -> np.ndarray:
+    """Stage probabilities [N, 5] of N epochs, one forward per PREDICT_ROWS.
+
+    X is an [N, 3000] array or a sequence of N [3000] arrays.  Each chunk is
+    standardized row by row (epochs.standardize; a flat epoch raises
+    DegenerateEpochError).  forward is batch-invariant, so each row equals
+    forward(params, standardize(x), config) on that epoch alone, bit for
+    bit, whatever N.
+    """
+    probs = np.empty((len(X), config.n_classes), dtype=params["conv1_w"].dtype)
+    for start in range(0, len(X), PREDICT_ROWS):
+        rows = standardize(np.asarray(X[start : start + PREDICT_ROWS]))
+        probs[start : start + len(rows)] = forward(params, rows, config)[0]
+    return probs
 
 
 # --- SLPM container -------------------------------------------------------

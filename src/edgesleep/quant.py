@@ -9,6 +9,7 @@ hybrid: int8 storage, tensors dequantized at use, activations at 32 bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,12 +57,20 @@ class QuantModel:
     retained: dict[str, np.ndarray]
 
     def dequantize(self) -> ModelParams:
+        """The float32 parameters, built on the first call; later calls
+        return the same read-only arrays."""
+        return self._params
+
+    @cached_property
+    def _params(self) -> ModelParams:
         tensors: dict[str, np.ndarray] = {}
         for name in expected_shapes(self.config):
             if name in self.quantized:
-                tensors[name] = self.quantized[name].dequantize()
+                t = self.quantized[name].dequantize()
             else:
-                tensors[name] = self.retained[name]
+                t = self.retained[name].view()  # read-only without freezing the original
+            t.flags.writeable = False
+            tensors[name] = t
         return ModelParams(tensors)
 
 
@@ -95,9 +104,9 @@ def quantize_model(
 
 
 def quant_forward(qmodel: QuantModel, epoch_samples: np.ndarray) -> np.ndarray:
-    """Hybrid inference: dequantize per tensor, compute at 32 bit."""
-    probs, _ = forward(qmodel.dequantize(), epoch_samples, qmodel.config, mode="infer")
-    return probs
+    """Hybrid inference on standardized epochs [3000] or [N, 3000]: int8
+    weights dequantized once per model, compute at 32 bit."""
+    return forward(qmodel.dequantize(), epoch_samples, qmodel.config)[0]
 
 
 def save_quant_model(qmodel: QuantModel, path) -> None:

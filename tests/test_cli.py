@@ -7,7 +7,7 @@ import pytest
 from edgesleep import epochs as ep
 from edgesleep.cli import main
 from edgesleep.metrics import counts_from_csv
-from edgesleep.model import ArchConfig, init_params, load_model, save_model, forward
+from edgesleep.model import PREDICT_ROWS, ArchConfig, init_params, load_model, save_model, forward
 from edgesleep.quant import load_quant_model
 from edgesleep.streaming import StageDecision, decision_line
 
@@ -165,6 +165,39 @@ class TestTrainEvalFlow:
         counts = counts_from_csv((tmp_path / "reports" / "run1_counts.csv").read_text())
         assert counts.sum() == 60
 
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_eval_counts_equal_per_epoch_reference(self, trained_setup, tmp_path, quantized):
+        store_path, model_path, quant_path, _ = trained_setup
+        path = quant_path if quantized else model_path
+        prefix = tmp_path / "ref"
+        assert main(["eval", "--store", str(store_path), "--model", str(path),
+                     "--out-prefix", str(prefix)]) == 0
+        if quantized:
+            qm = load_quant_model(quant_path)
+            params, config = qm.dequantize(), qm.config
+        else:
+            params, config = load_model(model_path)
+        stored = ep.read_store(store_path)
+        assert len(stored) % PREDICT_ROWS != 0
+        want = np.zeros((5, 5), dtype=np.int64)
+        for e in stored:
+            probs, _ = forward(params, ep.standardize(e.samples), config)
+            want[int(e.stage), int(np.argmax(probs))] += 1
+        got = counts_from_csv(Path(f"{prefix}_counts.csv").read_text())
+        np.testing.assert_array_equal(got, want)
+
+    def test_eval_flat_epoch_exits_4(self, trained_setup, tmp_path, capsys):
+        store_path, model_path, _, _ = trained_setup
+        stored = ep.read_store(store_path)
+        stored[40] = ep.LabeledEpoch(
+            samples=np.full(ep.EPOCH_SAMPLES, 3.0, dtype=np.float32), stage=stored[40].stage,
+            subject_id=stored[40].subject_id, night=1, epoch_index=stored[40].epoch_index,
+        )
+        flat_store = tmp_path / "flat.slpe"
+        ep.write_store(stored, flat_store)
+        assert main(["eval", "--store", str(flat_store), "--model", str(model_path)]) == 4
+        assert "flat epoch" in capsys.readouterr().err
+
     def test_eval_on_quant_model(self, trained_setup, capsys):
         store_path, _, quant_path, _ = trained_setup
         assert main(["eval", "--store", str(store_path), "--model", str(quant_path)]) == 0
@@ -284,6 +317,16 @@ class TestStreamCommand:
     def test_unsupported_rate(self, trained_setup):
         _, model_path, _, _ = trained_setup
         assert main(["stream", "--model", str(model_path), "--rate", "256"]) == 10
+
+    def test_int16_equal_digital_range_exits_10(self, trained_setup, capsys, monkeypatch):
+        _, model_path, _, _ = trained_setup
+        feed = np.arange(10, dtype="<i2").tobytes()
+        code, out, err = run_stream(
+            monkeypatch, capsys, model_path, PipeStdin(feed, len(feed)),
+            "--int16", "--dig-min", "5", "--dig-max", "5", "--phys-min", "0", "--phys-max", "1",
+        )
+        assert (code, out) == (10, "")
+        assert err == "error: --dig-max must differ from --dig-min (both 5)"
 
     def test_int16_requires_scaling_flags(self, trained_setup, monkeypatch):
         _, model_path, _, _ = trained_setup

@@ -166,6 +166,20 @@ class TestStandardize:
         with pytest.raises(DegenerateEpochError):
             standardize(np.full(EPOCH_SAMPLES, 5.0))
 
+    def test_rows_scale_alone_bitwise(self):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(loc=rng.uniform(-50, 50, size=(40, 1)), size=(40, EPOCH_SAMPLES))
+        rows = rows.astype(np.float32)
+        want = np.stack([standardize(r) for r in rows])
+        assert np.array_equal(standardize(rows), want)
+        assert np.array_equal(standardize(rows[7:19]), want[7:19])
+
+    def test_flat_row_rejected(self):
+        rows = np.random.default_rng(4).normal(size=(3, EPOCH_SAMPLES))
+        rows[1] = 5.0
+        with pytest.raises(DegenerateEpochError):
+            standardize(rows)
+
     @given(seed=st.integers(0, 2**31), scale=st.floats(1e-4, 1e4))
     @settings(max_examples=50, deadline=None)
     def test_zero_mean_unit_std(self, seed, scale):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from edgesleep.epochs import EPOCH_SAMPLES, standardize
+from edgesleep import model as model_mod
+from edgesleep.epochs import EPOCH_SAMPLES, DegenerateEpochError, standardize
 from edgesleep.model import (
+    PREDICT_ROWS,
     ArchConfig,
     ModelFormatError,
     default_arch,
@@ -11,10 +13,11 @@ from edgesleep.model import (
     init_params,
     load_model,
     param_count,
+    predict,
     save_model,
 )
 
-from conftest import claim_tensor_length
+from conftest import claim_tensor_length, make_synth_epochs
 
 
 def shape_product_recount(config):
@@ -150,6 +153,84 @@ class TestForward:
         config, params, _ = small_setup
         with pytest.raises(ValueError, match="3000"):
             forward(params, np.zeros(shape), config)
+
+
+@pytest.fixture(scope="module")
+def single_epoch_rows():
+    """(width, dtype) -> (params, config, 33 standardized rows, their
+    one-epoch-at-a-time forward probs)."""
+    cache = {}
+
+    def get(width, dtype):
+        if (width, dtype) not in cache:
+            config = ArchConfig(width_multiplier=width)
+            params = init_params(config, 12).astype(dtype)
+            xs = standardize(np.random.default_rng(13).normal(size=(33, EPOCH_SAMPLES)))
+            singles = np.stack([forward(params, x, config)[0] for x in xs])
+            cache[width, dtype] = params, config, xs, singles
+        return cache[width, dtype]
+
+    return get
+
+
+class TestBatchInvariance:
+    """A row's forward result does not depend on the rows batched with it."""
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 33])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [1.0, 0.25])
+    def test_rows_equal_single_epochs_bitwise(self, single_epoch_rows, width, dtype, n):
+        params, config, xs, singles = single_epoch_rows(width, dtype)
+        probs, _ = forward(params, xs[:n], config)
+        assert probs.dtype == dtype
+        assert np.array_equal(probs, singles[:n])
+
+    def test_train_mode_rows_equal_single_epochs_bitwise(self, single_epoch_rows):
+        params, config, xs, singles = single_epoch_rows(0.25, np.float64)
+        probs, _ = forward(params, xs[:5], config, mode="train")
+        assert np.array_equal(probs, singles[:5])
+
+
+def reference_predictions(params, config, epochs):
+    return np.stack([forward(params, standardize(e.samples), config)[0] for e in epochs])
+
+
+class TestPredict:
+    @pytest.fixture(scope="class")
+    def scored(self):
+        config = ArchConfig(width_multiplier=0.25)
+        params = init_params(config, 14).astype(np.float32)
+        epochs = make_synth_epochs(2 * PREDICT_ROWS + 7, seed=15)
+        return params, config, epochs, reference_predictions(params, config, epochs)
+
+    def test_equals_per_epoch_loop_bitwise(self, scored):
+        params, config, epochs, want = scored
+        assert len(epochs) % PREDICT_ROWS != 0
+        probs = predict(params, config, [e.samples for e in epochs])
+        assert probs.shape == (len(epochs), 5) and probs.dtype == np.float32
+        assert np.array_equal(probs, want)
+
+    def test_array_input_equals_list_input(self, scored):
+        params, config, epochs, want = scored
+        stacked = np.stack([e.samples for e in epochs])
+        assert np.array_equal(predict(params, config, stacked), want)
+
+    @pytest.mark.parametrize("rows", [1, 5, 3 * PREDICT_ROWS])
+    def test_chunk_size_does_not_change_bits(self, scored, monkeypatch, rows):
+        params, config, epochs, want = scored
+        monkeypatch.setattr(model_mod, "PREDICT_ROWS", rows)
+        assert np.array_equal(predict(params, config, [e.samples for e in epochs]), want)
+
+    def test_no_epochs(self, scored):
+        params, config, _, _ = scored
+        assert predict(params, config, []).shape == (0, 5)
+
+    def test_flat_epoch_raises(self, scored):
+        params, config, epochs, _ = scored
+        samples = [e.samples for e in epochs]
+        samples[PREDICT_ROWS + 3] = np.full(EPOCH_SAMPLES, 5.0, dtype=np.float32)
+        with pytest.raises(DegenerateEpochError):
+            predict(params, config, samples)
 
 
 class TestSerialization:

@@ -17,6 +17,7 @@ from edgesleep.model import (
 )
 from edgesleep.quant import (
     QuantError,
+    QuantTensor,
     load_any_model,
     load_quant_model,
     quant_forward,
@@ -24,6 +25,7 @@ from edgesleep.quant import (
     quantize_tensor,
     save_quant_model,
 )
+from edgesleep.streaming import make_predictor
 
 from conftest import make_synth_epochs
 
@@ -173,12 +175,52 @@ class TestQuantizeModel:
         assert float_size > 4 * 277_669
 
 
+class TestDequantizeOnce:
+    def test_built_once_per_model(self, small_quant, monkeypatch):
+        config, _, qm = small_quant
+        fresh = quantize_model(qm.dequantize(), config, make_synth_epochs(1, seed=56))
+        calls = []
+        original = QuantTensor.dequantize
+        monkeypatch.setattr(
+            QuantTensor, "dequantize", lambda self: calls.append(1) or original(self)
+        )
+        x = standardize(np.random.default_rng(57).normal(size=3000))
+        first = quant_forward(fresh, x)
+        predict = make_predictor(fresh, config)
+        assert np.array_equal(quant_forward(fresh, x), first)
+        assert np.array_equal(predict(x), first)
+        assert fresh.dequantize() is fresh.dequantize()
+        assert len(calls) == len(fresh.quantized)
+
+    def test_arrays_read_only_and_originals_writable(self, small_quant):
+        config, params, _ = small_quant
+        qm = quantize_model(params, config, make_synth_epochs(1, seed=59))
+        deq = qm.dequantize()
+        for arr in deq.tensors.values():
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        for name, arr in qm.retained.items():
+            assert arr.flags.writeable
+            assert np.array_equal(deq[name], arr)
+
+
 class TestQuantForward:
     def test_probs_sum_to_one(self, small_quant):
         _, _, qm = small_quant
         x = standardize(np.random.default_rng(52).normal(size=3000))
         probs = quant_forward(qm, x)
         assert abs(probs.sum() - 1.0) <= 1e-6
+
+    def test_batch_rows_equal_single_epochs_bitwise(self, small_quant):
+        _, _, qm = small_quant
+        xs = standardize(np.random.default_rng(58).normal(size=(6, 3000)))
+        want = np.stack([quant_forward(qm, x) for x in xs])
+        assert np.array_equal(quant_forward(qm, xs), want)
+
+    def test_list_input(self, small_quant):
+        _, _, qm = small_quant
+        x = standardize(np.random.default_rng(60).normal(size=3000))
+        assert np.array_equal(quant_forward(qm, x.tolist()), quant_forward(qm, x))
 
     def test_deterministic(self, small_quant):
         _, _, qm = small_quant

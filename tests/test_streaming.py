@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesleep.epochs import EPOCH_SAMPLES, SleepStage, standardize
-from edgesleep.model import ArchConfig, forward, init_params
+from edgesleep.model import PREDICT_ROWS, ArchConfig, forward, init_params, predict
 from edgesleep.streaming import (
     StageDecision,
     StreamFrame,
@@ -219,6 +219,16 @@ class TestBatchEquivalence:
             batch_probs, _ = forward(params, standardize(e.samples), config)
             assert np.array_equal(d.probs, batch_probs)
             assert d.stage == SleepStage(int(np.argmax(batch_probs)))
+
+    def test_streamed_probs_equal_chunked_predict_bitwise(self, predictor):
+        predict_window, params, config = predictor
+        epochs = make_synth_epochs(PREDICT_ROWS + 3, seed=82)
+        replay = np.concatenate([e.samples for e in epochs])
+        decisions, _ = collect(frames_from_values(replay), predict_window)
+        batch = predict(params, config, [e.samples for e in epochs])
+        assert len(decisions) == len(epochs)
+        for d, probs in zip(decisions, batch):
+            assert np.array_equal(d.probs, probs)
 
 
 class TestDecisionLine:
