@@ -19,7 +19,11 @@ Resource expectations, measured on one core of a desktop CPU:
   - conversion: ~20 minutes, writes ~1.8 GB of epoch stores
   - training: several hours PER FOLD at default settings (reduce
     --max-epochs or train single folds with --fold to iterate faster)
-  - RAM: the training stage holds the full dataset in memory (~6 GB)
+  - RAM: the training and evaluation stages hold every epoch in memory as
+    float32 samples, about 1.8 GB (arithmetic, not measured: 148,471
+    epochs x 12,000 bytes), plus under 0.1 GB of per-epoch Python objects
+    and tens of MB of per-chunk working memory; training standardizes each
+    chunk as it goes and keeps no float64 copy of the data
 
 Reproduction targets:
   - preprocessed epoch counts: Wake 44752, N1 15793, N2 54682, N3 12268,
@@ -183,7 +187,7 @@ def stage_train(args) -> None:
             continue
         log(f"fold {i}: training on {len(subjects) - len(plan.folds[i])} subjects")
         params, history = train_fold(epochs, plan.test_subjects(i), arch, tc)
-        save_model(params.astype(np.float32), arch, model_path)
+        save_model(params, arch, model_path)
         (args.work / f"history_fold{i}.csv").write_text(history_to_csv(history))
         log(f"fold {i}: done, val_acc {history[-1].val_acc:.3f}")
     (args.work / "folds.txt").write_text(
@@ -244,10 +248,7 @@ def stage_evaluate(args) -> None:
         )
     # deployment artifact: quantized copy of fold-0 for the budget check
     params, config = load_model(args.work / "model_fold0.slpm")
-    calibration = [e for e in epochs[:64]]
-    save_quant_model(
-        quantize_model(params, config, calibration), args.work / "model_fold0_int8.slpm"
-    )
+    save_quant_model(quantize_model(params, config), args.work / "model_fold0_int8.slpm")
     log("wrote quantized fold-0 model; check it with: "
         f"edgesleep budget --model {args.work / 'model_fold0_int8.slpm'}")
 

@@ -23,7 +23,6 @@ EXIT_CODES = [
     (epochs.StoreError, 5),
     (epochs.PipelineError, 4),
     (model.ModelFormatError, 6),
-    (quant.QuantError, 7),
     (training.TrainingError, 8),
     (budget_mod.BudgetError, 9),
     (streaming.StreamGapError, 10),
@@ -95,7 +94,7 @@ def cmd_train(args) -> int:
     fold_ids = [args.fold] if args.fold is not None else range(len(plan.folds))
     for i in fold_ids:
         params, history = training.train_fold(store, plan.test_subjects(i), arch, tc)
-        model.save_model(params.astype(np.float32), arch, out_dir / f"model_fold{i}.slpm")
+        model.save_model(params, arch, out_dir / f"model_fold{i}.slpm")
         (out_dir / f"history_fold{i}.csv").write_text(training.history_to_csv(history))
         last = history[-1]
         print(
@@ -152,15 +151,14 @@ def cmd_adapt(args) -> int:
     print(f"holdout accuracy before {before.accuracy:.3f} -> after {after.accuracy:.3f}")
     print(metrics.render_report(after, "text"), end="")
     if args.out:
-        model.save_model(tuned.astype(np.float32), config, args.out)
+        model.save_model(tuned, config, args.out)
         print(f"adapted model written to {args.out}")
     return 0
 
 
 def cmd_quantize(args) -> int:
     params, config = model.load_model(args.model)
-    calibration = epochs.read_store(args.store)
-    qm = quant.quantize_model(params, config, calibration)
+    qm = quant.quantize_model(params, config)
     quant.save_quant_model(qm, args.out)
     before = Path(args.model).stat().st_size
     after = Path(args.out).stat().st_size
@@ -301,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantize", help="float model -> int8 model")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--store", required=True, help="calibration epochs")
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("budget", help="flash/RAM/latency feasibility report")

@@ -206,15 +206,15 @@ def standardize(samples: np.ndarray) -> np.ndarray:
     axis is scaled on its own, bit for bit as if it were passed alone.
     """
     x = np.asarray(samples, dtype=np.float64)
-    mean = x.mean(axis=-1, keepdims=True)
-    std = x.std(axis=-1, keepdims=True)
+    # a constant row's mean can be off by a rounding step, leaving std > 0
+    if (x.max(axis=-1) == x.min(axis=-1)).any():
+        raise DegenerateEpochError("flat epoch has zero variance")
+    centered = x - x.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True))  # np.std's arithmetic
     if (std == 0.0).any():
         raise DegenerateEpochError("flat epoch has zero variance")
-    return (x - mean) / std
-
-
-def standardize_epoch(epoch: LabeledEpoch) -> LabeledEpoch:
-    return replace(epoch, samples=standardize(epoch.samples))
+    centered /= std
+    return centered
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ length, plus a float32 scale after each int8 entry), then raw payloads.
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -63,12 +64,21 @@ class ArchConfig:
     width_multiplier: float = 1.0
 
     def __post_init__(self):
+        if not self.conv_table:
+            raise ValueError("conv_table needs at least one layer")
+        for i, (k, s, c) in enumerate(self.conv_table, start=1):
+            if min(k, s, c) < 1:
+                raise ValueError(f"conv{i} kernel, stride and channels must be >= 1, got {k, s, c}")
+        for name in ("d_model", "heads", "ffn_dim", "n_classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.conv_table[-1][2] != self.d_model:
             raise ValueError("last conv layer must emit d_model channels")
-        if self.width_multiplier <= 0:
-            raise ValueError("width_multiplier must be positive")
+        if not (math.isfinite(self.width_multiplier) and self.width_multiplier > 0):
+            raise ValueError(f"width_multiplier {self.width_multiplier} is not finite and positive")
+        self.conv_lengths()  # every kernel must fit the epoch
 
     def _scale(self, channels: int) -> int:
         scaled = round(channels * self.width_multiplier / self.heads) * self.heads

@@ -13,7 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .epochs import LabeledEpoch
 from .model import (
     FLAG_QUANTIZED,
     ArchConfig,
@@ -26,10 +25,6 @@ from .model import (
     read_slpm,
     write_slpm,
 )
-
-
-class QuantError(ValueError):
-    pass
 
 
 def _is_weight(name: str) -> bool:
@@ -83,16 +78,11 @@ def quantize_tensor(t: np.ndarray) -> QuantTensor:
     return QuantTensor(values=q.reshape(-1), scale=scale, shape=t.shape)
 
 
-def quantize_model(
-    params: ModelParams, config: ArchConfig, calibration_set: list[LabeledEpoch]
-) -> QuantModel:
+def quantize_model(params: ModelParams, config: ArchConfig) -> QuantModel:
     """Quantize every weight tensor; biases/gains/shifts stay float32.
 
-    The calibration set must be non-empty; it is reserved for activation
-    quantization and unused by the weight-only scheme.
+    The scheme is weight-only, so it needs no calibration data.
     """
-    if not calibration_set:
-        raise QuantError("calibration set is empty")
     quantized: dict[str, QuantTensor] = {}
     retained: dict[str, np.ndarray] = {}
     for name, arr in params.tensors.items():

@@ -14,11 +14,12 @@ import numpy as np
 
 from . import kernels
 from .epochs import LabeledEpoch, standardize
-from .model import ArchConfig, ForwardCache, ModelParams, forward, init_params
+from .model import ArchConfig, ForwardCache, ModelParams, forward, init_params, predict
 
 PROB_FLOOR = 1e-12
 
-# Rows per batched forward/backward.  Each chunk keeps its activations alive
+# Rows per batched train-mode forward/backward (validation scores through
+# model.predict and its PREDICT_ROWS).  Each chunk keeps its activations alive
 # until its backprop ends, so the size trades per-call overhead against peak
 # memory: on a 2-core x86 box at width 1.0, 4 rows trained at most ~5%
 # faster end to end than 2 but raised peak RSS by ~5%.  A constant, so that
@@ -192,50 +193,38 @@ def make_folds(subject_ids: list[int], k: int = 5, seed: int = 0) -> FoldPlan:
     return FoldPlan(folds=folds)
 
 
-def _prepare(epochs: list[LabeledEpoch]) -> tuple[list[np.ndarray], np.ndarray]:
-    xs = [standardize(e.samples) for e in epochs]
-    ys = np.array([int(e.stage) for e in epochs], dtype=np.int64)
-    return xs, ys
-
-
-def _chunks(n: int) -> list[slice]:
-    return [slice(start, start + CHUNK_ROWS) for start in range(0, n, CHUNK_ROWS)]
-
-
-def _evaluate(params, config, xs, ys) -> tuple[float, float]:
-    if not xs:
-        return float("nan"), float("nan")
-    loss = 0.0
-    correct = 0
-    for rows in _chunks(len(xs)):
-        probs, _ = forward(params, xs[rows], config, mode="infer")
-        loss += sum(map(cross_entropy, probs, ys[rows]))
-        correct += int((np.argmax(probs, axis=-1) == ys[rows]).sum())
-    return loss / len(xs), correct / len(xs)
-
-
 def evaluate_epochs(
     params: ModelParams, config: ArchConfig, epochs: list[LabeledEpoch]
 ) -> tuple[float, float]:
-    """(mean cross-entropy, accuracy) over standardized epochs."""
-    return _evaluate(params, config, *_prepare(epochs))
+    """(mean cross-entropy, accuracy) of model.predict; nan for no epochs."""
+    if not epochs:
+        return float("nan"), float("nan")
+    probs = predict(params, config, [e.samples for e in epochs])
+    ys = np.array([int(e.stage) for e in epochs], dtype=np.int64)
+    loss = sum(map(cross_entropy, probs, ys))
+    correct = int((np.argmax(probs, axis=-1) == ys).sum())
+    return loss / len(epochs), correct / len(epochs)
 
 
 def batch_gradients(
     params: ModelParams,
     config: ArchConfig,
-    xs: list[np.ndarray],
+    xs: np.ndarray | list[np.ndarray],
     ys: np.ndarray,
 ) -> tuple[dict[str, np.ndarray], float]:
-    """Mean gradient and mean loss over one mini-batch.
+    """Mean gradient and mean loss over one mini-batch of raw epochs.
 
-    Rows run through one batched forward and backprop per CHUNK_ROWS; the
-    chunk gradients add up in place in chunk order and are scaled once.
+    xs is an [N, 3000] array or a sequence of N [3000] arrays.  Rows run
+    through one batched forward and backprop per CHUNK_ROWS, each chunk
+    standardized row by row just before its forward; the chunk gradients
+    add up in place in chunk order and are scaled once.
     """
     total: dict[str, np.ndarray] | None = None
     loss = 0.0
-    for rows in _chunks(len(xs)):
-        probs, cache = forward(params, xs[rows], config, mode="train")
+    for start in range(0, len(xs), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        x = standardize(np.asarray(xs[rows]))
+        probs, cache = forward(params, x, config, mode="train")
         loss += sum(map(cross_entropy, probs, ys[rows]))
         grads = backprop(params, config, cache, ys[rows])
         if total is None:
@@ -260,14 +249,15 @@ def fit(
     """Mini-batch Adam over the training set.
 
     Batches reshuffle every epoch from a generator seeded by tc.seed; the
-    final incomplete batch is used, not dropped.  Returns the parameters of
-    the best-validation-accuracy epoch (the last epoch when there is no
+    final incomplete batch is used, not dropped.  Epochs stay raw; each
+    chunk is standardized where it is used.  Returns the parameters of the
+    best-validation-accuracy epoch (the last epoch when there is no
     validation set) plus the per-epoch history.
     """
     if not train_epochs:
         raise TrainingError("empty training set")
-    xs, ys = _prepare(train_epochs)
-    val_xs, val_ys = _prepare(val_epochs)
+    xs = [e.samples for e in train_epochs]
+    ys = np.array([int(e.stage) for e in train_epochs], dtype=np.int64)
     rng = np.random.default_rng(tc.seed)
     state = AdamState.zeros_like(params)
     history: list[EpochStats] = []
@@ -283,7 +273,7 @@ def fit(
             )
             running += batch_loss * len(batch)
             params, state = adam_step(params, grads, state, tc, trainable)
-        val_loss, val_acc = _evaluate(params, config, val_xs, val_ys)
+        val_loss, val_acc = evaluate_epochs(params, config, val_epochs)
         history.append(
             EpochStats(
                 epoch=epoch,
@@ -292,10 +282,10 @@ def fit(
                 val_acc=val_acc,
             )
         )
-        if val_xs and val_acc > best_acc:
+        if val_epochs and val_acc > best_acc:
             best_acc = val_acc
             best_params = params.copy()
-    if not val_xs:
+    if not val_epochs:
         best_params = params
     return best_params, history
 

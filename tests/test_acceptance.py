@@ -20,7 +20,7 @@ from edgesleep.streaming import frames_from_values, make_predictor, stream_class
 from edgesleep.budget import NANO33BLE, check_fit, mac_table, peak_ram, activation_table
 from edgesleep.training import TrainConfig, backprop, cross_entropy, fit
 
-from conftest import OVERFIT_SEED, make_synth_epochs
+from conftest import OVERFIT_SEED
 from edf_fixtures import SignalSpec, bookkeeping_tal, build_edf, tal
 from oracles import (
     metrics_reference,
@@ -202,7 +202,7 @@ class TestCriterion7Quantization:
     def test_error_bound_size_and_agreement(self, overfit_run, tmp_path):
         params32 = overfit_run["params"].astype(np.float32)
         config = overfit_run["config"]
-        qm = quantize_model(params32, config, overfit_run["data"][:8])
+        qm = quantize_model(params32, config)
         for name, qt in qm.quantized.items():
             err = np.abs(
                 qt.dequantize().astype(np.float64) - params32[name].astype(np.float64)
@@ -215,7 +215,7 @@ class TestCriterion7Quantization:
         quant_path = tmp_path / "default_int8.slpm"
         save_model(default_params, default_config, float_path)
         save_quant_model(
-            quantize_model(default_params, default_config, overfit_run["data"][:1]),
+            quantize_model(default_params, default_config),
             quant_path,
         )
         quant_size = quant_path.stat().st_size
@@ -250,7 +250,7 @@ class TestCriterion8Budget:
         quant_path = tmp_path / "int8.slpm"
         save_model(params, config, float_path)
         save_quant_model(
-            quantize_model(params, config, make_synth_epochs(1, seed=110)), quant_path
+            quantize_model(params, config), quant_path
         )
         float_report = check_fit(float_path, config, NANO33BLE)
         quant_report = check_fit(quant_path, config, NANO33BLE)

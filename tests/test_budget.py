@@ -19,7 +19,6 @@ from edgesleep.budget import (
 from edgesleep.model import ArchConfig, default_arch, init_params, save_model
 from edgesleep.quant import quantize_model, save_quant_model
 
-from conftest import make_synth_epochs
 
 # Hand-computed per-layer tables for the default configuration at 4-byte
 # activations.  Liveness = input + output + saved residual (when the
@@ -104,7 +103,7 @@ def model_files(tmp_path_factory):
     quant_path = tmp / "default_int8.slpm"
     save_model(params, config, float_path)
     save_quant_model(
-        quantize_model(params, config, make_synth_epochs(1, seed=61)), quant_path
+        quantize_model(params, config), quant_path
     )
     return config, float_path, quant_path
 

@@ -1,4 +1,5 @@
 import io
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -137,8 +138,7 @@ def trained_setup(tmp_path_factory):
     model_path = model_dir / "model_fold0.slpm"
     quant_path = tmp / "model_int8.slpm"
     assert main(
-        ["quantize", "--model", str(model_path), "--out", str(quant_path),
-         "--store", str(store_path)]
+        ["quantize", "--model", str(model_path), "--out", str(quant_path)]
     ) == 0
     return store_path, model_path, quant_path, model_dir
 
@@ -196,6 +196,23 @@ class TestTrainEvalFlow:
         flat_store = tmp_path / "flat.slpe"
         ep.write_store(stored, flat_store)
         assert main(["eval", "--store", str(flat_store), "--model", str(model_path)]) == 4
+        assert "flat epoch" in capsys.readouterr().err
+
+    def test_train_flat_epoch_exits_4(self, tmp_path, capsys):
+        stored = []
+        for subject in range(3):
+            stored.extend(make_synth_epochs(6, seed=95 + subject, subject_id=subject))
+        for i in (2, 8, 14):  # one per subject, so every fold's pool holds one
+            stored[i] = ep.LabeledEpoch(
+                samples=np.full(ep.EPOCH_SAMPLES, 3.0, dtype=np.float32), stage=stored[i].stage,
+                subject_id=stored[i].subject_id, night=1, epoch_index=stored[i].epoch_index,
+            )
+        flat_store = tmp_path / "flat.slpe"
+        ep.write_store(stored, flat_store)
+        code = main(["train", "--store", str(flat_store), "--out-dir", str(tmp_path / "runs"),
+                     "--folds", "3", "--fold", "0", "--max-epochs", "1",
+                     "--width-multiplier", "0.25"])
+        assert code == 4
         assert "flat epoch" in capsys.readouterr().err
 
     def test_eval_on_quant_model(self, trained_setup, capsys):
@@ -448,6 +465,14 @@ class TestStreamFeed:
         assert whole[0] == 0 and len(whole[1].splitlines()) == 2
         assert whole[2] == "stream ended: 2 decisions, 9 samples buffered"
 
+    def test_int16_constant_level_is_unscorable(self, trained_setup, capsys, monkeypatch):
+        # level -2041 scales to a float64 constant whose mean is inexact
+        _, model_path, _, _ = trained_setup
+        feed = np.full(ep.EPOCH_SAMPLES, -2041, dtype="<i2").tobytes()
+        code, out, _ = run_stream(monkeypatch, capsys, model_path, PipeStdin(feed, 401), *INT16_FLAGS)
+        assert code == 0
+        assert out.split("\t")[:2] == ["0", "unscorable"]
+
     def test_odd_trailing_byte_exits_10(self, trained_setup, capsys, monkeypatch):
         _, model_path, _, _ = trained_setup
         feed = np.zeros(ep.EPOCH_SAMPLES + 2, dtype="<i2").tobytes() + b"\x01"
@@ -455,6 +480,42 @@ class TestStreamFeed:
         assert code == 10
         assert out.split("\t")[:2] == ["0", "unscorable"]
         assert "1 trailing bytes" in err
+
+
+# Byte offsets in the SLPM architecture block of a four-conv model: magic
+# and version/flags take 8 bytes, the conv count 4, then (kernel, stride,
+# channels) per conv and d_model, heads, ffn_dim, n_classes, width.
+CONV1_KERNEL, CONV1_STRIDE = 12, 16
+HEADS, WIDTH = 64, 76
+
+
+class TestBadArchitectureBlock:
+    @pytest.mark.parametrize(
+        "offset, fmt, value",
+        [
+            (HEADS, "<I", 0),
+            (CONV1_STRIDE, "<I", 0),
+            (CONV1_KERNEL, "<I", 0),
+            (CONV1_KERNEL, "<I", ep.EPOCH_SAMPLES + 1),
+            (WIDTH, "<f", float("nan")),
+        ],
+        ids=["heads-0", "conv1-stride-0", "conv1-kernel-0", "conv1-kernel-too-long", "width-nan"],
+    )
+    def test_budget_and_eval_exit_6(self, tmp_path, capsys, offset, fmt, value):
+        config = ArchConfig(width_multiplier=0.25)
+        model_path = tmp_path / "m.slpm"
+        save_model(init_params(config, 0), config, model_path)
+        raw = bytearray(model_path.read_bytes())
+        assert struct.unpack_from("<3I", raw, CONV1_KERNEL) == (50, 6, 32)
+        assert struct.unpack_from("<4If", raw, HEADS - 4) == (128, 4, 256, 5, 0.25)
+        struct.pack_into(fmt, raw, offset, value)
+        model_path.write_bytes(bytes(raw))
+        store_path = tmp_path / "s.slpe"
+        ep.write_store(make_synth_epochs(2, seed=99), store_path)
+        assert main(["budget", "--model", str(model_path)]) == 6
+        assert "invalid architecture block" in capsys.readouterr().err
+        assert main(["eval", "--store", str(store_path), "--model", str(model_path)]) == 6
+        assert "invalid architecture block" in capsys.readouterr().err
 
 
 class TestErrorSurface:

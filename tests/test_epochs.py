@@ -162,9 +162,39 @@ class TestStandardize:
         out = standardize(x)
         np.testing.assert_allclose(out, x, atol=1e-9)
 
+    def test_bitwise_equal_to_mean_and_std(self):
+        rng = np.random.default_rng(6)
+        rows = rng.normal(loc=rng.uniform(-50, 50, size=(9, 1)), size=(9, EPOCH_SAMPLES))
+        for x in (rows, rows.astype(np.float32)):
+            x64 = x.astype(np.float64)
+            want = (x64 - x64.mean(axis=-1, keepdims=True)) / x64.std(axis=-1, keepdims=True)
+            assert np.array_equal(standardize(x), want)
+
     def test_flat_epoch_rejected(self):
         with pytest.raises(DegenerateEpochError):
             standardize(np.full(EPOCH_SAMPLES, 5.0))
+
+    def test_flat_float64_with_inexact_mean_rejected(self):
+        # the mean of 3000 copies of 0.1 is off by a rounding step, so the
+        # std is about 3e-17 rather than 0; a flat row is still flat
+        with pytest.raises(DegenerateEpochError):
+            standardize(np.full(EPOCH_SAMPLES, 0.1))
+
+    @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=200, deadline=None)
+    def test_any_constant_float64_row_rejected(self, value):
+        rows = np.random.default_rng(5).normal(size=(2, EPOCH_SAMPLES))
+        rows[1] = value
+        with pytest.raises(DegenerateEpochError):
+            standardize(rows[1])
+        with pytest.raises(DegenerateEpochError):
+            standardize(rows)
+
+    def test_underflowing_variance_rejected(self):
+        # two distinct values whose squared spread underflows: max != min,
+        # yet the std is exactly 0
+        with pytest.raises(DegenerateEpochError):
+            standardize(np.tile([0.0, 5e-324], EPOCH_SAMPLES // 2))
 
     def test_rows_scale_alone_bitwise(self):
         rng = np.random.default_rng(3)

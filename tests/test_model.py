@@ -58,6 +58,23 @@ class TestArchConfig:
         with pytest.raises(ValueError, match="d_model"):
             ArchConfig(conv_table=((50, 6, 32),), d_model=128)
 
+    # heads, conv1 kernel/stride and a NaN width are covered through the
+    # CLI in test_cli.TestBadArchitectureBlock
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"conv_table": ()}, "at least one layer"),
+            ({"n_classes": 0}, "n_classes must be >= 1"),
+            ({"ffn_dim": 0}, "ffn_dim must be >= 1"),
+            ({"conv_table": ((50, 6, 0), (8, 4, 128))}, "conv1 kernel, stride"),
+            ({"width_multiplier": float("inf")}, "not finite and positive"),
+            ({"width_multiplier": 0.0}, "not finite and positive"),
+        ],
+    )
+    def test_bad_sizes_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ArchConfig(**kwargs)
+
 
 class TestInit:
     def test_deterministic_in_seed(self):
@@ -244,6 +261,13 @@ class TestSerialization:
         for name in f32.names():
             assert np.array_equal(loaded[name], f32[name])
             assert loaded[name].dtype == np.float32
+
+    def test_float64_params_save_as_their_float32_copy(self, tmp_path, small_setup):
+        config, params, _ = small_setup
+        assert params["conv1_w"].dtype == np.float64
+        save_model(params, config, tmp_path / "f64.slpm")
+        save_model(params.astype(np.float32), config, tmp_path / "f32.slpm")
+        assert (tmp_path / "f64.slpm").read_bytes() == (tmp_path / "f32.slpm").read_bytes()
 
     def test_default_file_size(self, tmp_path):
         config = default_arch()

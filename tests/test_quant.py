@@ -16,7 +16,6 @@ from edgesleep.model import (
     write_slpm,
 )
 from edgesleep.quant import (
-    QuantError,
     QuantTensor,
     load_any_model,
     load_quant_model,
@@ -26,8 +25,6 @@ from edgesleep.quant import (
     save_quant_model,
 )
 from edgesleep.streaming import make_predictor
-
-from conftest import make_synth_epochs
 
 
 class TestQuantizeTensor:
@@ -65,17 +62,11 @@ class TestQuantizeTensor:
 def small_quant(tmp_path_factory):
     config = ArchConfig(width_multiplier=0.25)
     params = init_params(config, 21).astype(np.float32)
-    calibration = make_synth_epochs(3, seed=50)
-    qm = quantize_model(params, config, calibration)
+    qm = quantize_model(params, config)
     return config, params, qm
 
 
 class TestQuantizeModel:
-    def test_empty_calibration_rejected(self, small_quant):
-        config, params, _ = small_quant
-        with pytest.raises(QuantError, match="calibration"):
-            quantize_model(params, config, [])
-
     def test_weights_quantized_biases_float(self, small_quant):
         _, params, qm = small_quant
         assert "conv1_w" in qm.quantized
@@ -166,7 +157,7 @@ class TestQuantizeModel:
         quant_path = tmp_path / "int8.slpm"
         save_model(params, config, float_path)
         save_quant_model(
-            quantize_model(params, config, make_synth_epochs(1, seed=51)), quant_path
+            quantize_model(params, config), quant_path
         )
         float_size = float_path.stat().st_size
         quant_size = quant_path.stat().st_size
@@ -178,7 +169,7 @@ class TestQuantizeModel:
 class TestDequantizeOnce:
     def test_built_once_per_model(self, small_quant, monkeypatch):
         config, _, qm = small_quant
-        fresh = quantize_model(qm.dequantize(), config, make_synth_epochs(1, seed=56))
+        fresh = quantize_model(qm.dequantize(), config)
         calls = []
         original = QuantTensor.dequantize
         monkeypatch.setattr(
@@ -194,7 +185,7 @@ class TestDequantizeOnce:
 
     def test_arrays_read_only_and_originals_writable(self, small_quant):
         config, params, _ = small_quant
-        qm = quantize_model(params, config, make_synth_epochs(1, seed=59))
+        qm = quantize_model(params, config)
         deq = qm.dequantize()
         for arr in deq.tensors.values():
             with pytest.raises(ValueError):
@@ -238,7 +229,7 @@ class TestQuantForward:
                 grid = rng.integers(-127, 128, size=arr.shape).astype(np.float32)
                 grid.flat[0] = 127.0
                 params.tensors[name] = grid / np.float32(64.0)
-        qm = quantize_model(params, config, make_synth_epochs(1, seed=54))
+        qm = quantize_model(params, config)
         for name, qt in qm.quantized.items():
             np.testing.assert_array_equal(qt.dequantize(), params[name])
         x = standardize(np.random.default_rng(55).normal(size=3000))
@@ -248,7 +239,7 @@ class TestQuantForward:
     def test_argmax_agreement_on_trained_model(self, overfit_run):
         params = overfit_run["params"].astype(np.float32)
         config = overfit_run["config"]
-        qm = quantize_model(params, config, overfit_run["data"][:4])
+        qm = quantize_model(params, config)
         agree = 0
         for e in overfit_run["data"]:
             x = standardize(e.samples)

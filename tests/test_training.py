@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from edgesleep import training
 from edgesleep.epochs import standardize
-from edgesleep.model import ArchConfig, init_params, forward
+from edgesleep.model import PREDICT_ROWS, ArchConfig, init_params, forward
 from edgesleep.training import (
     AdamState,
     TrainConfig,
@@ -117,12 +117,11 @@ class TestBackprop:
 
     def test_batch_gradient_is_mean_of_per_sample(self):
         epochs = make_synth_epochs(3, seed=15)
-        xs = [standardize(e.samples) for e in epochs]
         ys = np.array([int(e.stage) for e in epochs])
-        batch, _ = batch_gradients(self.params, self.config, xs, ys)
+        batch, _ = batch_gradients(self.params, self.config, [e.samples for e in epochs], ys)
         singles = []
-        for x, y in zip(xs, ys):
-            _, cache = forward(self.params, x, self.config, mode="train")
+        for e, y in zip(epochs, ys):
+            _, cache = forward(self.params, standardize(e.samples), self.config, mode="train")
             singles.append(backprop(self.params, self.config, cache, y))
         for name in batch:
             mean = (singles[0][name] + singles[1][name] + singles[2][name]) / 3.0
@@ -146,7 +145,7 @@ class TestBackprop:
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_batch_gradients_independent_of_chunk_size(self, chunk, monkeypatch):
         epochs = make_synth_epochs(7, seed=27)
-        xs = [standardize(e.samples) for e in epochs]
+        xs = np.stack([e.samples for e in epochs])
         ys = np.array([int(e.stage) for e in epochs])
         want, want_loss = batch_gradients(self.params, self.config, xs, ys)
         monkeypatch.setattr(training, "CHUNK_ROWS", chunk)
@@ -165,6 +164,58 @@ class TestBackprop:
             hits.append(int(np.argmax(probs)) == int(e.stage))
         assert loss == pytest.approx(np.mean(losses), abs=1e-12)
         assert acc == np.mean(hits)
+
+
+def reference_fit(params, config, train, tc):
+    """fit without validation, one epoch at a time: the same seeded
+    permutation, per-row forward/backprop on standardize(e.samples), the
+    batch-mean gradient and adam_step.  Returns (params, train losses)."""
+    rng = np.random.default_rng(tc.seed)
+    state = AdamState.zeros_like(params)
+    losses = []
+    for _ in range(tc.max_epochs):
+        order = rng.permutation(len(train))
+        running = 0.0
+        for start in range(0, len(order), tc.batch_size):
+            batch = order[start : start + tc.batch_size]
+            total = {n: np.zeros_like(t) for n, t in params.tensors.items()}
+            for i in batch:
+                e = train[i]
+                probs, cache = forward(params, standardize(e.samples), config, mode="train")
+                running += cross_entropy(probs, int(e.stage))
+                for name, g in backprop(params, config, cache, int(e.stage)).items():
+                    total[name] += g
+            grads = {name: g / len(batch) for name, g in total.items()}
+            params, state = adam_step(params, grads, state, tc)
+        losses.append(running / len(train))
+    return params, losses
+
+
+class TestFitAgainstPerEpochLoops:
+    config = ArchConfig(width_multiplier=0.25)
+
+    def test_fit_matches_per_epoch_reference(self):
+        train = make_synth_epochs(13, seed=29)
+        tc = TrainConfig(max_epochs=2, batch_size=5, seed=9)
+        got, history = fit(init_params(self.config, 9), self.config, train, [], tc)
+        want, losses = reference_fit(init_params(self.config, 9), self.config, train, tc)
+        np.testing.assert_allclose([h.train_loss for h in history], losses, rtol=0, atol=1e-10)
+        for name in want.names():
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-10)
+
+    def test_val_acc_equals_per_epoch_forward(self):
+        train = make_synth_epochs(6, seed=30)
+        val = make_synth_epochs(37, seed=31)
+        assert len(val) > PREDICT_ROWS
+        tc = TrainConfig(max_epochs=1, batch_size=6, seed=10)
+        params, history = fit(init_params(self.config, 10), self.config, train, val, tc)
+        losses, hits = [], []
+        for e in val:
+            probs, _ = forward(params, standardize(e.samples), self.config)
+            losses.append(cross_entropy(probs, int(e.stage)))
+            hits.append(int(np.argmax(probs)) == int(e.stage))
+        assert history[0].val_acc == sum(hits) / len(val)
+        assert history[0].val_loss == pytest.approx(np.mean(losses), abs=1e-12)
 
 
 class TestFolds:
