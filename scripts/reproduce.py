@@ -19,11 +19,15 @@ Resource expectations, measured on one core of a desktop CPU:
   - conversion: ~20 minutes, writes ~1.8 GB of epoch stores
   - training: several hours PER FOLD at default settings (reduce
     --max-epochs or train single folds with --fold to iterate faster)
-  - RAM: the training and evaluation stages hold every epoch in memory as
-    float32 samples, about 1.8 GB (arithmetic, not measured: 148,471
-    epochs x 12,000 bytes), plus under 0.1 GB of per-epoch Python objects
-    and tens of MB of per-chunk working memory; training standardizes each
-    chunk as it goes and keeps no float64 copy of the data
+  - RAM: the training and evaluation stages hold every epoch once, as one
+    array of 12,008-byte store records with no per-epoch Python objects:
+    about 1.8 GB (arithmetic, not measured: 148,471 epochs x 12,008
+    bytes).  On top of that come one night's store while it is read into
+    place (~12 MB), one subject's records in evaluation (copied by mask,
+    then split into adaptation and holdout copies: ~45 MB for ~1,900
+    epochs), one 64-epoch training batch (768 KB) and tens of MB of
+    per-chunk working memory; training selects by row index, standardizes
+    each chunk as it goes and keeps no float64 copy of the data
 
 Reproduction targets:
   - preprocessed epoch counts: Wake 44752, N1 15793, N2 54682, N3 12268,
@@ -136,7 +140,7 @@ def stage_convert(args) -> None:
         night_epochs = ep.trim_wake(
             ep.segment_epochs(signal, annotations, subject_id=subject, night=night)
         )
-        ep.write_store(list(night_epochs.epochs), out)
+        ep.write_store(night_epochs.epochs, out)
         log(f"  {out.name}: {len(night_epochs.epochs)} epochs")
 
 
@@ -148,8 +152,8 @@ def iter_stores(args):
 def stage_verify(args) -> bool:
     counts = Counter()
     for store in iter_stores(args):
-        for e in ep.read_store(store):
-            counts[ep.STAGE_NAMES[int(e.stage)]] += 1
+        dist = ep.class_distribution(ep.read_store(store))
+        counts.update(dict(zip(ep.STAGE_NAMES, dist.counts)))
     total = sum(counts.values())
     ok = True
     log("preprocessed class counts vs expected:")
@@ -163,18 +167,24 @@ def stage_verify(args) -> bool:
     return ok and total == EXPECTED_TOTAL
 
 
-def load_all_epochs(args) -> list[ep.LabeledEpoch]:
-    epochs: list[ep.LabeledEpoch] = []
-    for store in iter_stores(args):
-        epochs.extend(ep.read_store(store))
-    if not epochs:
+def load_all_epochs(args) -> np.recarray:
+    """Every converted night in one record array.  Each store is read into
+    its own slice, so the cohort is held once; a store's size gives its
+    epoch count, which read_store checks against the header."""
+    stores = list(iter_stores(args))
+    record = ep.STORE_RECORD.itemsize
+    sizes = [(s.stat().st_size - ep.STORE_HEADER_BYTES) // record for s in stores]
+    if not sum(sizes):
         sys.exit("no converted stores found; run --stage convert first")
+    epochs = np.recarray(sum(sizes), dtype=ep.STORE_RECORD)
+    for store, end, n in zip(stores, np.cumsum(sizes), sizes):
+        epochs[end - n : end] = ep.read_store(store)
     return epochs
 
 
 def stage_train(args) -> None:
     epochs = load_all_epochs(args)
-    subjects = sorted({e.subject_id for e in epochs})
+    subjects = sorted(set(epochs.subject_id.tolist()))
     log(f"{len(epochs)} epochs across {len(subjects)} subjects")
     plan = make_folds(subjects, k=args.folds, seed=args.seed)
     arch = default_arch()
@@ -196,14 +206,13 @@ def stage_train(args) -> None:
 
 
 def classify(params, config, epochs):
-    probs = predict(params, config, [e.samples for e in epochs])
-    return np.argmax(probs, axis=-1).tolist()
+    return np.argmax(predict(params, config, epochs.samples), axis=-1).tolist()
 
 
 def stage_evaluate(args) -> None:
     """Pooled test-fold evaluation before and after per-subject adaptation."""
     epochs = load_all_epochs(args)
-    subjects = sorted({e.subject_id for e in epochs})
+    subjects = sorted(set(epochs.subject_id.tolist()))
     plan = make_folds(subjects, k=args.folds, seed=args.seed)
     before_pred, before_true = [], []
     after_pred, after_true = [], []
@@ -213,14 +222,14 @@ def stage_evaluate(args) -> None:
             sys.exit(f"missing {model_path}; run --stage train")
         params, config = load_model(model_path)
         for subject in plan.folds[i]:
-            subject_epochs = [e for e in epochs if e.subject_id == subject]
+            subject_epochs = epochs[epochs.subject_id == subject]
             adapt_set, holdout = split_adapt(
                 subject_epochs,
                 fraction=args.fraction,
                 stratified=args.stratified,
                 seed=args.seed,
             )
-            labels = [int(e.stage) for e in holdout]
+            labels = holdout.stage.tolist()
             before = classify(params, config, holdout)
             before_pred += before
             before_true += labels

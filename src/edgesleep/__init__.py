@@ -10,7 +10,7 @@ from .epochs import (
     EPOCH_SAMPLES,
     SAMPLE_RATE,
     DISCARD,
-    LabeledEpoch,
+    STORE_RECORD,
     SleepStage,
     SubjectNight,
     class_distribution,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .epochs import LabeledEpoch
 from .model import ArchConfig, ModelParams
 from .training import TrainConfig, TrainingError, fit
 
@@ -20,46 +19,42 @@ CLASSIFIER_TENSORS = {"cls_w", "cls_b"}
 
 
 def split_adapt(
-    subject_epochs: list[LabeledEpoch],
+    subject_epochs: np.ndarray,
     fraction: float = 0.10,
     stratified: bool = False,
     seed: int = 0,
-) -> tuple[list[LabeledEpoch], list[LabeledEpoch]]:
-    """Partition one subject's epochs into (adapt_set, holdout_set).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Partition one subject's records into (adapt_set, holdout_set).
 
     Uniform mode samples round(fraction * n) epochs; stratified mode samples
-    round(fraction * n_c) from each class present.  Ties round half-to-even.
-    The two sets are disjoint and exhaustive, each in original epoch order.
+    round(fraction * n_c) from each class present, visiting the classes in
+    order of first appearance.  Ties round half-to-even.  The two sets are
+    disjoint and exhaustive, each in original epoch order.
     """
     if not 0 < fraction < 1:
         raise TrainingError(f"fraction must lie in (0, 1), got {fraction}")
-    if not subject_epochs:
-        raise TrainingError("no epochs to split")
     n = len(subject_epochs)
+    if not n:
+        raise TrainingError("no epochs to split")
     rng = np.random.default_rng(seed)
-    picked: set[int] = set()
+    picked = np.zeros(n, dtype=bool)
     if stratified:
-        by_class: dict[int, list[int]] = {}
-        for i, e in enumerate(subject_epochs):
-            by_class.setdefault(int(e.stage), []).append(i)
-        for indices in by_class.values():
+        stages = subject_epochs["stage"]
+        for stage in dict.fromkeys(stages.tolist()):  # in order of first appearance
+            indices = np.flatnonzero(stages == stage)
             take = round(fraction * len(indices))
-            order = rng.permutation(len(indices))
-            picked.update(indices[j] for j in order[:take])
+            picked[indices[rng.permutation(len(indices))[:take]]] = True
     else:
-        take = round(fraction * n)
-        picked.update(int(i) for i in rng.permutation(n)[:take])
-    if not picked:
+        picked[rng.permutation(n)[: round(fraction * n)]] = True
+    if not picked.any():
         raise TrainingError(f"fraction {fraction} selects no adaptation epochs from {n}")
-    adapt_set = [e for i, e in enumerate(subject_epochs) if i in picked]
-    holdout = [e for i, e in enumerate(subject_epochs) if i not in picked]
-    return adapt_set, holdout
+    return subject_epochs[picked], subject_epochs[~picked]
 
 
 def fine_tune(
     params: ModelParams,
     config: ArchConfig,
-    adapt_set: list[LabeledEpoch],
+    adapt_set: np.ndarray,
     tc: TrainConfig | None = None,
     scope: str = "all",
 ) -> ModelParams:
@@ -68,12 +63,13 @@ def fine_tune(
     scope="all" updates every tensor; scope="classifier_only" freezes all but
     the final dense layer.  max_epochs=0 returns the parameters unchanged.
     """
-    if not adapt_set:
+    if not len(adapt_set):
         raise TrainingError("empty adaptation set")
     if scope not in ("all", "classifier_only"):
         raise TrainingError(f"unknown fine-tune scope {scope!r}")
     if tc is None:
         tc = TrainConfig(max_epochs=ADAPT_DEFAULT_EPOCHS)
     trainable = None if scope == "all" else CLASSIFIER_TENSORS
-    tuned, _ = fit(params, config, adapt_set, [], tc, trainable=trainable)
+    rows = np.arange(len(adapt_set))
+    tuned, _ = fit(params, config, adapt_set, rows, [], tc, trainable=trainable)
     return tuned

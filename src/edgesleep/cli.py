@@ -32,10 +32,6 @@ EXIT_CODES = [
 ]
 
 
-def _subject_epochs(store: list[epochs.LabeledEpoch], subject: int):
-    return [e for e in store if e.subject_id == subject]
-
-
 def cmd_convert(args) -> int:
     parsed = edf.parse_edf(args.psg)
     try:
@@ -54,13 +50,16 @@ def cmd_convert(args) -> int:
     night = epochs.segment_epochs(
         signal, annotations, subject_id=args.subject, night=args.night
     )
-    night = epochs.trim_wake(night)
-    out = list(night.epochs)
-    if args.append and Path(args.out).exists():
-        out = epochs.read_store(args.out) + out
-    epochs.write_store(out, args.out)
-    dist = epochs.class_distribution(out)
-    print(f"wrote {len(out)} epochs to {args.out}")
+    new = epochs.trim_wake(night).epochs
+    append = args.append and Path(args.out).exists()
+    # an append reads the whole store first, so that a corrupt one fails
+    # before any write and the class counts cover every epoch in it
+    stages = new.stage
+    if append:
+        stages = np.concatenate([epochs.read_store(args.out).stage, stages])
+    epochs.write_store(new, args.out, append=append)
+    dist = epochs.class_distribution(stages)
+    print(f"wrote {len(stages)} epochs to {args.out}")
     for name, count, frac in zip(epochs.STAGE_NAMES, dist.counts, dist.fractions):
         print(f"  {name:5s} {count:8d}  {frac:.2%}")
     return 0
@@ -68,7 +67,7 @@ def cmd_convert(args) -> int:
 
 def cmd_train(args) -> int:
     store = epochs.read_store(args.store)
-    if not store:
+    if not len(store):
         raise training.TrainingError("store holds no epochs")
     arch = model.ArchConfig(width_multiplier=args.width_multiplier)
     tc = training.TrainConfig(
@@ -77,7 +76,7 @@ def cmd_train(args) -> int:
         max_epochs=args.max_epochs,
         seed=args.seed,
     )
-    subjects = sorted({e.subject_id for e in store})
+    subjects = sorted(set(store.subject_id.tolist()))
     plan = training.make_folds(subjects, k=args.folds, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -104,22 +103,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate_store(params, config, store):
-    probs = model.predict(params, config, [e.samples for e in store])
-    labels = [int(e.stage) for e in store]
+def _evaluate_store(params, config, store, rows=None):
+    probs = model.predict(params, config, store.samples, rows)
+    labels = store.stage if rows is None else store.stage[rows]
     return metrics.class_metrics(metrics.confusion(np.argmax(probs, axis=-1), labels))
 
 
 def cmd_eval(args) -> int:
     store = epochs.read_store(args.store)
+    rows = np.arange(len(store))
     if args.subjects:
-        wanted = {int(s) for s in args.subjects.split(",")}
-        store = [e for e in store if e.subject_id in wanted]
-    if not store:
+        wanted = [int(s) for s in args.subjects.split(",")]
+        rows = rows[np.isin(store.subject_id, wanted)]
+    if not len(rows):
         raise epochs.StoreError("no epochs selected for evaluation")
     kind, obj, config = quant.load_any_model(args.model)
     params = obj.dequantize() if kind == "quant" else obj
-    report = _evaluate_store(params, config, store)
+    report = _evaluate_store(params, config, store, rows)
     text = metrics.render_report(report, "text")
     print(text, end="")
     if args.out_prefix:
@@ -133,8 +133,8 @@ def cmd_eval(args) -> int:
 
 def cmd_adapt(args) -> int:
     store = epochs.read_store(args.store)
-    subject = _subject_epochs(store, args.subject)
-    if not subject:
+    subject = store[store.subject_id == args.subject]
+    if not len(subject):
         raise training.TrainingError(f"store has no epochs for subject {args.subject}")
     params, config = model.load_model(args.model)
     adapt_set, holdout = adapt_mod.split_adapt(

@@ -36,7 +36,7 @@ class PipelineError(ValueError):
 
 
 class DegenerateEpochError(PipelineError):
-    """Flat (zero-variance) epoch cannot be standardized."""
+    """Flat (zero-variance) or non-finite epoch cannot be standardized."""
 
 
 class StoreError(ValueError):
@@ -75,32 +75,27 @@ _LABEL_MAP: dict[str, SleepStage | Discard] = {
 }
 
 
-@dataclass(frozen=True)
-class LabeledEpoch:
-    """One 30-second, 3000-sample EEG segment with its stage label."""
-
-    samples: np.ndarray
-    stage: SleepStage
-    subject_id: int
-    night: int
-    epoch_index: int
-
-    def __post_init__(self):
-        if self.samples.shape != (EPOCH_SAMPLES,):
-            raise PipelineError(
-                f"epoch must hold {EPOCH_SAMPLES} samples, got {self.samples.shape}"
-            )
-        if not np.isfinite(self.samples).all():
-            raise PipelineError("epoch contains non-finite samples")
+# One SLPE v1 record: the store's on-disk layout and the in-memory form of a
+# set of epochs.  Sets are arrays of these records (np.recarray, so a record
+# reads as e.samples / e.stage), selected by mask or row index.
+STORE_RECORD = np.dtype(
+    [
+        ("subject_id", "<u2"),
+        ("night", "u1"),
+        ("stage", "u1"),
+        ("epoch_index", "<u4"),
+        ("samples", "<f4", (EPOCH_SAMPLES,)),
+    ]
+)
 
 
 @dataclass(frozen=True)
 class SubjectNight:
-    """Ordered epochs of one recording night."""
+    """Ordered epochs of one recording night, as STORE_RECORD records."""
 
     subject_id: int
     night: int
-    epochs: tuple[LabeledEpoch, ...]
+    epochs: np.recarray
 
 
 def map_label(text: str) -> SleepStage | Discard:
@@ -127,6 +122,20 @@ def check_sample_rate(psg: EdfFile, label: str) -> None:
         )
 
 
+def _check_range(name: str, value: int, dtype: np.dtype) -> None:
+    """Reject a value that the store field `name` of type dtype cannot hold;
+    numpy would wrap it silently."""
+    info = np.iinfo(dtype)
+    if not info.min <= value <= info.max:
+        raise StoreError(f"{name} {value} out of range for the store ({info.min}..{info.max})")
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """No NaN or infinity in x; its min and max carry any such value, so no
+    mask the size of x is built."""
+    return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
+
+
 def segment_epochs(
     samples: np.ndarray,
     annotations: list[RawAnnotation],
@@ -138,10 +147,14 @@ def segment_epochs(
     Each annotation must start and end on the 30-second grid and lie within
     the signal; a stage annotation of duration D yields D/30 consecutive
     epochs.  Windows whose label maps to DISCARD produce no epoch, leaving a
-    gap in epoch_index.
+    gap in epoch_index.  A window already given a stage may not be covered
+    again.  subject_id, night and every epoch_index must fit their store
+    fields (StoreError otherwise).
     """
+    _check_range("subject_id", subject_id, STORE_RECORD["subject_id"])
+    _check_range("night", night, STORE_RECORD["night"])
     signal_seconds = len(samples) / SAMPLE_RATE
-    by_window: dict[int, SleepStage] = {}
+    stages = np.full(len(samples) // EPOCH_SAMPLES, -1, dtype=np.int8)  # -1: no stage
     for ann in annotations:
         if ann.onset < 0 or ann.onset % EPOCH_SECONDS != 0:
             raise PipelineError(
@@ -158,27 +171,27 @@ def segment_epochs(
             )
         stage = map_label(ann.text)
         first = int(ann.onset) // EPOCH_SECONDS
-        count = int(ann.duration) // EPOCH_SECONDS
-        for w in range(first, first + count):
-            if w in by_window:
-                raise PipelineError(f"window {w} covered by more than one annotation")
-            if stage is not DISCARD:
-                by_window[w] = stage
-
-    epochs = []
-    for w in sorted(by_window):
-        # copy so an epoch never aliases (or pins) the whole night's signal
-        seg = np.array(samples[w * EPOCH_SAMPLES : (w + 1) * EPOCH_SAMPLES])
-        epochs.append(
-            LabeledEpoch(
-                samples=seg,
-                stage=by_window[w],
-                subject_id=subject_id,
-                night=night,
-                epoch_index=w,
+        span = stages[first : first + int(ann.duration) // EPOCH_SECONDS]
+        staged = np.flatnonzero(span >= 0)
+        if len(staged):
+            raise PipelineError(
+                f"window {first + staged[0]} covered by more than one annotation"
             )
-        )
-    return SubjectNight(subject_id=subject_id, night=night, epochs=tuple(epochs))
+        if stage is not DISCARD:
+            span[:] = stage
+
+    kept = np.flatnonzero(stages >= 0)
+    if len(kept):
+        _check_range("epoch_index", int(kept[-1]), STORE_RECORD["epoch_index"])
+    epochs = np.recarray(len(kept), dtype=STORE_RECORD)
+    epochs.subject_id = subject_id
+    epochs.night = night
+    epochs.stage = stages[kept]
+    epochs.epoch_index = kept
+    epochs.samples = samples[: len(stages) * EPOCH_SAMPLES].reshape(-1, EPOCH_SAMPLES)[kept]
+    if not _all_finite(epochs.samples):
+        raise PipelineError("epoch contains non-finite samples")
+    return SubjectNight(subject_id=subject_id, night=night, epochs=epochs)
 
 
 def trim_wake(night: SubjectNight) -> SubjectNight:
@@ -188,33 +201,46 @@ def trim_wake(night: SubjectNight) -> SubjectNight:
     pure wake keeps its first 30 minutes.
     """
     epochs = night.epochs
-    if not epochs:
+    if not len(epochs):
         raise PipelineError("cannot trim an empty night")
-    non_wake = [i for i, e in enumerate(epochs) if e.stage != SleepStage.WAKE]
-    if not non_wake:
+    non_wake = np.flatnonzero(epochs["stage"] != SleepStage.WAKE)
+    if not len(non_wake):
         kept = epochs[:WAKE_TRIM_EPOCHS]
     else:
         a, b = non_wake[0], non_wake[-1]
         kept = epochs[max(0, a - WAKE_TRIM_EPOCHS) : b + 1 + WAKE_TRIM_EPOCHS]
-    return replace(night, epochs=tuple(kept))
+    return replace(night, epochs=kept)
 
 
 def standardize(samples: np.ndarray) -> np.ndarray:
     """Scale a sample vector to zero mean, unit (population) standard deviation.
 
     samples is one vector [L] or a stack [..., L]; each row along the last
-    axis is scaled on its own, bit for bit as if it were passed alone.
+    axis is scaled on its own, bit for bit as if it were passed alone.  A
+    flat row, or one holding a NaN or an infinity, raises
+    DegenerateEpochError.
     """
     x = np.asarray(samples, dtype=np.float64)
-    # a constant row's mean can be off by a rounding step, leaving std > 0
-    if (x.max(axis=-1) == x.min(axis=-1)).any():
-        raise DegenerateEpochError("flat epoch has zero variance")
+    hi, lo = x.max(axis=-1), x.min(axis=-1)
+    # max > min fails for a flat row, whose mean can be off by a rounding
+    # step and leave std > 0, and for a row with a NaN
+    if not (hi > lo).all():
+        raise _degenerate(hi, lo)
     centered = x - x.mean(axis=-1, keepdims=True)
     std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True))  # np.std's arithmetic
-    if (std == 0.0).any():
-        raise DegenerateEpochError("flat epoch has zero variance")
+    # std > 0 fails for a spread that underflows, and for an infinity (std NaN)
+    if not (std > 0.0).all():
+        raise _degenerate(hi, lo)
     centered /= std
     return centered
+
+
+def _degenerate(hi: np.ndarray, lo: np.ndarray) -> DegenerateEpochError:
+    """The error for rows that cannot be standardized, named from their max
+    and min, which carry any NaN or infinity."""
+    if np.isfinite(hi).all() and np.isfinite(lo).all():
+        return DegenerateEpochError("flat epoch has zero variance")
+    return DegenerateEpochError("epoch holds non-finite samples")
 
 
 @dataclass(frozen=True)
@@ -227,13 +253,14 @@ class ClassDistribution:
         return tuple(c / self.total for c in self.counts)
 
 
-def class_distribution(epochs: list[LabeledEpoch]) -> ClassDistribution:
-    if not epochs:
+def class_distribution(epochs: np.ndarray) -> ClassDistribution:
+    """Epochs per stage, of STORE_RECORD records or of their stage column."""
+    epochs = np.asarray(epochs)
+    if not len(epochs):
         raise PipelineError("empty store has no class distribution")
-    counts = [0] * len(SleepStage)
-    for e in epochs:
-        counts[int(e.stage)] += 1
-    return ClassDistribution(counts=tuple(counts), total=len(epochs))
+    stages = epochs if epochs.dtype.names is None else epochs["stage"]
+    counts = np.bincount(stages, minlength=len(SleepStage))
+    return ClassDistribution(counts=tuple(counts.tolist()), total=len(epochs))
 
 
 def parse_hypnogram_text(text: str) -> list[RawAnnotation]:
@@ -257,68 +284,77 @@ def parse_hypnogram_text(text: str) -> list[RawAnnotation]:
 
 
 _HEADER_FMT = "<4sHHII"  # magic, version, sample_rate, epoch_len, epoch_count
-_EPOCH_META_FMT = "<HBBI"  # subject_id, night, stage, epoch_index
+STORE_HEADER_BYTES = struct.calcsize(_HEADER_FMT)
 
 
-def write_store(epochs: list[LabeledEpoch], path: str | Path) -> None:
-    """Write epochs to the binary store (little-endian, float32 samples)."""
-    with open(path, "wb") as f:
-        f.write(
-            struct.pack(
-                _HEADER_FMT, STORE_MAGIC, STORE_VERSION, SAMPLE_RATE, EPOCH_SAMPLES, len(epochs)
-            )
+def _header(count: int) -> bytes:
+    _check_range("epoch count", count, np.dtype("<u4"))
+    return struct.pack(
+        _HEADER_FMT, STORE_MAGIC, STORE_VERSION, SAMPLE_RATE, EPOCH_SAMPLES, count
+    )
+
+
+def _read_header(f) -> int:
+    """Check the header of the open store f against its size; return the
+    epoch count."""
+    file_size = os.fstat(f.fileno()).st_size
+    head = f.read(STORE_HEADER_BYTES)
+    if len(head) < STORE_HEADER_BYTES:
+        raise StoreError("truncated store header")
+    magic, version, rate, epoch_len, count = struct.unpack(_HEADER_FMT, head)
+    if magic != STORE_MAGIC:
+        raise StoreError(f"bad magic {magic!r}")
+    if version != STORE_VERSION:
+        raise StoreError(f"unsupported store version {version}")
+    if rate != SAMPLE_RATE or epoch_len != EPOCH_SAMPLES:
+        raise StoreError(f"unexpected geometry: rate={rate}, epoch_len={epoch_len}")
+    declared = STORE_HEADER_BYTES + count * STORE_RECORD.itemsize
+    if declared > file_size:
+        raise StoreError(
+            f"store truncated: header declares {count} epochs ({declared} bytes), "
+            f"file holds {file_size} bytes"
         )
-        for e in epochs:
-            try:
-                meta = struct.pack(
-                    _EPOCH_META_FMT, e.subject_id, e.night, int(e.stage), e.epoch_index
-                )
-            except struct.error as exc:
-                raise StoreError(f"epoch metadata out of range: {exc}") from None
-            f.write(meta)
-            f.write(np.ascontiguousarray(e.samples, dtype="<f4").tobytes())
+    if declared < file_size:
+        raise StoreError("trailing bytes after declared epochs")
+    return count
 
 
-def read_store(path: str | Path) -> list[LabeledEpoch]:
-    """Read a store written by write_store; validates magic/version/size."""
-    meta_size = struct.calcsize(_EPOCH_META_FMT)
-    sample_bytes = EPOCH_SAMPLES * 4
+def write_store(epochs: np.ndarray, path: str | Path, append: bool = False) -> None:
+    """Write STORE_RECORD records as an SLPE store (a 16-byte header, then
+    the records as they lie in memory).
+
+    append=True adds them after the epochs of the existing store at path
+    instead.  The new records are written first and the header's count
+    last, so a write cut short in between leaves the old count, which
+    read_store rejects as "trailing bytes".
+    """
+    records = np.asarray(epochs, dtype=STORE_RECORD)
+    if not append:
+        with open(path, "wb") as f:
+            f.write(_header(len(records)))
+            records.tofile(f)
+        return
+    with open(path, "r+b") as f:
+        head = _header(_read_header(f) + len(records))
+        f.seek(0, os.SEEK_END)
+        records.tofile(f)
+        f.seek(0)
+        f.write(head)
+
+
+def read_store(path: str | Path) -> np.recarray:
+    """Read a store written by write_store as one array of STORE_RECORD
+    records.  Checks the header against the file size (StoreError), every
+    stage byte (StoreError) and every sample (PipelineError if not finite).
+    """
     with open(path, "rb") as f:
-        file_size = os.fstat(f.fileno()).st_size
-        head = f.read(struct.calcsize(_HEADER_FMT))
-        if len(head) < struct.calcsize(_HEADER_FMT):
-            raise StoreError("truncated store header")
-        magic, version, rate, epoch_len, count = struct.unpack(_HEADER_FMT, head)
-        if magic != STORE_MAGIC:
-            raise StoreError(f"bad magic {magic!r}")
-        if version != STORE_VERSION:
-            raise StoreError(f"unsupported store version {version}")
-        if rate != SAMPLE_RATE or epoch_len != EPOCH_SAMPLES:
-            raise StoreError(f"unexpected geometry: rate={rate}, epoch_len={epoch_len}")
-        declared = len(head) + count * (meta_size + sample_bytes)
-        if declared > file_size:
-            raise StoreError(
-                f"store truncated: header declares {count} epochs ({declared} bytes), "
-                f"file holds {file_size} bytes"
-            )
-        epochs = []
-        for _ in range(count):
-            meta = f.read(meta_size)
-            payload = f.read(sample_bytes)
-            if len(meta) < meta_size or len(payload) < sample_bytes:
-                raise StoreError("store truncated mid-epoch")
-            subject_id, night, stage, epoch_index = struct.unpack(_EPOCH_META_FMT, meta)
-            if stage >= len(SleepStage):
-                raise StoreError(f"invalid stage byte {stage}")
-            epochs.append(
-                LabeledEpoch(
-                    samples=np.frombuffer(payload, dtype="<f4").copy(),
-                    stage=SleepStage(stage),
-                    subject_id=subject_id,
-                    night=night,
-                    epoch_index=epoch_index,
-                )
-            )
-        if f.read(1):
-            raise StoreError("trailing bytes after declared epochs")
-    return epochs
+        count = _read_header(f)
+        records = np.fromfile(f, dtype=STORE_RECORD, count=count)
+    if len(records) < count:
+        raise StoreError("store truncated mid-epoch")
+    bad = np.flatnonzero(records["stage"] >= len(SleepStage))
+    if len(bad):
+        raise StoreError(f"invalid stage byte {records['stage'][bad[0]]}")
+    if not _all_finite(records["samples"]):
+        raise PipelineError("epoch contains non-finite samples")
+    return records.view(np.recarray)

@@ -224,11 +224,6 @@ def multi_head_attention_with_cache(
     return out, AttentionCache(x=x, q_h=q_h, k_h=k_h, v_h=v_h, attn=attn, ctx=ctx, heads=heads)
 
 
-def multi_head_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> np.ndarray:
-    out, _ = multi_head_attention_with_cache(x, wq, bq, wk, bk, wv, bv, wo, bo, heads)
-    return out
-
-
 def multi_head_attention_backward(
     cache: AttentionCache,
     wq: np.ndarray,

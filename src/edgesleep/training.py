@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .epochs import LabeledEpoch, standardize
+from .epochs import standardize
 from .model import ArchConfig, ForwardCache, ModelParams, forward, init_params, predict
 
 PROB_FLOOR = 1e-12
@@ -194,16 +194,17 @@ def make_folds(subject_ids: list[int], k: int = 5, seed: int = 0) -> FoldPlan:
 
 
 def evaluate_epochs(
-    params: ModelParams, config: ArchConfig, epochs: list[LabeledEpoch]
+    params: ModelParams, config: ArchConfig, epochs: np.ndarray, rows=None
 ) -> tuple[float, float]:
-    """(mean cross-entropy, accuracy) of model.predict; nan for no epochs."""
-    if not epochs:
+    """(mean cross-entropy, accuracy) of model.predict on the records
+    epochs[rows] (all of them when rows is None); nan for no epochs."""
+    ys = epochs["stage"] if rows is None else epochs["stage"][rows]
+    if not len(ys):
         return float("nan"), float("nan")
-    probs = predict(params, config, [e.samples for e in epochs])
-    ys = np.array([int(e.stage) for e in epochs], dtype=np.int64)
+    probs = predict(params, config, epochs["samples"], rows)
     loss = sum(map(cross_entropy, probs, ys))
     correct = int((np.argmax(probs, axis=-1) == ys).sum())
-    return loss / len(epochs), correct / len(epochs)
+    return loss / len(ys), correct / len(ys)
 
 
 def batch_gradients(
@@ -241,86 +242,88 @@ def batch_gradients(
 def fit(
     params: ModelParams,
     config: ArchConfig,
-    train_epochs: list[LabeledEpoch],
-    val_epochs: list[LabeledEpoch],
+    epochs: np.ndarray,
+    train_rows: np.ndarray,
+    val_rows: np.ndarray,
     tc: TrainConfig,
     trainable: set[str] | None = None,
 ) -> tuple[ModelParams, list[EpochStats]]:
-    """Mini-batch Adam over the training set.
+    """Mini-batch Adam over the records epochs[train_rows], validated on
+    epochs[val_rows].
 
     Batches reshuffle every epoch from a generator seeded by tc.seed; the
-    final incomplete batch is used, not dropped.  Epochs stay raw; each
-    chunk is standardized where it is used.  Returns the parameters of the
-    best-validation-accuracy epoch (the last epoch when there is no
-    validation set) plus the per-epoch history.
+    final incomplete batch is used, not dropped.  Epochs stay raw and in
+    place; each chunk of a batch is gathered and standardized where it is
+    used.  Returns the parameters of the best-validation-accuracy
+    epoch (the last epoch when there is no validation set) plus the
+    per-epoch history.
     """
-    if not train_epochs:
+    train_rows = np.asarray(train_rows, dtype=np.int64)
+    if not len(train_rows):
         raise TrainingError("empty training set")
-    xs = [e.samples for e in train_epochs]
-    ys = np.array([int(e.stage) for e in train_epochs], dtype=np.int64)
+    samples, stages = epochs["samples"], epochs["stage"]
     rng = np.random.default_rng(tc.seed)
     state = AdamState.zeros_like(params)
     history: list[EpochStats] = []
     best_params = params
     best_acc = -1.0
     for epoch in range(tc.max_epochs):
-        order = rng.permutation(len(xs))
+        order = rng.permutation(len(train_rows))
         running = 0.0
         for start in range(0, len(order), tc.batch_size):
-            batch = order[start : start + tc.batch_size]
+            batch = train_rows[order[start : start + tc.batch_size]]
+            # views of the batch's rows: batch_gradients copies one chunk at a time
             grads, batch_loss = batch_gradients(
-                params, config, [xs[i] for i in batch], ys[batch]
+                params, config, [samples[i] for i in batch], stages[batch]
             )
             running += batch_loss * len(batch)
             params, state = adam_step(params, grads, state, tc, trainable)
-        val_loss, val_acc = evaluate_epochs(params, config, val_epochs)
+        val_loss, val_acc = evaluate_epochs(params, config, epochs, val_rows)
         history.append(
             EpochStats(
                 epoch=epoch,
-                train_loss=running / len(xs),
+                train_loss=running / len(train_rows),
                 val_loss=val_loss,
                 val_acc=val_acc,
             )
         )
-        if val_epochs and val_acc > best_acc:
+        if len(val_rows) and val_acc > best_acc:
             best_acc = val_acc
             best_params = params.copy()
-    if not val_epochs:
+    if not len(val_rows):
         best_params = params
     return best_params, history
 
 
-def split_train_val(
-    pool: list[LabeledEpoch], tc: TrainConfig
-) -> tuple[list[LabeledEpoch], list[LabeledEpoch]]:
-    """Seeded-shuffle split; validation takes round(validation_fraction * n)."""
+def split_train_val(pool: np.ndarray, tc: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded-shuffle split of pool (records or row indices) into (train,
+    val); validation takes round(validation_fraction * n)."""
     rng = np.random.default_rng(tc.seed)
     order = rng.permutation(len(pool))
     n_val = round(tc.validation_fraction * len(pool))
-    val = [pool[i] for i in order[:n_val]]
-    train = [pool[i] for i in order[n_val:]]
-    return train, val
+    return pool[order[n_val:]], pool[order[:n_val]]
 
 
 def train_fold(
-    epochs: list[LabeledEpoch],
+    epochs: np.ndarray,
     test_subjects: set[int],
     arch: ArchConfig,
     tc: TrainConfig,
 ) -> tuple[ModelParams, list[EpochStats]]:
-    """Train on everything outside the held-out subjects.
+    """Train on every record outside the held-out subjects.
 
-    Non-test epochs split 90/10 into train/validation by a seeded shuffle;
-    no epoch of a test subject is seen in either part.
+    Non-test rows split 90/10 into train/validation by a seeded shuffle; no
+    epoch of a test subject is seen in either part.  Only row indices are
+    split; fit gathers each batch from epochs.
     """
-    pool = [e for e in epochs if e.subject_id not in test_subjects]
-    if not pool:
+    pool = np.flatnonzero(~np.isin(epochs["subject_id"], list(test_subjects)))
+    if not len(pool):
         raise TrainingError("no training epochs outside the test subjects")
     train, val = split_train_val(pool, tc)
-    if not train:
+    if not len(train):
         raise TrainingError("validation split consumed every epoch")
     params = init_params(arch, tc.seed)
-    return fit(params, arch, train, val, tc)
+    return fit(params, arch, epochs, train, val, tc)
 
 
 def history_to_csv(history: list[EpochStats]) -> str:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgesleep.epochs import EPOCH_SAMPLES, LabeledEpoch, SleepStage
+from edgesleep.epochs import EPOCH_SAMPLES, STORE_RECORD
 from edgesleep.model import ArchConfig, init_params
 from edgesleep.training import TrainConfig, fit
 
@@ -17,27 +17,26 @@ def make_synth_epochs(
     night: int = 1,
     freqs: dict[int, float] = SYNTH_FREQS,
     stage_of=lambda i: i % 5,
-) -> list[LabeledEpoch]:
+) -> np.recarray:
     """Class-dependent sinusoids with random phase/amplitude plus noise."""
     rng = np.random.default_rng(seed)
     t = np.arange(EPOCH_SAMPLES) / 100.0
-    out = []
+    out = np.recarray(n, dtype=STORE_RECORD)
+    out.subject_id, out.night, out.epoch_index = subject_id, night, np.arange(n)
     for i in range(n):
         stage = stage_of(i)
         amp = rng.uniform(15.0, 25.0)
         phase = rng.uniform(0.0, 2 * np.pi)
         x = amp * np.sin(2 * np.pi * freqs[stage] * t + phase)
         x = x + rng.normal(0.0, 0.3 * amp, size=EPOCH_SAMPLES)
-        out.append(
-            LabeledEpoch(
-                samples=x.astype(np.float32),
-                stage=SleepStage(stage),
-                subject_id=subject_id,
-                night=night,
-                epoch_index=i,
-            )
-        )
+        out.stage[i] = stage
+        out.samples[i] = x.astype(np.float32)
     return out
+
+
+def join_epochs(*parts: np.ndarray) -> np.recarray:
+    """One record array of several, in order."""
+    return np.concatenate(parts).view(np.recarray)
 
 
 def claim_tensor_length(raw: bytes, name: str, length: int) -> bytes:
@@ -70,7 +69,8 @@ def overfit_run():
     tc = TrainConfig(max_epochs=50, seed=OVERFIT_SEED)
     params = init_params(config, OVERFIT_SEED)
     started = time.perf_counter()
-    best, history = fit(params, config, data, data, tc)
+    rows = np.arange(len(data))
+    best, history = fit(params, config, data, rows, rows, tc)
     seconds = time.perf_counter() - started
     return {
         "params": best,

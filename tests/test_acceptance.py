@@ -120,8 +120,9 @@ class TestCriterion3OverfitCapacity:
         # the long run's prefix, bit for bit
         config, data = overfit_run["config"], overfit_run["data"]
         tc2 = TrainConfig(max_epochs=2, seed=OVERFIT_SEED)
-        _, h_a = fit(init_params(config, OVERFIT_SEED), config, data, data, tc2)
-        _, h_b = fit(init_params(config, OVERFIT_SEED), config, data, data, tc2)
+        rows = np.arange(len(data))
+        _, h_a = fit(init_params(config, OVERFIT_SEED), config, data, rows, rows, tc2)
+        _, h_b = fit(init_params(config, OVERFIT_SEED), config, data, rows, rows, tc2)
         assert h_a == h_b == history[:2]
         assert overfit_run["seconds"] < 300.0
         report(
@@ -160,7 +161,7 @@ class TestCriterion5PreprocessingOracle:
             )
             annotations = [RawAnnotation(o, d, t) for o, d, t in triples]
             night = ep.segment_epochs(samples, annotations)
-            if night.epochs:
+            if len(night.epochs):
                 night = ep.trim_wake(night)
             got = [(e.epoch_index, int(e.stage)) for e in night.epochs]
             assert got == reference_pipeline(triples)

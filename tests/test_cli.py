@@ -12,7 +12,7 @@ from edgesleep.model import PREDICT_ROWS, ArchConfig, init_params, load_model, s
 from edgesleep.quant import load_quant_model
 from edgesleep.streaming import StageDecision, decision_line
 
-from conftest import claim_tensor_length, make_synth_epochs
+from conftest import claim_tensor_length, join_epochs, make_synth_epochs
 from edf_fixtures import SignalSpec, build_edf, hypnogram_edf
 
 HYPNOGRAM = [
@@ -111,14 +111,65 @@ class TestConvert:
         assert not out.exists()
 
 
+class TestConvertAppend:
+    @pytest.fixture()
+    def convert(self, tmp_path, psg_file):
+        sidecar = tmp_path / "hyp.txt"
+        sidecar.write_text("".join(f"{o:g},{d:g},{t}\n" for o, d, t in HYPNOGRAM))
+
+        def run(out, *flags):
+            return main(["convert", str(psg_file), "--hypnogram-txt", str(sidecar),
+                         "--out", str(out), *flags])
+
+        return run
+
+    @pytest.mark.parametrize("flags", [("--subject", "70000"), ("--subject", "1", "--night", "300")])
+    def test_rejected_append_leaves_the_store_unchanged(self, tmp_path, convert, capsys, flags):
+        store = tmp_path / "night.slpe"
+        assert convert(store, "--subject", "1") == 0
+        before = store.read_bytes()
+        assert len(ep.read_store(store)) == 5
+        assert convert(store, "--append", *flags) == 5
+        assert "out of range" in capsys.readouterr().err
+        assert store.read_bytes() == before
+
+    def test_rejected_convert_leaves_an_existing_output_unchanged(self, tmp_path, convert):
+        out = tmp_path / "existing.slpe"
+        out.write_bytes(b"not a store")
+        assert convert(out, "--subject", "70000") == 5
+        assert out.read_bytes() == b"not a store"
+
+    def test_append_onto_a_corrupt_store_exits_5_unchanged(self, tmp_path, convert):
+        store = tmp_path / "night.slpe"
+        assert convert(store, "--subject", "1") == 0
+        store.write_bytes(store.read_bytes() + b"!")
+        before = store.read_bytes()
+        assert convert(store, "--subject", "2", "--append") == 5
+        assert store.read_bytes() == before
+
+    def test_two_appended_nights_equal_one_write_of_both(self, tmp_path, convert, capsys):
+        first, second, appended = (tmp_path / f"{n}.slpe" for n in ("a", "b", "ab"))
+        assert convert(first, "--subject", "1") == 0
+        assert convert(second, "--subject", "2", "--night", "2") == 0
+        assert convert(appended, "--subject", "1") == 0
+        capsys.readouterr()
+        assert convert(appended, "--subject", "2", "--night", "2", "--append") == 0
+        out = capsys.readouterr().out
+        assert "wrote 10 epochs" in out
+        assert "N2           4  40.00%" in out  # the counts cover both nights
+        whole = tmp_path / "whole.slpe"
+        ep.write_store(join_epochs(ep.read_store(first), ep.read_store(second)), whole)
+        assert appended.read_bytes() == whole.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def trained_setup(tmp_path_factory):
     """Store with 4 subjects, a trained small model, and a quantized copy."""
     tmp = tmp_path_factory.mktemp("cli_flow")
     store_path = tmp / "cohort.slpe"
-    all_epochs = []
-    for subject in range(4):
-        all_epochs.extend(make_synth_epochs(15, seed=91 + subject, subject_id=subject))
+    all_epochs = join_epochs(
+        *(make_synth_epochs(15, seed=91 + subject, subject_id=subject) for subject in range(4))
+    )
     ep.write_store(all_epochs, store_path)
     model_dir = tmp / "models"
     code = main(
@@ -189,24 +240,17 @@ class TestTrainEvalFlow:
     def test_eval_flat_epoch_exits_4(self, trained_setup, tmp_path, capsys):
         store_path, model_path, _, _ = trained_setup
         stored = ep.read_store(store_path)
-        stored[40] = ep.LabeledEpoch(
-            samples=np.full(ep.EPOCH_SAMPLES, 3.0, dtype=np.float32), stage=stored[40].stage,
-            subject_id=stored[40].subject_id, night=1, epoch_index=stored[40].epoch_index,
-        )
+        stored.samples[40] = 3.0
         flat_store = tmp_path / "flat.slpe"
         ep.write_store(stored, flat_store)
         assert main(["eval", "--store", str(flat_store), "--model", str(model_path)]) == 4
         assert "flat epoch" in capsys.readouterr().err
 
     def test_train_flat_epoch_exits_4(self, tmp_path, capsys):
-        stored = []
-        for subject in range(3):
-            stored.extend(make_synth_epochs(6, seed=95 + subject, subject_id=subject))
-        for i in (2, 8, 14):  # one per subject, so every fold's pool holds one
-            stored[i] = ep.LabeledEpoch(
-                samples=np.full(ep.EPOCH_SAMPLES, 3.0, dtype=np.float32), stage=stored[i].stage,
-                subject_id=stored[i].subject_id, night=1, epoch_index=stored[i].epoch_index,
-            )
+        stored = join_epochs(
+            *(make_synth_epochs(6, seed=95 + subject, subject_id=subject) for subject in range(3))
+        )
+        stored.samples[[2, 8, 14]] = 3.0  # one per subject, so every fold's pool holds one
         flat_store = tmp_path / "flat.slpe"
         ep.write_store(stored, flat_store)
         code = main(["train", "--store", str(flat_store), "--out-dir", str(tmp_path / "runs"),
@@ -402,6 +446,23 @@ INT16_FLAGS = ("--int16", "--dig-min", "-2048", "--dig-max", "2047",
 
 
 class TestStreamFeed:
+    def test_non_finite_window_is_unscorable_and_the_feed_goes_on(
+        self, trained_setup, capsys, monkeypatch
+    ):
+        store_path, model_path, _, _ = trained_setup
+        stored = ep.read_store(store_path)[:3]
+        feed = np.concatenate([e.samples for e in stored]).astype("<f4")
+        assert len(feed) == 9000
+        feed[3000 + 1700] = np.nan
+        code, out, _ = run_stream(monkeypatch, capsys, model_path, PipeStdin(feed.tobytes(), 400))
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 3
+        assert [line.split("\t")[1] == "unscorable" for line in lines] == [False, True, False]
+        params, config = load_model(model_path)
+        probs, _ = forward(params, ep.standardize(stored[2].samples), config)
+        assert lines[2].split("\t")[2:] == [f"{p:.6f}" for p in probs]
+
     def test_decision_printed_before_next_read(self, trained_setup, monkeypatch):
         store_path, model_path, _, _ = trained_setup
         stored = ep.read_store(store_path)[:3]
@@ -522,6 +583,26 @@ class TestErrorSurface:
     def test_missing_file_is_oserror_code(self, tmp_path):
         assert main(["eval", "--store", str(tmp_path / "nope.slpe"),
                      "--model", str(tmp_path / "nope.slpm")]) == 13
+
+    @pytest.mark.parametrize(
+        "offset, value, code, message",
+        [
+            (16 + 12008 + 3, b"\x05", 5, "invalid stage byte 5"),  # record 1's stage byte
+            (16 + 8 + 4 * 17, struct.pack("<f", float("nan")), 4, "non-finite"),  # a sample
+        ],
+        ids=["stage-5", "nan-sample"],
+    )
+    def test_bad_store_content_code(self, tmp_path, capsys, offset, value, code, message):
+        store = tmp_path / "s.slpe"
+        ep.write_store(make_synth_epochs(3, seed=98), store)
+        raw = bytearray(store.read_bytes())
+        raw[offset : offset + len(value)] = value
+        store.write_bytes(bytes(raw))
+        model_path = tmp_path / "m.slpm"
+        config = ArchConfig(width_multiplier=0.25)
+        save_model(init_params(config, 0), config, model_path)
+        assert main(["eval", "--store", str(store), "--model", str(model_path)]) == code
+        assert message in capsys.readouterr().err
 
     def test_bad_store_magic_code(self, tmp_path):
         bad = tmp_path / "bad.slpe"

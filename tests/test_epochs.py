@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from edgesleep.epochs import (
     DISCARD,
     EPOCH_SAMPLES,
     DegenerateEpochError,
-    LabeledEpoch,
     PipelineError,
     SleepStage,
     StoreError,
@@ -22,7 +23,7 @@ from edgesleep.epochs import (
     write_store,
 )
 
-from conftest import make_synth_epochs
+from conftest import join_epochs, make_synth_epochs
 from oracles import RAW_LABELS, random_annotation_sequence, reference_pipeline
 
 
@@ -89,6 +90,40 @@ class TestSegment:
                 noise(60), [ann(0, 60, "Sleep stage 2"), ann(30, 30, "Sleep stage W")]
             )
 
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"subject_id": 70000}, "subject_id 70000 out of range"),
+            ({"subject_id": -1}, "subject_id -1 out of range"),
+            ({"night": 300}, "night 300 out of range"),
+        ],
+    )
+    def test_fields_must_fit_the_store(self, fields, error):
+        # a numpy cast would wrap 70000 to 4464 without a word
+        with pytest.raises(StoreError, match=error):
+            segment_epochs(noise(30), [ann(0, 30, "Sleep stage 2")], **fields)
+
+    def test_largest_fields_kept(self):
+        night = segment_epochs(
+            noise(30), [ann(0, 30, "Sleep stage 2")], subject_id=65535, night=255
+        )
+        assert (night.epochs[0].subject_id, night.epochs[0].night) == (65535, 255)
+
+    def test_non_finite_sample_rejected(self):
+        samples = noise(90).astype(np.float64)
+        samples[3100] = 1e300  # finite in float64, infinite as a stored float32
+        with np.errstate(over="ignore"), pytest.raises(PipelineError, match="non-finite"):
+            segment_epochs(samples, [ann(0, 90, "Sleep stage 2")])
+        samples[3100] = np.nan
+        with pytest.raises(PipelineError, match="non-finite"):
+            segment_epochs(samples, [ann(0, 90, "Sleep stage 2")])
+        # a discarded window never becomes an epoch, so its samples go unread
+        night = segment_epochs(
+            samples,
+            [ann(0, 30, "Sleep stage 2"), ann(30, 30, "Movement time"), ann(60, 30, "Sleep stage 2")],
+        )
+        assert [e.epoch_index for e in night.epochs] == [0, 2]
+
     def test_samples_sliced_per_window(self):
         samples = noise(60, seed=5)
         night = segment_epochs(samples, [ann(0, 60, "Sleep stage R")])
@@ -120,13 +155,13 @@ class TestTrimWake:
         night = wake_night(
             [(10, "Sleep stage W"), (50, "Sleep stage 2"), (10, "Sleep stage W")]
         )
-        assert trim_wake(night).epochs == night.epochs
+        assert np.array_equal(trim_wake(night).epochs, night.epochs)
 
     def test_pure_wake_keeps_first_hour_half(self):
         night = wake_night([(100, "Sleep stage W")])
         trimmed = trim_wake(night)
         assert len(trimmed.epochs) == 60
-        assert trimmed.epochs == night.epochs[:60]
+        assert np.array_equal(trimmed.epochs, night.epochs[:60])
 
     def test_empty_night_rejected(self):
         night = wake_night([(1, "Sleep stage W")])
@@ -190,6 +225,15 @@ class TestStandardize:
         with pytest.raises(DegenerateEpochError):
             standardize(rows)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, value):
+        rows = np.random.default_rng(8).normal(size=(3, EPOCH_SAMPLES))
+        rows[1, 1234] = value
+        with pytest.raises(DegenerateEpochError, match="non-finite"):
+            standardize(rows[1])
+        with pytest.raises(DegenerateEpochError, match="non-finite"):
+            standardize(rows.astype(np.float32))
+
     def test_underflowing_variance_rejected(self):
         # two distinct values whose squared spread underflows: max != min,
         # yet the std is exactly 0
@@ -242,8 +286,80 @@ class TestDistribution:
         with pytest.raises(PipelineError):
             class_distribution([])
 
+    def test_stage_column_counts_like_records(self):
+        epochs = make_synth_epochs(23, stage_of=lambda i: (i * 7) % 5 if i % 3 else 2)
+        assert class_distribution(epochs.stage) == class_distribution(epochs)
+
+
+# SLPE v1 written out independently of the package: a 16-byte header, then
+# packed records.
+RAW_HEADER = "<4sHHII"
+RAW_RECORD = np.dtype(
+    [("subject", "<u2"), ("night", "u1"), ("stage", "u1"), ("index", "<u4"), ("x", "<f4", 3000)]
+)
+
+
+def raw_store(path, n=3, seed=0, **fields):
+    """Write n valid raw records, then set `fields` on record 1; returns them."""
+    records = np.zeros(n, RAW_RECORD)
+    records["stage"] = np.arange(n) % 5
+    records["x"] = np.random.default_rng(seed).normal(size=(n, EPOCH_SAMPLES))
+    for name, value in fields.items():
+        records[name][1] = value
+    path.write_bytes(struct.pack(RAW_HEADER, b"SLPE", 1, 100, 3000, n) + records.tobytes())
+    return records
+
 
 class TestStore:
+    def test_largest_field_values_round_trip(self, tmp_path):
+        path = tmp_path / "max.slpe"
+        raw = raw_store(path, subject=65535, night=255, index=2**32 - 1)
+        loaded = read_store(path)
+        e = loaded[1]
+        assert (e.subject_id, e.night, int(e.stage), e.epoch_index) == (65535, 255, 1, 2**32 - 1)
+        assert np.array_equal(np.array([e.samples for e in loaded]), raw["x"])
+        write_store(loaded, tmp_path / "again.slpe")
+        assert (tmp_path / "again.slpe").read_bytes() == path.read_bytes()
+
+    def test_stage_byte_5_rejected(self, tmp_path):
+        path = tmp_path / "stage5.slpe"
+        raw_store(path, stage=5)
+        with pytest.raises(StoreError, match="invalid stage byte 5"):
+            read_store(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, tmp_path, value):
+        path = tmp_path / "nan.slpe"
+        raw = raw_store(path)
+        raw["x"][1, 2999] = value
+        path.write_bytes(path.read_bytes()[:16] + raw.tobytes())
+        with pytest.raises(PipelineError, match="non-finite"):
+            read_store(path)
+
+    def test_empty_store_round_trips(self, tmp_path):
+        path = tmp_path / "empty.slpe"
+        write_store(make_synth_epochs(0), path)
+        assert path.read_bytes() == struct.pack(RAW_HEADER, b"SLPE", 1, 100, 3000, 0)
+        assert len(read_store(path)) == 0
+
+    def test_append_gives_the_bytes_of_one_write(self, tmp_path):
+        a = make_synth_epochs(4, seed=12, subject_id=1)
+        b = make_synth_epochs(3, seed=13, subject_id=2, night=2)
+        appended, whole = tmp_path / "appended.slpe", tmp_path / "whole.slpe"
+        write_store(a, appended)
+        write_store(b, appended, append=True)
+        write_store(join_epochs(a, b), whole)
+        assert appended.read_bytes() == whole.read_bytes()
+
+    def test_append_onto_a_corrupt_store_writes_nothing(self, tmp_path):
+        path = tmp_path / "corrupt.slpe"
+        write_store(make_synth_epochs(2), path)
+        corrupt = path.read_bytes()[:-1]
+        path.write_bytes(corrupt)
+        with pytest.raises(StoreError, match="truncated"):
+            write_store(make_synth_epochs(1), path, append=True)
+        assert path.read_bytes() == corrupt
+
     def test_round_trip(self, tmp_path):
         epochs = make_synth_epochs(5, seed=11, subject_id=3, night=2)
         path = tmp_path / "five.slpe"
@@ -342,7 +458,7 @@ class TestPipelineAgainstReference:
         samples = np.random.default_rng(seed ^ 0xFF).normal(size=total_seconds * 100)
         annotations = [ann(o, d, t) for o, d, t in triples]
         night = segment_epochs(samples, annotations)
-        if night.epochs:  # trim requires a nonempty night
+        if len(night.epochs):  # trim requires a nonempty night
             night = trim_wake(night)
         got = [(e.epoch_index, int(e.stage)) for e in night.epochs]
         assert got == reference_pipeline(triples)

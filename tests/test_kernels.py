@@ -13,7 +13,6 @@ from edgesleep.kernels import (
     dense_backward,
     layer_norm,
     layer_norm_backward,
-    multi_head_attention,
     multi_head_attention_backward,
     multi_head_attention_with_cache,
     relu,
@@ -204,9 +203,9 @@ def attention_weights(rng, d):
 
 
 def run_attention(x, w, heads):
-    return multi_head_attention(
+    return multi_head_attention_with_cache(
         x, w["wq"], w["bq"], w["wk"], w["bk"], w["wv"], w["bv"], w["wo"], w["bo"], heads
-    )
+    )[0]
 
 
 class TestAttention:

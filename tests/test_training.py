@@ -21,7 +21,7 @@ from edgesleep.training import (
     train_fold,
 )
 
-from conftest import make_synth_epochs
+from conftest import join_epochs, make_synth_epochs
 
 
 class TestCrossEntropy:
@@ -197,7 +197,8 @@ class TestFitAgainstPerEpochLoops:
     def test_fit_matches_per_epoch_reference(self):
         train = make_synth_epochs(13, seed=29)
         tc = TrainConfig(max_epochs=2, batch_size=5, seed=9)
-        got, history = fit(init_params(self.config, 9), self.config, train, [], tc)
+        rows = np.arange(len(train))
+        got, history = fit(init_params(self.config, 9), self.config, train, rows, [], tc)
         want, losses = reference_fit(init_params(self.config, 9), self.config, train, tc)
         np.testing.assert_allclose([h.train_loss for h in history], losses, rtol=0, atol=1e-10)
         for name in want.names():
@@ -208,7 +209,11 @@ class TestFitAgainstPerEpochLoops:
         val = make_synth_epochs(37, seed=31)
         assert len(val) > PREDICT_ROWS
         tc = TrainConfig(max_epochs=1, batch_size=6, seed=10)
-        params, history = fit(init_params(self.config, 10), self.config, train, val, tc)
+        rows = np.arange(len(train) + len(val))
+        params, history = fit(
+            init_params(self.config, 10), self.config, join_epochs(train, val),
+            rows[: len(train)], rows[len(train) :], tc,
+        )
         losses, hits = [], []
         for e in val:
             probs, _ = forward(params, standardize(e.samples), self.config)
@@ -266,7 +271,8 @@ class TestSplitAndFit:
         tc = TrainConfig(max_epochs=2, batch_size=8, seed=6)
 
         def run():
-            return fit(init_params(config, 6), config, data, data, tc)
+            rows = np.arange(len(data))
+            return fit(init_params(config, 6), config, data, rows, rows, tc)
 
         p1, h1 = run()
         p2, h2 = run()
@@ -278,23 +284,21 @@ class TestSplitAndFit:
         config = ArchConfig(width_multiplier=0.25)
         data = make_synth_epochs(30, seed=19)
         tc = TrainConfig(max_epochs=4, batch_size=10, seed=7)
-        _, history = fit(init_params(config, 7), config, data, [], tc)
+        _, history = fit(init_params(config, 7), config, data, np.arange(len(data)), [], tc)
         assert history[-1].train_loss < history[0].train_loss
 
     def test_train_fold_excludes_test_subjects(self):
-        epochs = []
-        for subject in range(4):
-            epochs.extend(
-                make_synth_epochs(10, seed=20 + subject, subject_id=subject)
-            )
+        epochs = join_epochs(
+            *(make_synth_epochs(10, seed=20 + subject, subject_id=subject) for subject in range(4))
+        )
         config = ArchConfig(width_multiplier=0.25)
         tc = TrainConfig(max_epochs=1, batch_size=8, seed=8)
         params, history = train_fold(epochs, {3}, config, tc)
         assert len(history) == 1
-        pool = [e for e in epochs if e.subject_id != 3]
+        pool = epochs[epochs.subject_id != 3]
         train, val = split_train_val(pool, tc)
         assert len(val) == round(0.10 * len(pool))
-        assert all(e.subject_id != 3 for e in train + val)
+        assert all(e.subject_id != 3 for e in join_epochs(train, val))
 
     def test_empty_training_pool_rejected(self):
         epochs = make_synth_epochs(5, seed=25, subject_id=1)
