@@ -112,9 +112,8 @@ def _evaluate_store(params, config, store, rows=None):
 def cmd_eval(args) -> int:
     store = epochs.read_store(args.store)
     rows = np.arange(len(store))
-    if args.subjects:
-        wanted = [int(s) for s in args.subjects.split(",")]
-        rows = rows[np.isin(store.subject_id, wanted)]
+    if args.subjects is not None:
+        rows = rows[np.isin(store.subject_id, args.subjects)]
     if not len(rows):
         raise epochs.StoreError("no epochs selected for evaluation")
     kind, obj, config = quant.load_any_model(args.model)
@@ -245,6 +244,17 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _subject_list(text: str) -> list[int]:
+    """argparse type of --subjects: comma-separated integer subject ids.
+    An empty item ("1,,2", "") is a usage error, not a wildcard."""
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated subject ids, got {text!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgesleep",
@@ -280,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="model + store -> metrics report")
     p.add_argument("--store", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--subjects", default=None, help="comma-separated subject filter")
+    p.add_argument(
+        "--subjects", type=_subject_list, default=None, help="comma-separated subject filter"
+    )
     p.add_argument("--out-prefix", default=None)
     p.set_defaults(func=cmd_eval)
 

@@ -2,9 +2,10 @@
 
 Each kernel has a forward evaluation and a matching analytic gradient;
 no autodiff framework is involved.  All kernels are pure functions over
-numpy arrays and preserve the caller's dtype (float64 during training,
-float32 on inference paths).  Outputs are checked finite: a NaN/Inf is a
-hard error, never propagated.
+numpy arrays and preserve the caller's dtype: float32 in training and on
+inference paths, float64 where a caller passes float64 parameters (the
+finite-difference gradient checks).  Outputs are checked finite: a NaN/Inf
+is a hard error, never propagated.
 
 Shape convention: activations are ``[..., L, C]`` -- any number of leading
 batch axes, then positions, then channels.  Every kernel treats the

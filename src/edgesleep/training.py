@@ -21,10 +21,11 @@ PROB_FLOOR = 1e-12
 # Rows per batched train-mode forward/backward (validation scores through
 # model.predict and its PREDICT_ROWS).  Each chunk keeps its activations alive
 # until its backprop ends, so the size trades per-call overhead against peak
-# memory: on a 2-core x86 box at width 1.0, 4 rows trained at most ~5%
-# faster end to end than 2 but raised peak RSS by ~5%.  A constant, so that
-# results never depend on the caller.
-CHUNK_ROWS = 2
+# memory.  On the `train` benchmark (float32, width 1.0, batch 64, one BLAS
+# thread on a 2-core x86 VM; median of 4 runs), 8 rows trained 558 samples/s
+# at 58.9 MB peak RSS, 4 rows 473/s at 54.9 MB.  A constant, so that results
+# never depend on the caller.
+CHUNK_ROWS = 8
 
 
 class TrainingError(ValueError):
@@ -314,7 +315,9 @@ def train_fold(
 
     Non-test rows split 90/10 into train/validation by a seeded shuffle; no
     epoch of a test subject is seen in either part.  Only row indices are
-    split; fit gathers each batch from epochs.
+    split; fit gathers each batch from epochs.  Training runs in float32,
+    the dtype a saved model holds: the seeded initial weights are cast
+    once, and fit keeps the dtype of the parameters it is given.
     """
     pool = np.flatnonzero(~np.isin(epochs["subject_id"], list(test_subjects)))
     if not len(pool):
@@ -322,7 +325,7 @@ def train_fold(
     train, val = split_train_val(pool, tc)
     if not len(train):
         raise TrainingError("validation split consumed every epoch")
-    params = init_params(arch, tc.seed)
+    params = init_params(arch, tc.seed).astype(np.float32)
     return fit(params, arch, epochs, train, val, tc)
 
 

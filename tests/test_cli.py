@@ -275,6 +275,16 @@ class TestTrainEvalFlow:
         counts = counts_from_csv(Path(f"{prefix}_counts.csv").read_text())
         assert counts.sum() == 30  # two of the four 15-epoch subjects
 
+    @pytest.mark.parametrize("subjects", ["1,x", "1,,2", ""])
+    def test_eval_bad_subject_list_is_a_usage_error(self, trained_setup, subjects, capsys):
+        store_path, model_path, _, _ = trained_setup
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--store", str(store_path), "--model", str(model_path),
+                  "--subjects", subjects])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --subjects: expected comma-separated subject ids" in err
+
     def test_adapt_logs_split_sizes(self, trained_setup, tmp_path, capsys):
         store_path, model_path, _, _ = trained_setup
         adapted = tmp_path / "adapted.slpm"

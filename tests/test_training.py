@@ -304,3 +304,77 @@ class TestSplitAndFit:
         epochs = make_synth_epochs(5, seed=25, subject_id=1)
         with pytest.raises(TrainingError):
             train_fold(epochs, {1}, ArchConfig(width_multiplier=0.25), TrainConfig())
+
+
+class TestFloat32Training:
+    """train_fold trains in float32; fit keeps whatever dtype it is given."""
+
+    # float32 keeps ~7 significant digits; the largest error measured over
+    # several seeds was 3.4e-7 of the global norm (2.5e-7 on these inputs).  The bound is relative to the norm of all
+    # gradients together, not to each tensor's own: attn_bk's gradient is
+    # zero in exact arithmetic (softmax cancels a shift of the keys) and
+    # about 4e-17 in float64, so its own relative error is meaningless.
+    GRAD_BOUND = 1e-5
+
+    @pytest.mark.parametrize("width", [0.25, 1.0])
+    def test_float32_gradients_track_float64(self, width):
+        config = ArchConfig(width_multiplier=width)
+        epochs = make_synth_epochs(16, seed=40)
+        params64 = init_params(config, 13)
+        g64, loss64 = batch_gradients(params64, config, epochs.samples, epochs.stage)
+        g32, loss32 = batch_gradients(
+            params64.astype(np.float32), config, epochs.samples, epochs.stage
+        )
+        global_norm = np.sqrt(sum(float((g * g).sum()) for g in g64.values()))
+        assert global_norm > 0
+        assert set(g32) == set(g64)
+        for name in g64:
+            assert g32[name].dtype == np.float32, name
+            error = np.linalg.norm((g32[name].astype(np.float64) - g64[name]).ravel())
+            assert error <= self.GRAD_BOUND * global_norm, name
+        assert loss32 == pytest.approx(loss64, rel=self.GRAD_BOUND)
+
+    # Chunks change only the order in which float32 row gradients add up;
+    # the largest difference measured was 1.7e-7 of the global norm.
+    CHUNK_BOUND = 1e-6
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_float32_batch_gradients_independent_of_chunk_size(self, chunk, monkeypatch):
+        config = ArchConfig(width_multiplier=0.25)
+        params = init_params(config, 13).astype(np.float32)
+        epochs = make_synth_epochs(7, seed=27)
+        want, want_loss = batch_gradients(params, config, epochs.samples, epochs.stage)
+        monkeypatch.setattr(training, "CHUNK_ROWS", chunk)
+        got, got_loss = batch_gradients(params, config, epochs.samples, epochs.stage)
+        # each row's probabilities are the same bits in any chunk; only the
+        # float64 sum of the per-row losses changes order
+        assert got_loss == pytest.approx(want_loss, abs=1e-12)
+        global_norm = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in want.values()))
+        for name in want:
+            assert got[name].dtype == np.float32, name
+            error = np.linalg.norm((got[name].astype(np.float64) - want[name]).ravel())
+            assert error <= self.CHUNK_BOUND * global_norm, name
+
+    @staticmethod
+    def cohort():
+        return join_epochs(
+            *(make_synth_epochs(9, seed=60 + subject, subject_id=subject) for subject in range(3))
+        )
+
+    def test_train_fold_returns_float32_deterministically(self):
+        config = ArchConfig(width_multiplier=0.25)
+        tc = TrainConfig(max_epochs=2, batch_size=8, seed=11)
+        p1, h1 = train_fold(self.cohort(), {2}, config, tc)
+        p2, h2 = train_fold(self.cohort(), {2}, config, tc)
+        assert {p1[n].dtype for n in p1.names()} == {np.dtype(np.float32)}
+        assert h1 == h2
+        for name in p1.names():
+            assert p1[name].tobytes() == p2[name].tobytes(), name
+
+    def test_fit_keeps_float64_parameters(self):
+        config = ArchConfig(width_multiplier=0.25)
+        data = self.cohort()
+        rows = np.arange(len(data))
+        tc = TrainConfig(max_epochs=1, batch_size=8, seed=12)
+        params, _ = fit(init_params(config, 12), config, data, rows, rows[:5], tc)
+        assert {params[n].dtype for n in params.names()} == {np.dtype(np.float64)}
