@@ -55,10 +55,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from edgesleep import epochs as ep  # noqa: E402
-from edgesleep.adapt import fine_tune, split_adapt  # noqa: E402
+from edgesleep.adapt import ADAPT_DEFAULT_EPOCHS, fine_tune, split_adapt  # noqa: E402
 from edgesleep.edf import RawAnnotation, parse_edf, read_signal  # noqa: E402
 from edgesleep.metrics import class_metrics, confusion, counts_to_csv, render_report  # noqa: E402
-from edgesleep.model import default_arch, load_model, predict, save_model  # noqa: E402
+from edgesleep.model import ArchConfig, load_model, predict, save_model  # noqa: E402
 from edgesleep.quant import quantize_model, save_quant_model  # noqa: E402
 from edgesleep.training import (  # noqa: E402
     TrainConfig,
@@ -187,7 +187,7 @@ def stage_train(args) -> None:
     subjects = sorted(set(epochs.subject_id.tolist()))
     log(f"{len(epochs)} epochs across {len(subjects)} subjects")
     plan = make_folds(subjects, k=args.folds, seed=args.seed)
-    arch = default_arch()
+    arch = ArchConfig()
     tc = TrainConfig(max_epochs=args.max_epochs, seed=args.seed)
     fold_ids = [args.fold] if args.fold is not None else list(range(args.folds))
     for i in fold_ids:
@@ -216,6 +216,7 @@ def stage_evaluate(args) -> None:
     plan = make_folds(subjects, k=args.folds, seed=args.seed)
     before_pred, before_true = [], []
     after_pred, after_true = [], []
+    adapt_tc = TrainConfig(max_epochs=ADAPT_DEFAULT_EPOCHS, seed=args.seed)
     for i in range(args.folds):
         model_path = args.work / f"model_fold{i}.slpm"
         if not model_path.exists():
@@ -233,9 +234,7 @@ def stage_evaluate(args) -> None:
             before = classify(params, config, holdout)
             before_pred += before
             before_true += labels
-            tuned = fine_tune(
-                params, config, adapt_set, TrainConfig(max_epochs=20, seed=args.seed)
-            )
+            tuned = fine_tune(params, config, adapt_set, adapt_tc)
             after_pred += classify(tuned, config, holdout)
             after_true += labels
         log(f"fold {i}: evaluated {len(plan.folds[i])} subjects")

@@ -25,7 +25,6 @@ from .metrics import class_metrics, confusion, render_report
 from .model import (
     ArchConfig,
     ModelParams,
-    default_arch,
     forward,
     init_params,
     load_model,
@@ -33,8 +32,8 @@ from .model import (
     predict,
     save_model,
 )
-from .quant import QuantModel, QuantTensor, quant_forward, quantize_model, quantize_tensor
-from .streaming import StageDecision, StreamFrame, stream_classify
+from .quant import QuantModel, QuantTensor, quantize_model, quantize_tensor
+from .streaming import StageDecision, stream_classify
 from .training import (
     AdamState,
     FoldPlan,

@@ -55,7 +55,7 @@ def fine_tune(
     params: ModelParams,
     config: ArchConfig,
     adapt_set: np.ndarray,
-    tc: TrainConfig | None = None,
+    tc: TrainConfig,
     scope: str = "all",
 ) -> ModelParams:
     """Continue training on the adaptation slice only.
@@ -67,8 +67,6 @@ def fine_tune(
         raise TrainingError("empty adaptation set")
     if scope not in ("all", "classifier_only"):
         raise TrainingError(f"unknown fine-tune scope {scope!r}")
-    if tc is None:
-        tc = TrainConfig(max_epochs=ADAPT_DEFAULT_EPOCHS)
     trainable = None if scope == "all" else CLASSIFIER_TENSORS
     rows = np.arange(len(adapt_set))
     tuned, _ = fit(params, config, adapt_set, rows, [], tc, trainable=trainable)

@@ -161,19 +161,14 @@ def mac_count(config: ArchConfig) -> int:
     return sum(macs for _, macs in mac_table(config))
 
 
-def check_fit(
-    model_file: str | Path,
-    config: ArchConfig,
-    profile: DeviceProfile,
-    activation_width: int = 4,
-) -> BudgetReport:
+def check_fit(model_file: str | Path, config: ArchConfig, profile: DeviceProfile) -> BudgetReport:
     """Combine flash, peak activation RAM, and a naive 1-MAC-per-cycle latency
     bound into one feasibility report against the profile."""
     macs = mac_count(config)
     return BudgetReport(
         profile=profile,
         flash_used=flash_usage(model_file),
-        peak_ram=peak_ram(config, activation_width),
+        peak_ram=peak_ram(config),
         macs=macs,
         latency_bound_s=macs / profile.clock_hz,
     )

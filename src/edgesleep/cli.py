@@ -9,6 +9,7 @@ regardless of how good the model is.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -78,6 +79,8 @@ def cmd_train(args) -> int:
     )
     subjects = sorted(set(store.subject_id.tolist()))
     plan = training.make_folds(subjects, k=args.folds, seed=args.seed)
+    if args.fold is not None and not 0 <= args.fold < len(plan.folds):
+        raise training.TrainingError(f"--fold {args.fold} out of range for {len(plan.folds)} folds")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "folds.txt").write_text(
@@ -86,10 +89,6 @@ def cmd_train(args) -> int:
         )
         + "\n"
     )
-    if args.fold is not None and not 0 <= args.fold < len(plan.folds):
-        raise training.TrainingError(
-            f"--fold {args.fold} out of range for {len(plan.folds)} folds"
-        )
     fold_ids = [args.fold] if args.fold is not None else range(len(plan.folds))
     for i in fold_ids:
         params, history = training.train_fold(store, plan.test_subjects(i), arch, tc)
@@ -101,6 +100,12 @@ def cmd_train(args) -> int:
             f"final val_acc {last.val_acc:.3f} -> model_fold{i}.slpm"
         )
     return 0
+
+
+def _load_float_model(path):
+    """(float parameters, config) of a model file; an int8 one dequantized once."""
+    kind, obj, config = quant.load_any_model(path)
+    return (obj.dequantize() if kind == "quant" else obj), config
 
 
 def _evaluate_store(params, config, store, rows=None):
@@ -116,8 +121,7 @@ def cmd_eval(args) -> int:
         rows = rows[np.isin(store.subject_id, args.subjects)]
     if not len(rows):
         raise epochs.StoreError("no epochs selected for evaluation")
-    kind, obj, config = quant.load_any_model(args.model)
-    params = obj.dequantize() if kind == "quant" else obj
+    params, config = _load_float_model(args.model)
     report = _evaluate_store(params, config, store, rows)
     text = metrics.render_report(report, "text")
     print(text, end="")
@@ -221,8 +225,8 @@ def cmd_stream(args) -> int:
         raise streaming.StreamGapError(
             f"only {epochs.SAMPLE_RATE} Hz feeds are supported, got {args.rate}"
         )
-    _, obj, config = quant.load_any_model(args.model)
-    predict = streaming.make_predictor(obj, config)
+    params, config = _load_float_model(args.model)
+    predict = streaming.make_predictor(params, config)
     latencies = []
 
     def sink(decision):
@@ -230,8 +234,8 @@ def cmd_stream(args) -> int:
         if not decision.unscorable:
             latencies.append(decision.latency_s)
 
-    frames = streaming.frames_from_blocks(_stdin_samples(sys.stdin.buffer, args))
-    decisions, leftover = streaming.stream_classify(frames, predict, sink)
+    blocks = _stdin_samples(sys.stdin.buffer, args)
+    decisions, leftover = streaming.stream_classify(blocks, predict, sink)
     print(f"stream ended: {decisions} decisions, {leftover} samples buffered", file=sys.stderr)
     print(streaming.latency_line(latencies), file=sys.stderr)
     return 0
@@ -253,6 +257,19 @@ def _subject_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated subject ids, got {text!r}"
         ) from None
+
+
+def _positive(convert):
+    """argparse type of a count or size: convert(text), finite and > 0."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="k-fold training over a store")
     p.add_argument("--store", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_positive(int), default=5)
     p.add_argument("--fold", type=int, default=None, help="train only this fold index")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--max-epochs", type=_positive(int), default=30)
+    p.add_argument("--batch-size", type=_positive(int), default=64)
     p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--width-multiplier", type=float, default=1.0)
+    p.add_argument("--width-multiplier", type=_positive(float), default=1.0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="model + store -> metrics report")

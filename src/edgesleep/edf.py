@@ -144,20 +144,14 @@ class EdfFile:
             )
             yield _read_exact(self._stream, n, f"data record {rec}")
 
-    def digital_records(self, index: int) -> Iterator[np.ndarray]:
-        """Yield one int16 array per data record for the given signal."""
-        for chunk in self.record_chunks(index):
-            yield np.frombuffer(chunk, dtype="<i2")
-
     def read_digital(self, label: str) -> np.ndarray:
         """All digital samples of a channel, concatenated across records."""
         index = self.signal_index(label)
         sig = self.header.signals[index]
-        out = np.empty(self.header.n_records * sig.samples_per_record, dtype=np.int16)
-        pos = 0
-        for rec in self.digital_records(index):
-            out[pos : pos + rec.size] = rec
-            pos += rec.size
+        n = sig.samples_per_record
+        out = np.empty(self.header.n_records * n, dtype=np.int16)
+        for rec, chunk in enumerate(self.record_chunks(index)):
+            out[rec * n : (rec + 1) * n] = np.frombuffer(chunk, dtype="<i2")
         return out
 
     def annotations(self) -> list[RawAnnotation]:

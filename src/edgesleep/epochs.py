@@ -147,14 +147,14 @@ def segment_epochs(
     Each annotation must start and end on the 30-second grid and lie within
     the signal; a stage annotation of duration D yields D/30 consecutive
     epochs.  Windows whose label maps to DISCARD produce no epoch, leaving a
-    gap in epoch_index.  A window already given a stage may not be covered
-    again.  subject_id, night and every epoch_index must fit their store
-    fields (StoreError otherwise).
+    gap in epoch_index.  No window may be covered twice, whatever the labels
+    or their order.  subject_id, night and every epoch_index must fit their
+    store fields (StoreError otherwise).
     """
     _check_range("subject_id", subject_id, STORE_RECORD["subject_id"])
     _check_range("night", night, STORE_RECORD["night"])
     signal_seconds = len(samples) / SAMPLE_RATE
-    stages = np.full(len(samples) // EPOCH_SAMPLES, -1, dtype=np.int8)  # -1: no stage
+    stages = np.full(len(samples) // EPOCH_SAMPLES, -1, dtype=np.int8)  # -1: free, -2: DISCARD
     for ann in annotations:
         if ann.onset < 0 or ann.onset % EPOCH_SECONDS != 0:
             raise PipelineError(
@@ -172,13 +172,12 @@ def segment_epochs(
         stage = map_label(ann.text)
         first = int(ann.onset) // EPOCH_SECONDS
         span = stages[first : first + int(ann.duration) // EPOCH_SECONDS]
-        staged = np.flatnonzero(span >= 0)
-        if len(staged):
+        covered = np.flatnonzero(span != -1)
+        if len(covered):
             raise PipelineError(
-                f"window {first + staged[0]} covered by more than one annotation"
+                f"window {first + covered[0]} covered by more than one annotation"
             )
-        if stage is not DISCARD:
-            span[:] = stage
+        span[:] = -2 if stage is DISCARD else stage
 
     kept = np.flatnonzero(stages >= 0)
     if len(kept):

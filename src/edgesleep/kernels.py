@@ -144,24 +144,22 @@ def softmax_backward(probs: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return probs * (grad_out - inner)
 
 
-def layer_norm(
-    x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = LAYER_NORM_EPS
-) -> np.ndarray:
+def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Per-position normalization of [..., T, D] over the D axis, then affine."""
     if x.ndim < 2 or x.shape[-1] < 2:
         raise KernelError(f"layer_norm expects [..., T, D>=2], got {x.shape}")
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + eps)
+    xhat = (x - mu) / np.sqrt(var + LAYER_NORM_EPS)
     return _finite(xhat * gain + shift, "layer_norm")
 
 
 def layer_norm_backward(
-    x: np.ndarray, gain: np.ndarray, grad_out: np.ndarray, eps: float = LAYER_NORM_EPS
+    x: np.ndarray, gain: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x - mu) * inv_std
     dgain = _rows(grad_out * xhat).sum(axis=0)
     dshift = _rows(grad_out).sum(axis=0)

@@ -96,10 +96,10 @@ class ArchConfig:
     def scaled_ffn_dim(self) -> int:
         return self._scale(self.ffn_dim)
 
-    def conv_lengths(self, input_len: int = EPOCH_SAMPLES) -> list[int]:
-        """Sequence lengths after each conv layer: floor((L - K)/stride) + 1."""
+    def conv_lengths(self) -> list[int]:
+        """Sequence lengths after each conv layer on an epoch: floor((L - K)/stride) + 1."""
         lengths = []
-        length = input_len
+        length = EPOCH_SAMPLES
         for k, s, _ in self.conv_table:
             if length < k:
                 raise ValueError(f"conv kernel {k} longer than input {length}")
@@ -114,10 +114,6 @@ class ArchConfig:
     @property
     def flat_dim(self) -> int:
         return self.feature_len * self.scaled_d_model
-
-
-def default_arch() -> ArchConfig:
-    return ArchConfig()
 
 
 def expected_shapes(config: ArchConfig) -> dict[str, tuple[int, ...]]:

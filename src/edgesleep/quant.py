@@ -3,7 +3,7 @@
 Symmetric per-tensor scheme: scale = max|t| / 127, values rounded half-to-
 even and clamped to [-127, 127], zero point 0.  Weight matrices/kernels are
 quantized; biases and layer-norm gains/shifts stay float32.  Inference is
-hybrid: int8 storage, tensors dequantized at use, activations at 32 bit.
+hybrid: int8 storage, dequantized once per model, activations at 32 bit.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ import numpy as np
 from .model import (
     FLAG_QUANTIZED,
     ArchConfig,
-    ModelFormatError,
     ModelParams,
     checked_entries,
     expected_shapes,
-    forward,
     params_from_entries,
     read_slpm,
     write_slpm,
@@ -93,12 +91,6 @@ def quantize_model(params: ModelParams, config: ArchConfig) -> QuantModel:
     return QuantModel(config=config, quantized=quantized, retained=retained)
 
 
-def quant_forward(qmodel: QuantModel, epoch_samples: np.ndarray) -> np.ndarray:
-    """Hybrid inference on standardized epochs [3000] or [N, 3000]: int8
-    weights dequantized once per model, compute at 32 bit."""
-    return forward(qmodel.dequantize(), epoch_samples, qmodel.config)[0]
-
-
 def save_quant_model(qmodel: QuantModel, path) -> None:
     entries = []
     for name in expected_shapes(qmodel.config):
@@ -110,7 +102,12 @@ def save_quant_model(qmodel: QuantModel, path) -> None:
     write_slpm(path, qmodel.config, entries, quantized=True)
 
 
-def quant_model_from_entries(config: ArchConfig, entries) -> QuantModel:
+def load_any_model(path):
+    """Dispatch on the quantized flag: returns ("float", params, config) or
+    ("quant", qmodel, config)."""
+    config, flags, entries = read_slpm(path)
+    if not flags & FLAG_QUANTIZED:
+        return "float", params_from_entries(config, entries), config
     quantized: dict[str, QuantTensor] = {}
     retained: dict[str, np.ndarray] = {}
     for name, (arr, scale) in checked_entries(config, entries).items():
@@ -118,20 +115,4 @@ def quant_model_from_entries(config: ArchConfig, entries) -> QuantModel:
             quantized[name] = QuantTensor(values=arr.reshape(-1), scale=scale, shape=arr.shape)
         else:
             retained[name] = arr
-    return QuantModel(config=config, quantized=quantized, retained=retained)
-
-
-def load_quant_model(path) -> QuantModel:
-    config, flags, entries = read_slpm(path)
-    if not flags & FLAG_QUANTIZED:
-        raise ModelFormatError("file holds a float model, not a quantized one")
-    return quant_model_from_entries(config, entries)
-
-
-def load_any_model(path):
-    """Dispatch on the quantized flag: returns ("float", params, config) or
-    ("quant", qmodel, config)."""
-    config, flags, entries = read_slpm(path)
-    if flags & FLAG_QUANTIZED:
-        return "quant", quant_model_from_entries(config, entries), config
-    return "float", params_from_entries(config, entries), config
+    return "quant", QuantModel(config=config, quantized=quantized, retained=retained), config

@@ -1,39 +1,30 @@
 """Real-time classification over a 100 Hz sample feed.
 
-The feed arrives as frames, each a block of consecutive samples numbered
-by the counter of its first sample (a scalar frame is a block of one).
-Blocks are sliced into a 3000-slot window; every completed window is
-standardized and classified exactly like a stored epoch, so streaming
-decisions are bit-identical to batch inference over the same samples.
-A decision is emitted as soon as its window's last sample arrives, before
-the rest of that sample's block is copied.  Windows never overlap and the
-buffer resets after each decision.
+The feed arrives as 1-D blocks of consecutive samples, of any length (one
+per stdin read in `edgesleep stream`), sliced into a 3000-slot window;
+every completed window is standardized and classified by a float model
+exactly like a stored epoch, so streaming decisions are bit-identical to
+batch inference over the same samples.  A decision is emitted as soon as
+its window's last sample arrives, before the rest of that sample's block
+is copied.  Windows never overlap and the buffer resets after each
+decision.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .epochs import EPOCH_SAMPLES, DegenerateEpochError, SleepStage, standardize
+from .epochs import EPOCH_SAMPLES, STAGE_NAMES, DegenerateEpochError, SleepStage, standardize
 from .model import ArchConfig, ModelParams, forward
-from .quant import QuantModel
 
 
 class StreamGapError(ValueError):
-    """Sample counter discontinuity: the feed dropped or reordered samples."""
-
-
-@dataclass(frozen=True)
-class StreamFrame:
-    """A run of consecutive samples: `counter` numbers the first one, and
-    `value` is one sample or a 1-D array of them."""
-
-    counter: int
-    value: float | np.ndarray
+    """Malformed feed: a trailing partial sample, missing or inconsistent
+    --int16 scaling flags, or an unsupported --rate."""
 
 
 @dataclass(frozen=True)
@@ -54,29 +45,9 @@ class StageDecision:
         return self.stage is None
 
 
-def frames_from_blocks(
-    blocks: Iterable[np.ndarray], start: int = 0
-) -> Iterator[StreamFrame]:
-    """Number consecutive sample blocks into frames, starting at `start`."""
-    counter = start
-    for block in blocks:
-        yield StreamFrame(counter=counter, value=block)
-        counter += len(block)
-
-
-def frames_from_values(values: Iterable[float], start: int = 0) -> Iterator[StreamFrame]:
-    """Frame a finite sequence of samples as one block starting at `start`."""
-    return frames_from_blocks([np.fromiter(values, dtype=np.float64)], start)
-
-
-def make_predictor(
-    model_obj: ModelParams | QuantModel, config: ArchConfig
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap a float or quantized model as a window -> probabilities callable."""
-    if isinstance(model_obj, QuantModel):
-        dequantized = model_obj.dequantize()  # dequantize once, reuse per window
-        return lambda x: forward(dequantized, x, config, mode="infer")[0]
-    return lambda x: forward(model_obj, x, config, mode="infer")[0]
+def make_predictor(params: ModelParams, config: ArchConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """Wrap float parameters as a window -> probabilities callable."""
+    return lambda x: forward(params, x, config, mode="infer")[0]
 
 
 def _decide(
@@ -97,12 +68,12 @@ def _decide(
 
 
 def stream_classify(
-    source: Iterable[StreamFrame],
+    blocks: Iterable[np.ndarray],
     predict: Callable[[np.ndarray], np.ndarray],
     sink: Callable[[StageDecision], None],
-    start_counter: int = 0,
 ) -> tuple[int, int]:
-    """Consume frames, emit one StageDecision per completed 3000-sample window.
+    """Consume 1-D sample blocks, emit one StageDecision per completed
+    3000-sample window.
 
     Decisions are emitted in window order, synchronously: a stalled sink
     stalls the source, so nothing is ever dropped or reordered.  Returns
@@ -110,15 +81,8 @@ def stream_classify(
     """
     window = np.empty(EPOCH_SAMPLES, dtype=np.float64)
     filled = 0
-    expected = start_counter
     epoch_index = 0
-    for frame in source:
-        block = np.atleast_1d(frame.value)
-        if frame.counter != expected:
-            raise StreamGapError(
-                f"sample counter jumped from {expected} to {frame.counter}"
-            )
-        expected += len(block)
+    for block in blocks:
         taken = 0
         while taken < len(block):
             n = min(EPOCH_SAMPLES - filled, len(block) - taken)
@@ -134,8 +98,6 @@ def stream_classify(
 
 def decision_line(decision: StageDecision) -> str:
     """Tab-separated wire format: index, stage name, five 6-decimal probs."""
-    from .epochs import STAGE_NAMES
-
     if decision.unscorable:
         fields = [str(decision.epoch_index), "unscorable"] + ["nan"] * 5
     else:

@@ -27,6 +27,13 @@ PROB_FLOOR = 1e-12
 # never depend on the caller.
 CHUNK_ROWS = 8
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults),
+# and the share of train_fold's non-test epochs held out for validation.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+VALIDATION_FRACTION = 0.10
+
 
 class TrainingError(ValueError):
     pass
@@ -35,17 +42,11 @@ class TrainingError(ValueError):
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 64
     max_epochs: int = 30
     seed: int = 0
-    validation_fraction: float = 0.10
 
     def __post_init__(self):
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1/beta2 must lie in (0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -163,11 +164,11 @@ def adam_step(
             new_v[name] = state.v[name]
             continue
         g = grads[name]
-        m = config.beta1 * state.m[name] + (1 - config.beta1) * g
-        v = config.beta2 * state.v[name] + (1 - config.beta2) * g * g
-        m_hat = m / (1 - config.beta1**t)
-        v_hat = v / (1 - config.beta2**t)
-        new_tensors[name] = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        m = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        new_tensors[name] = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         new_m[name] = m
         new_v[name] = v
     return ModelParams(new_tensors), AdamState(m=new_m, v=new_v, t=t)
@@ -298,10 +299,10 @@ def fit(
 
 def split_train_val(pool: np.ndarray, tc: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Seeded-shuffle split of pool (records or row indices) into (train,
-    val); validation takes round(validation_fraction * n)."""
+    val); validation takes round(VALIDATION_FRACTION * n)."""
     rng = np.random.default_rng(tc.seed)
     order = rng.permutation(len(pool))
-    n_val = round(tc.validation_fraction * len(pool))
+    n_val = round(VALIDATION_FRACTION * len(pool))
     return pool[order[n_val:]], pool[order[:n_val]]
 
 

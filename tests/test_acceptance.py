@@ -14,9 +14,9 @@ import numpy as np
 from edgesleep import epochs as ep
 from edgesleep.edf import RawAnnotation, parse_edf, parse_tal
 from edgesleep.metrics import class_metrics
-from edgesleep.model import ArchConfig, default_arch, forward, init_params, param_count, save_model
-from edgesleep.quant import quant_forward, quantize_model, save_quant_model
-from edgesleep.streaming import frames_from_values, make_predictor, stream_classify
+from edgesleep.model import ArchConfig, forward, init_params, param_count, save_model
+from edgesleep.quant import quantize_model, save_quant_model
+from edgesleep.streaming import make_predictor, stream_classify
 from edgesleep.budget import NANO33BLE, check_fit, mac_table, peak_ram, activation_table
 from edgesleep.training import TrainConfig, backprop, cross_entropy, fit
 
@@ -95,7 +95,7 @@ class TestCriterion1GradientCorrectness:
 
 class TestCriterion2ArchitectureFidelity:
     def test_shape_chain_and_parameter_count(self):
-        config = default_arch()
+        config = ArchConfig()
         params = init_params(config, 103)
         x = ep.standardize(np.random.default_rng(104).normal(size=3000))
         probs, cache = forward(params, x, config, mode="train")
@@ -210,7 +210,7 @@ class TestCriterion7Quantization:
             )
             assert err.max() <= qt.scale / 2 + 1e-9, name
 
-        default_config = default_arch()
+        default_config = ArchConfig()
         default_params = init_params(default_config, 108).astype(np.float32)
         float_path = tmp_path / "default.slpm"
         quant_path = tmp_path / "default_int8.slpm"
@@ -228,7 +228,7 @@ class TestCriterion7Quantization:
         for e in overfit_run["data"]:
             x = ep.standardize(e.samples)
             fp, _ = forward(params32, x, config)
-            agree += int(np.argmax(fp) == np.argmax(quant_forward(qm, x)))
+            agree += int(np.argmax(fp) == np.argmax(forward(qm.dequantize(), x, config)[0]))
         agreement = agree / len(overfit_run["data"])
         assert agreement >= 0.95
         report(
@@ -240,7 +240,7 @@ class TestCriterion7Quantization:
 
 class TestCriterion8Budget:
     def test_fixture_tables_and_flash_narrative(self, tmp_path):
-        config = default_arch()
+        config = ArchConfig()
         table = {l.name: l.live_bytes for l in activation_table(config)}
         assert table["conv2"] == 94_208
         assert peak_ram(config) == 94_208
@@ -281,9 +281,7 @@ class TestCriterion9StreamingEquivalence:
         decisions = []
         replay = np.concatenate([e.samples for e in stored])
         predict = make_predictor(params32, config)
-        count, leftover = stream_classify(
-            frames_from_values(replay), predict, decisions.append
-        )
+        count, leftover = stream_classify([replay], predict, decisions.append)
         assert count == len(stored) and leftover == 0
         for d, expected in zip(decisions, batch):
             assert np.array_equal(d.probs, expected)

@@ -97,7 +97,7 @@ class TestFineTune:
 
     def test_empty_adapt_set_rejected(self, overfit_run):
         with pytest.raises(TrainingError, match="empty"):
-            fine_tune(overfit_run["params"], overfit_run["config"], [])
+            fine_tune(overfit_run["params"], overfit_run["config"], [], TrainConfig())
 
     def test_unknown_scope_rejected(self, overfit_run):
         with pytest.raises(TrainingError, match="scope"):
@@ -105,6 +105,7 @@ class TestFineTune:
                 overfit_run["params"],
                 overfit_run["config"],
                 overfit_run["data"][:5],
+                TrainConfig(),
                 scope="half",
             )
 

@@ -16,7 +16,7 @@ from edgesleep.budget import (
     render_report_text,
     resolve_profile,
 )
-from edgesleep.model import ArchConfig, default_arch, init_params, save_model
+from edgesleep.model import ArchConfig, init_params, save_model
 from edgesleep.quant import quantize_model, save_quant_model
 
 
@@ -52,18 +52,18 @@ EXPECTED_MACS = {
 
 class TestPeakRam:
     def test_table_matches_hand_computation(self):
-        table = {l.name: l.live_bytes for l in activation_table(default_arch())}
+        table = {l.name: l.live_bytes for l in activation_table(ArchConfig())}
         assert table == EXPECTED_LIVENESS
 
     def test_peak_is_conv2(self):
-        assert peak_ram(default_arch()) == 94_208
-        assert peak_ram(default_arch()) <= NANO33BLE.sram_bytes
+        assert peak_ram(ArchConfig()) == 94_208
+        assert peak_ram(ArchConfig()) <= NANO33BLE.sram_bytes
 
     def test_half_width_halves_peak(self):
         assert peak_ram(ArchConfig(width_multiplier=0.5)) == 94_208 // 2
 
     def test_dtype_width_scales(self):
-        assert peak_ram(default_arch(), dtype_width=1) == 94_208 // 4
+        assert peak_ram(ArchConfig(), dtype_width=1) == 94_208 // 4
 
     def test_liveness_definition_identity_layer(self):
         from edgesleep.budget import LayerLiveness
@@ -74,11 +74,11 @@ class TestPeakRam:
 
 class TestMacs:
     def test_table_matches_hand_computation(self):
-        table = dict(mac_table(default_arch()))
+        table = dict(mac_table(ArchConfig()))
         assert table == EXPECTED_MACS
 
     def test_total(self):
-        assert mac_count(default_arch()) == sum(EXPECTED_MACS.values()) == 8_870_784
+        assert mac_count(ArchConfig()) == sum(EXPECTED_MACS.values()) == 8_870_784
 
     def test_single_tiny_conv_formula(self):
         # one k=1 stride=1 conv from 1 channel to 2: Lout*K*Cin*Cout
@@ -97,7 +97,7 @@ class TestMacs:
 @pytest.fixture(scope="module")
 def model_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("budget_models")
-    config = default_arch()
+    config = ArchConfig()
     params = init_params(config, 60).astype(np.float32)
     float_path = tmp / "default_f32.slpm"
     quant_path = tmp / "default_int8.slpm"

@@ -9,7 +9,7 @@ from edgesleep import epochs as ep
 from edgesleep.cli import main
 from edgesleep.metrics import counts_from_csv
 from edgesleep.model import PREDICT_ROWS, ArchConfig, init_params, load_model, save_model, forward
-from edgesleep.quant import load_quant_model
+from edgesleep.quant import load_any_model
 from edgesleep.streaming import StageDecision, decision_line
 
 from conftest import claim_tensor_length, join_epochs, make_synth_epochs
@@ -224,8 +224,8 @@ class TestTrainEvalFlow:
         assert main(["eval", "--store", str(store_path), "--model", str(path),
                      "--out-prefix", str(prefix)]) == 0
         if quantized:
-            qm = load_quant_model(quant_path)
-            params, config = qm.dequantize(), qm.config
+            _, qm, config = load_any_model(quant_path)
+            params = qm.dequantize()
         else:
             params, config = load_model(model_path)
         stored = ep.read_store(store_path)
@@ -284,6 +284,36 @@ class TestTrainEvalFlow:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --subjects: expected comma-separated subject ids" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--folds", "0"),
+            ("--batch-size", "0"),
+            ("--width-multiplier", "0"),
+            ("--width-multiplier", "nan"),
+            ("--max-epochs", "0"),
+        ],
+    )
+    def test_train_nonpositive_size_is_a_usage_error(
+        self, trained_setup, tmp_path, capsys, flag, value
+    ):
+        out_dir = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--store", str(trained_setup[0]), "--out-dir", str(out_dir),
+                  flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a positive number, got '{value}'" in err
+        assert not out_dir.exists()
+
+    def test_train_fold_out_of_range_writes_nothing(self, trained_setup, tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        code = main(["train", "--store", str(trained_setup[0]), "--out-dir", str(out_dir),
+                     "--folds", "3", "--fold", "7"])
+        assert code == 8
+        assert "--fold 7 out of range for 3 folds" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_adapt_logs_split_sizes(self, trained_setup, tmp_path, capsys):
         store_path, model_path, _, _ = trained_setup
@@ -508,7 +538,7 @@ class TestStreamFeed:
         monkeypatch.setattr("sys.stdin", type("Stdin", (), {"buffer": PipeStdin(feed, 400)}))
         assert main(["stream", "--model", str(quant_path)]) == 0
         out, err = capsys.readouterr()
-        qm = load_quant_model(quant_path)
+        _, qm, _ = load_any_model(quant_path)
         expected = []
         for k, window in enumerate(windows):
             if k == 1:

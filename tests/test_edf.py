@@ -129,9 +129,9 @@ class TestRoundTripProperty:
         raw = build_edf([simple_signal(data, spr=spr)], n_records=n_records)
         edf = parse_edf(raw)
         assert np.array_equal(edf.read_digital("EEG Fpz-Cz"), data)
-        records = list(edf.digital_records(0))
-        assert len(records) == n_records
-        assert all(len(r) == spr for r in records)
+        chunks = list(edf.record_chunks(0))
+        assert len(chunks) == n_records
+        assert all(len(c) == 2 * spr for c in chunks)
 
 
 class TestTal:

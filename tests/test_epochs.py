@@ -91,6 +91,18 @@ class TestSegment:
             )
 
     @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("Movement time", "Sleep stage 2"),
+            ("Sleep stage 2", "Movement time"),
+            ("Sleep stage ?", "Movement time"),
+        ],
+    )
+    def test_discarded_window_covered_twice_rejected(self, first, second):
+        with pytest.raises(PipelineError, match="window 1 covered by more than one"):
+            segment_epochs(noise(90), [ann(30, 30, first), ann(30, 60, second)])
+
+    @pytest.mark.parametrize(
         "fields, error",
         [
             ({"subject_id": 70000}, "subject_id 70000 out of range"),

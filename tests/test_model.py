@@ -7,7 +7,6 @@ from edgesleep.model import (
     PREDICT_ROWS,
     ArchConfig,
     ModelFormatError,
-    default_arch,
     expected_shapes,
     forward,
     init_params,
@@ -33,10 +32,10 @@ def shape_product_recount(config):
 
 class TestArchConfig:
     def test_default_length_chain(self):
-        assert default_arch().conv_lengths() == [492, 122, 39, 19]
+        assert ArchConfig().conv_lengths() == [492, 122, 39, 19]
 
     def test_default_parameter_count(self):
-        params = init_params(default_arch(), 0)
+        params = init_params(ArchConfig(), 0)
         assert param_count(params) == 277_669
 
     def test_half_width_counts(self):
@@ -78,22 +77,22 @@ class TestArchConfig:
 
 class TestInit:
     def test_deterministic_in_seed(self):
-        a = init_params(default_arch(), 42)
-        b = init_params(default_arch(), 42)
+        a = init_params(ArchConfig(), 42)
+        b = init_params(ArchConfig(), 42)
         assert all(np.array_equal(a[n], b[n]) for n in a.names())
 
     def test_different_seeds_differ(self):
-        a = init_params(default_arch(), 1)
-        b = init_params(default_arch(), 2)
+        a = init_params(ArchConfig(), 1)
+        b = init_params(ArchConfig(), 2)
         assert any(not np.array_equal(a[n], b[n]) for n in a.names())
 
     def test_conv1_glorot_bound(self):
-        params = init_params(default_arch(), 3)
+        params = init_params(ArchConfig(), 3)
         bound = np.sqrt(6.0 / (50 * 1 + 50 * 32))
         assert np.abs(params["conv1_w"]).max() <= bound
 
     def test_biases_zero_gains_one(self):
-        params = init_params(default_arch(), 4)
+        params = init_params(ArchConfig(), 4)
         assert not params["conv1_b"].any()
         assert not params["attn_bq"].any()
         assert (params["ln1_gain"] == 1.0).all()
@@ -117,13 +116,13 @@ class TestForward:
         assert cache is None
 
     def test_zero_input_gives_uniform(self):
-        config = default_arch()
+        config = ArchConfig()
         params = init_params(config, 7)
         probs, _ = forward(params, np.zeros(EPOCH_SAMPLES), config)
         np.testing.assert_allclose(probs, np.full(5, 0.2), atol=1e-12)
 
     def test_shape_chain_through_conv_stack(self):
-        config = default_arch()
+        config = ArchConfig()
         params = init_params(config, 8)
         x = standardize(np.random.default_rng(9).normal(size=EPOCH_SAMPLES))
         _, cache = forward(params, x, config, mode="train")
@@ -270,7 +269,7 @@ class TestSerialization:
         assert (tmp_path / "f64.slpm").read_bytes() == (tmp_path / "f32.slpm").read_bytes()
 
     def test_default_file_size(self, tmp_path):
-        config = default_arch()
+        config = ArchConfig()
         path = tmp_path / "default.slpm"
         save_model(init_params(config, 0).astype(np.float32), config, path)
         size = path.stat().st_size

@@ -8,7 +8,6 @@ from edgesleep import model as model_mod
 from edgesleep.model import (
     ArchConfig,
     ModelFormatError,
-    default_arch,
     forward,
     init_params,
     load_model,
@@ -18,13 +17,17 @@ from edgesleep.model import (
 from edgesleep.quant import (
     QuantTensor,
     load_any_model,
-    load_quant_model,
-    quant_forward,
     quantize_model,
     quantize_tensor,
     save_quant_model,
 )
 from edgesleep.streaming import make_predictor
+
+
+def dequantized_forward(qm, x):
+    """Hybrid inference as `eval` and `stream` run it: the int8 model
+    dequantized once, then the float forward."""
+    return forward(qm.dequantize(), x, qm.config)[0]
 
 
 class TestQuantizeTensor:
@@ -86,8 +89,8 @@ class TestQuantizeModel:
         config, _, qm = small_quant
         path = tmp_path / "q.slpm"
         save_quant_model(qm, path)
-        loaded = load_quant_model(path)
-        assert loaded.config == config
+        kind, loaded, _ = load_any_model(path)
+        assert kind == "quant" and loaded.config == config
         for name, qt in qm.quantized.items():
             np.testing.assert_array_equal(loaded.quantized[name].values, qt.values)
             assert loaded.quantized[name].scale == pytest.approx(qt.scale, rel=1e-7)
@@ -140,7 +143,7 @@ class TestQuantizeModel:
         if quantized:
             entries = [(n, qt.values.reshape(qt.shape), qt.scale) for n, qt in qm.quantized.items()]
             entries += [(n, a, None) for n, a in qm.retained.items()]
-            load = load_quant_model
+            load = load_any_model
         else:
             entries = [(n, a, None) for n, a in params.tensors.items()]
             load = load_model
@@ -151,7 +154,7 @@ class TestQuantizeModel:
                 loader(path)
 
     def test_default_model_size_reduction(self, tmp_path):
-        config = default_arch()
+        config = ArchConfig()
         params = init_params(config, 22).astype(np.float32)
         float_path = tmp_path / "f32.slpm"
         quant_path = tmp_path / "int8.slpm"
@@ -176,9 +179,9 @@ class TestDequantizeOnce:
             QuantTensor, "dequantize", lambda self: calls.append(1) or original(self)
         )
         x = standardize(np.random.default_rng(57).normal(size=3000))
-        first = quant_forward(fresh, x)
-        predict = make_predictor(fresh, config)
-        assert np.array_equal(quant_forward(fresh, x), first)
+        first = dequantized_forward(fresh, x)
+        predict = make_predictor(fresh.dequantize(), config)
+        assert np.array_equal(dequantized_forward(fresh, x), first)
         assert np.array_equal(predict(x), first)
         assert fresh.dequantize() is fresh.dequantize()
         assert len(calls) == len(fresh.quantized)
@@ -199,24 +202,24 @@ class TestQuantForward:
     def test_probs_sum_to_one(self, small_quant):
         _, _, qm = small_quant
         x = standardize(np.random.default_rng(52).normal(size=3000))
-        probs = quant_forward(qm, x)
+        probs = dequantized_forward(qm, x)
         assert abs(probs.sum() - 1.0) <= 1e-6
 
     def test_batch_rows_equal_single_epochs_bitwise(self, small_quant):
         _, _, qm = small_quant
         xs = standardize(np.random.default_rng(58).normal(size=(6, 3000)))
-        want = np.stack([quant_forward(qm, x) for x in xs])
-        assert np.array_equal(quant_forward(qm, xs), want)
+        want = np.stack([dequantized_forward(qm, x) for x in xs])
+        assert np.array_equal(dequantized_forward(qm, xs), want)
 
     def test_list_input(self, small_quant):
         _, _, qm = small_quant
         x = standardize(np.random.default_rng(60).normal(size=3000))
-        assert np.array_equal(quant_forward(qm, x.tolist()), quant_forward(qm, x))
+        assert np.array_equal(dequantized_forward(qm, x.tolist()), dequantized_forward(qm, x))
 
     def test_deterministic(self, small_quant):
         _, _, qm = small_quant
         x = standardize(np.random.default_rng(53).normal(size=3000))
-        assert np.array_equal(quant_forward(qm, x), quant_forward(qm, x))
+        assert np.array_equal(dequantized_forward(qm, x), dequantized_forward(qm, x))
 
     def test_exactly_representable_weights_match_float_path(self):
         """Weights on the grid k/64 with max |k| = 127 quantize losslessly
@@ -234,7 +237,7 @@ class TestQuantForward:
             np.testing.assert_array_equal(qt.dequantize(), params[name])
         x = standardize(np.random.default_rng(55).normal(size=3000))
         float_probs, _ = forward(params, x, config)
-        np.testing.assert_allclose(quant_forward(qm, x), float_probs, atol=1e-6)
+        np.testing.assert_allclose(dequantized_forward(qm, x), float_probs, atol=1e-6)
 
     def test_argmax_agreement_on_trained_model(self, overfit_run):
         params = overfit_run["params"].astype(np.float32)
@@ -244,6 +247,6 @@ class TestQuantForward:
         for e in overfit_run["data"]:
             x = standardize(e.samples)
             fp, _ = forward(params, x, config)
-            qp = quant_forward(qm, x)
+            qp = dequantized_forward(qm, x)
             agree += int(np.argmax(fp) == np.argmax(qp))
         assert agree / len(overfit_run["data"]) >= 0.95

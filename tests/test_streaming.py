@@ -7,11 +7,7 @@ from edgesleep.epochs import EPOCH_SAMPLES, SleepStage, standardize
 from edgesleep.model import PREDICT_ROWS, ArchConfig, forward, init_params, predict
 from edgesleep.streaming import (
     StageDecision,
-    StreamFrame,
-    StreamGapError,
     decision_line,
-    frames_from_blocks,
-    frames_from_values,
     latency_line,
     make_predictor,
     stream_classify,
@@ -27,9 +23,9 @@ def predictor():
     return make_predictor(params, config), params, config
 
 
-def collect(frames, predict):
+def collect(blocks, predict):
     decisions = []
-    stats = stream_classify(frames, predict, decisions.append)
+    stats = stream_classify(blocks, predict, decisions.append)
     return decisions, stats
 
 
@@ -37,7 +33,7 @@ class TestWindowing:
     def test_exactly_one_window(self, predictor):
         predict = predictor[0]
         values = np.random.default_rng(0).normal(size=EPOCH_SAMPLES)
-        decisions, (count, leftover) = collect(frames_from_values(values), predict)
+        decisions, (count, leftover) = collect([values], predict)
         assert count == len(decisions) == 1
         assert leftover == 0
         assert decisions[0].epoch_index == 0
@@ -45,23 +41,17 @@ class TestWindowing:
     def test_partial_window_buffers(self, predictor):
         predict = predictor[0]
         values = np.random.default_rng(1).normal(size=7499)
-        decisions, (count, leftover) = collect(frames_from_values(values), predict)
+        decisions, (count, leftover) = collect([values], predict)
         assert count == 2
         assert leftover == 1499
         assert [d.epoch_index for d in decisions] == [0, 1]
-
-    def test_counter_gap_detected(self, predictor):
-        predict = predictor[0]
-        frames = [StreamFrame(0, 0.5), StreamFrame(1, 0.5), StreamFrame(3, 0.5)]
-        with pytest.raises(StreamGapError, match="jumped"):
-            stream_classify(frames, predict, lambda d: None)
 
     def test_flat_window_is_unscorable_not_fatal(self, predictor):
         predict = predictor[0]
         values = np.concatenate(
             [np.zeros(EPOCH_SAMPLES), np.random.default_rng(2).normal(size=EPOCH_SAMPLES)]
         )
-        decisions, (count, _) = collect(frames_from_values(values), predict)
+        decisions, (count, _) = collect([values], predict)
         assert count == 2
         assert decisions[0].unscorable and decisions[0].probs is None
         assert not decisions[1].unscorable
@@ -69,12 +59,12 @@ class TestWindowing:
     def test_decisions_emitted_in_order(self, predictor):
         predict = predictor[0]
         values = np.random.default_rng(3).normal(size=EPOCH_SAMPLES * 5)
-        decisions, _ = collect(frames_from_values(values), predict)
+        decisions, _ = collect([values], predict)
         assert [d.epoch_index for d in decisions] == list(range(5))
 
 
-def one_sample_frames(values, start=0):
-    return [StreamFrame(start + i, float(v)) for i, v in enumerate(values)]
+def one_sample_blocks(values):
+    return [values[i : i + 1] for i in range(len(values))]
 
 
 def split_blocks(values, sizes):
@@ -111,10 +101,8 @@ class TestBlockFrames:
             if flat[k]:
                 values[k * EPOCH_SAMPLES : (k + 1) * EPOCH_SAMPLES] = 1.5
         sizes = [(len(values) or 1) if s is None else s for s in sizes]
-        per_sample, per_sample_stats = collect(one_sample_frames(values), predict)
-        blocked, blocked_stats = collect(
-            frames_from_blocks(split_blocks(values, sizes)), predict
-        )
+        per_sample, per_sample_stats = collect(one_sample_blocks(values), predict)
+        blocked, blocked_stats = collect(split_blocks(values, sizes), predict)
         assert blocked_stats == per_sample_stats == (n_windows, tail)
         same_decisions(blocked, per_sample)
         assert [d.unscorable for d in blocked] == flat[:n_windows]
@@ -125,9 +113,9 @@ class TestBlockFrames:
         pulled = []
 
         def source():
-            for frame in frames_from_blocks(split_blocks(values, [1000])):
-                pulled.append(frame.counter)
-                yield frame
+            for block in split_blocks(values, [1000]):
+                pulled.append(block)
+                yield block
 
         emitted_after = []
         stream_classify(source(), predict, lambda d: emitted_after.append(len(pulled)))
@@ -145,7 +133,7 @@ class TestBlockFrames:
         values = np.random.default_rng(9).normal(size=2 * EPOCH_SAMPLES + 500)
         slices_at_decision = []
         stream_classify(
-            [StreamFrame(0, values.view(SliceCounting))],
+            [values.view(SliceCounting)],
             predict,
             lambda d: slices_at_decision.append(len(slices)),
         )
@@ -154,42 +142,19 @@ class TestBlockFrames:
     def test_block_completing_several_windows(self, predictor):
         predict = predictor[0]
         values = np.random.default_rng(5).normal(size=3 * EPOCH_SAMPLES + 10)
-        blocked, stats = collect(frames_from_blocks([values]), predict)
-        reference, reference_stats = collect(one_sample_frames(values), predict)
+        blocked, stats = collect([values], predict)
+        reference, reference_stats = collect(one_sample_blocks(values), predict)
         assert stats == reference_stats == (3, 10)
         same_decisions(blocked, reference)
 
-    def test_gap_between_blocks_after_earlier_windows(self, predictor):
-        predict = predictor[0]
-        values = np.random.default_rng(6).normal(size=EPOCH_SAMPLES + 500)
-        frames = [
-            StreamFrame(0, values[:EPOCH_SAMPLES + 100]),
-            StreamFrame(EPOCH_SAMPLES + 100, values[EPOCH_SAMPLES + 100 : EPOCH_SAMPLES + 200]),
-            StreamFrame(EPOCH_SAMPLES + 250, values[EPOCH_SAMPLES + 200 :]),
-        ]
-        decisions = []
-        gap = f"jumped from {EPOCH_SAMPLES + 200} to {EPOCH_SAMPLES + 250}"
-        with pytest.raises(StreamGapError, match=gap):
-            stream_classify(frames, predict, decisions.append)
-        assert [d.epoch_index for d in decisions] == [0]
-
-    def test_start_counter_honoured(self, predictor):
-        predict = predictor[0]
-        values = np.random.default_rng(7).normal(size=EPOCH_SAMPLES + 7)
-        frames = list(frames_from_blocks(split_blocks(values, [2000]), start=500))
-        decisions = []
-        assert stream_classify(frames, predict, decisions.append, start_counter=500) == (1, 7)
-        with pytest.raises(StreamGapError, match="jumped from 0 to 500"):
-            stream_classify(frames, predict, decisions.append)
-
-    def test_frames_from_values_accepts_lists_and_arrays(self, predictor):
+    def test_float32_blocks_match_float64_samples(self, predictor):
+        """A float32 block (a stored epoch's dtype) streams like the same
+        samples as float64, one at a time."""
         predict = predictor[0]
         values = np.random.default_rng(8).normal(size=EPOCH_SAMPLES + 3).astype(np.float32)
-        reference, reference_stats = collect(one_sample_frames(values), predict)
-        for given_values in (values, values.tolist()):
-            decisions = []
-            frames = frames_from_values(given_values, start=4)
-            stats = stream_classify(frames, predict, decisions.append, start_counter=4)
+        reference, reference_stats = collect(one_sample_blocks(values.astype(np.float64)), predict)
+        for sizes in ([len(values)], [2000], [1]):
+            decisions, stats = collect(split_blocks(values, sizes), predict)
             assert stats == reference_stats == (1, 3)
             same_decisions(decisions, reference)
 
@@ -214,7 +179,7 @@ class TestBatchEquivalence:
         predict, params, config = predictor
         epochs = make_synth_epochs(4, seed=81)
         replay = np.concatenate([e.samples for e in epochs])
-        decisions, _ = collect(frames_from_values(replay), predict)
+        decisions, _ = collect([replay], predict)
         for e, d in zip(epochs, decisions):
             batch_probs, _ = forward(params, standardize(e.samples), config)
             assert np.array_equal(d.probs, batch_probs)
@@ -224,7 +189,7 @@ class TestBatchEquivalence:
         predict_window, params, config = predictor
         epochs = make_synth_epochs(PREDICT_ROWS + 3, seed=82)
         replay = np.concatenate([e.samples for e in epochs])
-        decisions, _ = collect(frames_from_values(replay), predict_window)
+        decisions, _ = collect([replay], predict_window)
         batch = predict(params, config, [e.samples for e in epochs])
         assert len(decisions) == len(epochs)
         for d, probs in zip(decisions, batch):
