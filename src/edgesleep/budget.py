@@ -19,6 +19,7 @@ from .epochs import EPOCH_SAMPLES
 from .model import ArchConfig, read_slpm
 
 EPOCH_DEADLINE_SECONDS = 30.0
+ACTIVATION_BYTES = 4  # float32 activations
 
 
 class BudgetError(ValueError):
@@ -89,12 +90,12 @@ class BudgetReport:
 
 
 def flash_usage(model_file: str | Path) -> int:
-    """Exact byte size of a model file, validated as a parseable container."""
+    """Exact byte size of a model file, checked by model.read_slpm."""
     read_slpm(model_file)
     return os.path.getsize(model_file)
 
 
-def activation_table(config: ArchConfig, dtype_width: int = 4) -> list[LayerLiveness]:
+def activation_table(config: ArchConfig) -> list[LayerLiveness]:
     """Per-layer liveness terms of one forward pass."""
     table: list[LayerLiveness] = []
     length, channels = EPOCH_SAMPLES, 1
@@ -104,16 +105,16 @@ def activation_table(config: ArchConfig, dtype_width: int = 4) -> list[LayerLive
         table.append(
             LayerLiveness(
                 name=f"conv{i}",
-                input_bytes=length * channels * dtype_width,
-                output_bytes=out_len * cout * dtype_width,
+                input_bytes=length * channels * ACTIVATION_BYTES,
+                output_bytes=out_len * cout * ACTIVATION_BYTES,
                 extra_bytes=0,
             )
         )
         length, channels = out_len, cout
 
-    feat = config.feature_len * config.scaled_d_model * dtype_width
-    hidden = config.feature_len * config.scaled_ffn_dim * dtype_width
-    classes = config.n_classes * dtype_width
+    feat = config.feature_len * config.scaled_d_model * ACTIVATION_BYTES
+    hidden = config.feature_len * config.scaled_ffn_dim * ACTIVATION_BYTES
+    classes = config.n_classes * ACTIVATION_BYTES
     table.extend(
         [
             # norm input is the residual itself: no extra term
@@ -130,9 +131,9 @@ def activation_table(config: ArchConfig, dtype_width: int = 4) -> list[LayerLive
     return table
 
 
-def peak_ram(config: ArchConfig, dtype_width: int = 4) -> int:
+def peak_ram(config: ArchConfig) -> int:
     """Largest simultaneous activation footprint across the layer sequence."""
-    return max(layer.live_bytes for layer in activation_table(config, dtype_width))
+    return max(layer.live_bytes for layer in activation_table(config))
 
 
 def mac_table(config: ArchConfig) -> list[tuple[str, int]]:

@@ -170,7 +170,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    config, _, _ = model.read_slpm(args.model)
+    config, _ = model.read_slpm(args.model)
     profile = budget_mod.resolve_profile(args.profile, args.profiles_file)
     report = budget_mod.check_fit(args.model, config, profile)
     if args.kv:
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-epochs", type=_positive(int), default=30)
     p.add_argument("--batch-size", type=_positive(int), default=64)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--learning-rate", type=_positive(float), default=1e-3)
     p.add_argument("--width-multiplier", type=_positive(float), default=1.0)
     p.set_defaults(func=cmd_train)
 

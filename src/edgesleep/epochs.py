@@ -222,12 +222,13 @@ def standardize(samples: np.ndarray) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     hi, lo = x.max(axis=-1), x.min(axis=-1)
     # max > min fails for a flat row, whose mean can be off by a rounding
-    # step and leave std > 0, and for a row with a NaN
-    if not (hi > lo).all():
+    # step and leave std > 0, and for a row with a NaN; an infinity is
+    # caught here too, before centring would compute inf - inf
+    if not ((hi > lo) & np.isfinite(hi) & np.isfinite(lo)).all():
         raise _degenerate(hi, lo)
     centered = x - x.mean(axis=-1, keepdims=True)
     std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True))  # np.std's arithmetic
-    # std > 0 fails for a spread that underflows, and for an infinity (std NaN)
+    # std > 0 fails for a spread that underflows
     if not (std > 0.0).all():
         raise _degenerate(hi, lo)
     centered /= std

@@ -6,14 +6,19 @@ block (self-attention + position-wise feed-forward, residual adds) mixes
 contexts across the 19 positions, and a dense softmax classifier over the
 flattened features yields the 5 stage probabilities.
 
-Model files use the "SLPM" container: a little-endian header holding the
-architecture block, a tensor directory (name, rank, dims, dtype, offset,
-length, plus a float32 scale after each int8 entry), then raw payloads.
+Model files use the little-endian "SLPM" container: magic, u16 version,
+u16 flags, the architecture block, a u32 tensor count, a tensor directory
+(name, rank, dims, dtype code, payload offset and length, plus a float32
+scale after each int8 entry), then the raw payloads.  The header's
+FLAG_QUANTIZED bit is set exactly when some tensor is int8.  read_slpm is
+the one reader of the format: it checks every directory entry against the
+tensors the architecture block implies (expected_shapes) and every float32
+value for finiteness, and a malformed file raises ModelFormatError, which
+the CLI exits with code 6.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import struct
@@ -349,59 +354,52 @@ def write_slpm(
     path: str | Path,
     config: ArchConfig,
     entries: list[tuple[str, np.ndarray, float | None]],
-    quantized: bool,
 ) -> None:
-    """Write tensors to an SLPM file.
+    """Write tensors to an SLPM file, in the order given.
 
-    entries are (name, array, scale); scale must be given exactly for int8
-    arrays and None for float32 arrays.
+    entries are (name, array, scale); scale is given for an int8 array and
+    None for a float32 one.  The header's FLAG_QUANTIZED is set exactly when
+    some entry is int8.
     """
-    directory = io.BytesIO()
-    payload = io.BytesIO()
-    header_less_dir = (
-        len(MODEL_MAGIC) + 2 + 2 + len(_pack_config(config)) + 4
-    )
-    # Directory size must be known before offsets; compute entry sizes first.
-    dir_size = 0
-    for name, arr, scale in entries:
-        dir_size += 1 + len(name) + 1 + 4 * arr.ndim + 1 + 8 + 8
-        if scale is not None:
-            dir_size += 4
-    offset = header_less_dir + dir_size
-
+    records = []
     for name, arr, scale in entries:
         if scale is None:
             raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-            dtype_code = DTYPE_F32
+            dtype_code, tail = DTYPE_F32, b""
         else:
             raw = np.ascontiguousarray(arr, dtype=np.int8).tobytes()
-            dtype_code = DTYPE_I8
+            dtype_code, tail = DTYPE_I8, struct.pack("<f", scale)
         encoded = name.encode("ascii")
-        directory.write(struct.pack("<B", len(encoded)))
-        directory.write(encoded)
-        directory.write(struct.pack("<B", arr.ndim))
-        for dim in arr.shape:
-            directory.write(struct.pack("<I", dim))
-        directory.write(struct.pack("<BQQ", dtype_code, offset, len(raw)))
-        if scale is not None:
-            directory.write(struct.pack("<f", scale))
-        payload.write(raw)
-        offset += len(raw)
-
-    flags = FLAG_QUANTIZED if quantized else 0
+        head = struct.pack(
+            f"<B{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape
+        )
+        records.append((head, dtype_code, tail, raw))
+    flags = FLAG_QUANTIZED if any(scale is not None for _, _, scale in entries) else 0
+    header = MODEL_MAGIC + struct.pack("<HH", MODEL_VERSION, flags) + _pack_config(config)
+    header += struct.pack("<I", len(records))
+    # payloads follow the directory, so their offsets need its size first
+    offset = len(header) + sum(len(head) + 17 + len(tail) for head, _, tail, _ in records)
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<HH", MODEL_VERSION, flags))
-        f.write(_pack_config(config))
-        f.write(struct.pack("<I", len(entries)))
-        f.write(directory.getvalue())
-        f.write(payload.getvalue())
+        f.write(header)
+        for head, dtype_code, tail, raw in records:
+            f.write(head + struct.pack("<BQQ", dtype_code, offset, len(raw)) + tail)
+            offset += len(raw)
+        for *_, raw in records:
+            f.write(raw)
 
 
 def read_slpm(
     path: str | Path,
-) -> tuple[ArchConfig, int, list[tuple[str, np.ndarray, float | None]]]:
-    """Read an SLPM file back into (config, flags, entries)."""
+) -> tuple[ArchConfig, dict[str, tuple[np.ndarray, float | None]]]:
+    """Read and check an SLPM file: (config, {name: (array, scale)}).
+
+    The tensors come in canonical order (expected_shapes), whatever the file
+    order; scale is None for a float32 tensor.  Every directory entry is
+    checked against the architecture before any payload is read, and an
+    unexpected, duplicated, missing or wrong-shaped tensor, or a
+    FLAG_QUANTIZED bit that disagrees with the tensor dtypes, raises
+    ModelFormatError; so does a non-finite float32 value or int8 scale.
+    """
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
         if _take(f, 4) != MODEL_MAGIC:
@@ -410,77 +408,65 @@ def read_slpm(
         if version != MODEL_VERSION:
             raise ModelFormatError(f"unsupported model version {version}")
         config = _unpack_config(f)
+        shapes = expected_shapes(config)
         (count,) = struct.unpack("<I", _take(f, 4))
-        directory = []
+        directory = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<B", _take(f, 1))
-            name = _take(f, name_len).decode("ascii")
+            name = _take(f, name_len).decode("ascii", "replace")
             (rank,) = struct.unpack("<B", _take(f, 1))
-            dims = tuple(struct.unpack("<I", _take(f, 4))[0] for _ in range(rank))
+            dims = struct.unpack(f"<{rank}I", _take(f, 4 * rank))
             dtype_code, offset, length = struct.unpack("<BQQ", _take(f, 17))
             scale = None
             if dtype_code == DTYPE_I8:
                 (scale,) = struct.unpack("<f", _take(f, 4))
+                if not (math.isfinite(scale) and scale > 0):
+                    raise ModelFormatError(f"tensor {name}: int8 scale {scale} is not positive")
             elif dtype_code != DTYPE_F32:
                 raise ModelFormatError(f"unknown dtype code {dtype_code} for {name}")
+            if name not in shapes:
+                raise ModelFormatError(f"unexpected tensor {name!r}")
+            if name in directory:
+                raise ModelFormatError(f"duplicated tensor {name!r}")
+            if dims != shapes[name]:
+                raise ModelFormatError(f"tensor {name}: shape {dims} != expected {shapes[name]}")
             if offset + length > file_size:
                 raise ModelFormatError(
                     f"model file truncated: tensor {name} claims bytes {offset}..{offset + length} "
                     f"of a {file_size}-byte file"
                 )
-            directory.append((name, dims, dtype_code, offset, length, scale))
-        entries = []
-        for name, dims, dtype_code, offset, length, scale in directory:
+            if length != math.prod(dims) * (4 if scale is None else 1):
+                raise ModelFormatError(f"tensor {name}: {length} payload bytes for dims {dims}")
+            directory[name] = (offset, length, scale)
+        missing = [name for name in shapes if name not in directory]
+        if missing:
+            raise ModelFormatError(f"missing tensors: {missing}")
+        quantized = any(scale is not None for _, _, scale in directory.values())
+        if bool(flags & FLAG_QUANTIZED) != quantized:
+            raise ModelFormatError(
+                f"header flag says {'int8' if flags & FLAG_QUANTIZED else 'float32'}, "
+                f"but {'some' if quantized else 'no'} tensor is int8"
+            )
+        tensors = {}
+        for name, shape in shapes.items():
+            offset, length, scale = directory[name]
             f.seek(offset)
-            raw = _take(f, length)
-            if dtype_code == DTYPE_F32:
-                arr = np.frombuffer(raw, dtype="<f4")
-            else:
-                arr = np.frombuffer(raw, dtype=np.int8)
-            if arr.size != int(np.prod(dims, dtype=np.int64)):
-                raise ModelFormatError(f"tensor {name}: payload does not match dims {dims}")
-            entries.append((name, arr.reshape(dims).copy(), scale))
-    return config, flags, entries
+            arr = np.frombuffer(_take(f, length), dtype="<f4" if scale is None else np.int8)
+            if scale is None and not np.isfinite(arr).all():
+                raise ModelFormatError(f"tensor {name} holds non-finite values")
+            tensors[name] = (arr.reshape(shape).copy(), scale)
+    return config, tensors
 
 
 def save_model(params: ModelParams, config: ArchConfig, path: str | Path) -> None:
     """Serialize float32 weights; training-precision copies are down-cast."""
-    entries = [(name, arr, None) for name, arr in params.tensors.items()]
-    write_slpm(path, config, entries, quantized=False)
-
-
-def checked_entries(
-    config: ArchConfig, entries: list[tuple[str, np.ndarray, float | None]]
-) -> dict[str, tuple[np.ndarray, float | None]]:
-    """Validate read_slpm entries against the config's tensor shapes.
-
-    Returns name -> (array, scale) in canonical order, whatever the file order.
-    """
-    shapes = expected_shapes(config)
-    found: dict[str, tuple[np.ndarray, float | None]] = {}
-    for name, arr, scale in entries:
-        if name not in shapes:
-            raise ModelFormatError(f"unexpected tensor {name!r}")
-        if arr.shape != shapes[name]:
-            raise ModelFormatError(
-                f"tensor {name}: shape {arr.shape} != expected {shapes[name]}"
-            )
-        found[name] = (arr, scale)
-    missing = set(shapes) - set(found)
-    if missing:
-        raise ModelFormatError(f"missing tensors: {sorted(missing)}")
-    return {name: found[name] for name in shapes}
-
-
-def params_from_entries(
-    config: ArchConfig, entries: list[tuple[str, np.ndarray, float | None]]
-) -> ModelParams:
-    return ModelParams({name: arr for name, (arr, _) in checked_entries(config, entries).items()})
+    write_slpm(path, config, [(name, arr, None) for name, arr in params.tensors.items()])
 
 
 def load_model(path: str | Path) -> tuple[ModelParams, ArchConfig]:
-    """Load a float32 model, validating every tensor shape against its config."""
-    config, flags, entries = read_slpm(path)
-    if flags & FLAG_QUANTIZED:
+    """Load a float32 model file (read_slpm checks it); an int8 one raises
+    ModelFormatError."""
+    config, tensors = read_slpm(path)
+    if any(scale is not None for _, scale in tensors.values()):
         raise ModelFormatError("file holds a quantized model; load it via the quant module")
-    return params_from_entries(config, entries), config
+    return ModelParams({name: arr for name, (arr, _) in tensors.items()}), config

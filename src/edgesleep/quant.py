@@ -2,27 +2,19 @@
 
 Symmetric per-tensor scheme: scale = max|t| / 127, values rounded half-to-
 even and clamped to [-127, 127], zero point 0.  Weight matrices/kernels are
-quantized; biases and layer-norm gains/shifts stay float32.  Inference is
-hybrid: int8 storage, dequantized once per model, activations at 32 bit.
+quantized; biases and layer-norm gains/shifts stay float32.  An int8 model
+file is an SLPM file whose weight tensors are int8; model.read_slpm checks
+it like any other.  Inference is hybrid: `eval` and `stream` dequantize a
+loaded int8 model once and run the float32 forward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .model import (
-    FLAG_QUANTIZED,
-    ArchConfig,
-    ModelParams,
-    checked_entries,
-    expected_shapes,
-    params_from_entries,
-    read_slpm,
-    write_slpm,
-)
+from .model import ArchConfig, ModelParams, expected_shapes, read_slpm, write_slpm
 
 
 def _is_weight(name: str) -> bool:
@@ -33,12 +25,15 @@ def _is_weight(name: str) -> bool:
 class QuantTensor:
     """int8 payload with its dequantization scale (zero point fixed at 0)."""
 
-    values: np.ndarray  # int8
+    values: np.ndarray  # int8, in the tensor's shape
     scale: float
-    shape: tuple[int, ...]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape
 
     def dequantize(self) -> np.ndarray:
-        return (self.values.astype(np.float32) * np.float32(self.scale)).reshape(self.shape)
+        return self.values.astype(np.float32) * np.float32(self.scale)
 
 
 @dataclass(frozen=True)
@@ -50,21 +45,16 @@ class QuantModel:
     retained: dict[str, np.ndarray]
 
     def dequantize(self) -> ModelParams:
-        """The float32 parameters, built on the first call; later calls
-        return the same read-only arrays."""
-        return self._params
-
-    @cached_property
-    def _params(self) -> ModelParams:
-        tensors: dict[str, np.ndarray] = {}
-        for name in expected_shapes(self.config):
-            if name in self.quantized:
-                t = self.quantized[name].dequantize()
-            else:
-                t = self.retained[name].view()  # read-only without freezing the original
-            t.flags.writeable = False
-            tensors[name] = t
-        return ModelParams(tensors)
+        """Fresh float32 parameters: each int8 weight times its scale, and a
+        copy of each retained tensor."""
+        return ModelParams(
+            {
+                name: self.quantized[name].dequantize()
+                if name in self.quantized
+                else self.retained[name].astype(np.float32)
+                for name in expected_shapes(self.config)
+            }
+        )
 
 
 def quantize_tensor(t: np.ndarray) -> QuantTensor:
@@ -72,8 +62,7 @@ def quantize_tensor(t: np.ndarray) -> QuantTensor:
     t = np.asarray(t)
     peak = float(np.max(np.abs(t))) if t.size else 0.0
     scale = peak / 127.0 if peak > 0 else 1.0
-    q = np.clip(np.round(t / scale), -127, 127).astype(np.int8)
-    return QuantTensor(values=q.reshape(-1), scale=scale, shape=t.shape)
+    return QuantTensor(values=np.clip(np.round(t / scale), -127, 127).astype(np.int8), scale=scale)
 
 
 def quantize_model(params: ModelParams, config: ArchConfig) -> QuantModel:
@@ -96,23 +85,20 @@ def save_quant_model(qmodel: QuantModel, path) -> None:
     for name in expected_shapes(qmodel.config):
         if name in qmodel.quantized:
             qt = qmodel.quantized[name]
-            entries.append((name, qt.values.reshape(qt.shape), qt.scale))
+            entries.append((name, qt.values, qt.scale))
         else:
             entries.append((name, qmodel.retained[name], None))
-    write_slpm(path, qmodel.config, entries, quantized=True)
+    write_slpm(path, qmodel.config, entries)
 
 
 def load_any_model(path):
-    """Dispatch on the quantized flag: returns ("float", params, config) or
-    ("quant", qmodel, config)."""
-    config, flags, entries = read_slpm(path)
-    if not flags & FLAG_QUANTIZED:
-        return "float", params_from_entries(config, entries), config
-    quantized: dict[str, QuantTensor] = {}
-    retained: dict[str, np.ndarray] = {}
-    for name, (arr, scale) in checked_entries(config, entries).items():
-        if scale is not None:
-            quantized[name] = QuantTensor(values=arr.reshape(-1), scale=scale, shape=arr.shape)
-        else:
-            retained[name] = arr
+    """("float", params, config) for a float32 file, ("quant", qmodel, config)
+    for one whose weight tensors are int8; read_slpm checks either."""
+    config, tensors = read_slpm(path)
+    quantized = {
+        n: QuantTensor(arr, scale) for n, (arr, scale) in tensors.items() if scale is not None
+    }
+    retained = {n: arr for n, (arr, scale) in tensors.items() if scale is None}
+    if not quantized:
+        return "float", ModelParams(retained), config
     return "quant", QuantModel(config=config, quantized=quantized, retained=retained), config

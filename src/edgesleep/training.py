@@ -47,6 +47,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate {self.learning_rate} is not finite and positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -297,10 +299,10 @@ def fit(
     return best_params, history
 
 
-def split_train_val(pool: np.ndarray, tc: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+def split_train_val(pool: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded-shuffle split of pool (records or row indices) into (train,
     val); validation takes round(VALIDATION_FRACTION * n)."""
-    rng = np.random.default_rng(tc.seed)
+    rng = np.random.default_rng(seed)
     order = rng.permutation(len(pool))
     n_val = round(VALIDATION_FRACTION * len(pool))
     return pool[order[n_val:]], pool[order[:n_val]]
@@ -323,7 +325,7 @@ def train_fold(
     pool = np.flatnonzero(~np.isin(epochs["subject_id"], list(test_subjects)))
     if not len(pool):
         raise TrainingError("no training epochs outside the test subjects")
-    train, val = split_train_val(pool, tc)
+    train, val = split_train_val(pool, tc.seed)
     if not len(train):
         raise TrainingError("validation split consumed every epoch")
     params = init_params(arch, tc.seed).astype(np.float32)

@@ -62,9 +62,6 @@ class TestPeakRam:
     def test_half_width_halves_peak(self):
         assert peak_ram(ArchConfig(width_multiplier=0.5)) == 94_208 // 2
 
-    def test_dtype_width_scales(self):
-        assert peak_ram(ArchConfig(), dtype_width=1) == 94_208 // 4
-
     def test_liveness_definition_identity_layer(self):
         from edgesleep.budget import LayerLiveness
 

@@ -1,4 +1,5 @@
 import io
+import re
 import struct
 from pathlib import Path
 
@@ -8,8 +9,10 @@ import pytest
 from edgesleep import epochs as ep
 from edgesleep.cli import main
 from edgesleep.metrics import counts_from_csv
-from edgesleep.model import PREDICT_ROWS, ArchConfig, init_params, load_model, save_model, forward
-from edgesleep.quant import load_any_model
+from edgesleep.model import (
+    PREDICT_ROWS, ArchConfig, init_params, load_model, save_model, forward, write_slpm,
+)
+from edgesleep.quant import load_any_model, quantize_model, save_quant_model
 from edgesleep.streaming import StageDecision, decision_line
 
 from conftest import claim_tensor_length, join_epochs, make_synth_epochs
@@ -293,6 +296,10 @@ class TestTrainEvalFlow:
             ("--width-multiplier", "0"),
             ("--width-multiplier", "nan"),
             ("--max-epochs", "0"),
+            ("--learning-rate", "0"),
+            ("--learning-rate", "-1"),
+            ("--learning-rate", "nan"),
+            ("--learning-rate", "inf"),
         ],
     )
     def test_train_nonpositive_size_is_a_usage_error(
@@ -617,6 +624,104 @@ class TestBadArchitectureBlock:
         assert "invalid architecture block" in capsys.readouterr().err
         assert main(["eval", "--store", str(store_path), "--model", str(model_path)]) == 6
         assert "invalid architecture block" in capsys.readouterr().err
+
+
+FLAGS = 6  # byte offset of the SLPM header's u16 flags
+
+
+def _float_entries(config):
+    return [(n, a, None) for n, a in init_params(config, 0).astype(np.float32).tensors.items()]
+
+
+def _write_float(config, path, edit):
+    write_slpm(path, config, edit(_float_entries(config)))
+
+
+def _patch_flags(save, flags):
+    def build(config, path):
+        save(init_params(config, 0), config, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<H", raw, FLAGS, flags)
+        path.write_bytes(bytes(raw))
+
+    return build
+
+
+def _save_int8(params, config, path):
+    save_quant_model(quantize_model(params, config), path)
+
+
+EXTRA = ("extra_w", np.zeros(2, np.float32), None)
+
+
+def _non_ascii_name(config, path):
+    _write_float(config, path, lambda e: e + [EXTRA])
+    path.write_bytes(path.read_bytes().replace(b"extra_w", b"extra\xffw"))
+
+
+def _float_inf_weight(config, path):
+    params = init_params(config, 0)
+    params.tensors["conv2_w"][1, 2, 3] = np.inf
+    save_model(params, config, path)
+
+
+def _int8_nan_scale(config, path):
+    qm = quantize_model(init_params(config, 0), config)
+    entries = [(n, qt.values, float("nan") if n == "conv1_w" else qt.scale)
+               for n, qt in qm.quantized.items()]
+    write_slpm(path, config, entries + [(n, a, None) for n, a in qm.retained.items()])
+
+
+CRAFTED_MODELS = {
+    "unexpected": (
+        lambda c, p: _write_float(c, p, lambda e: e + [EXTRA]), "unexpected tensor 'extra_w'"
+    ),
+    "non-ascii-name": (_non_ascii_name, "unexpected tensor 'extra\ufffdw'"),
+    "duplicated": (
+        lambda c, p: _write_float(c, p, lambda e: e + e[-1:]), "duplicated tensor 'cls_b'"
+    ),
+    "missing": (lambda c, p: _write_float(c, p, lambda e: e[:-1]), r"missing tensors: \['cls_b'\]"),
+    "wrong-shape": (
+        lambda c, p: _write_float(c, p, lambda e: e[:-1] + [("cls_b", e[-1][1][:1], None)]),
+        r"tensor cls_b: shape \(1,\) != expected \(5,\)",
+    ),
+    "int8-flag-cleared": (
+        _patch_flags(_save_int8, 0), "header flag says float32, but some tensor is int8"
+    ),
+    "float-flag-set": (_patch_flags(save_model, 1), "header flag says int8, but no tensor is int8"),
+    "float-inf-weight": (_float_inf_weight, "tensor conv2_w holds non-finite values"),
+    "int8-nan-scale": (_int8_nan_scale, "tensor conv1_w: int8 scale nan is not positive"),
+}
+
+
+class TestCraftedModelFile:
+    """Every command that opens a model file rejects a malformed one with
+    ModelFormatError (exit 6) before it prints anything."""
+
+    @pytest.mark.parametrize("craft", list(CRAFTED_MODELS))
+    def test_every_command_exits_6(self, tmp_path, capsys, monkeypatch, craft):
+        build, message = CRAFTED_MODELS[craft]
+        config = ArchConfig(width_multiplier=0.25)
+        model_path = tmp_path / "m.slpm"
+        build(config, model_path)
+        store_path = tmp_path / "s.slpe"
+        ep.write_store(make_synth_epochs(10, seed=97), store_path)
+        feed = PipeStdin(np.zeros(ep.EPOCH_SAMPLES, "<f4").tobytes(), 400)
+        monkeypatch.setattr("sys.stdin", type("Stdin", (), {"buffer": feed}))
+        model = ["--model", str(model_path)]
+        commands = {
+            "budget": ["budget", *model],
+            "eval": ["eval", "--store", str(store_path), *model],
+            "quantize": ["quantize", *model, "--out", str(tmp_path / "q.slpm")],
+            "adapt": ["adapt", "--store", str(store_path), *model, "--subject", "0"],
+            "stream": ["stream", *model],
+        }
+        for name, argv in commands.items():
+            assert main(argv) == 6, name
+            out, err = capsys.readouterr()
+            assert out == "", name
+            assert re.search(message, err), (name, err)
+        assert not (tmp_path / "q.slpm").exists()
 
 
 class TestErrorSurface:

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,17 @@ class TestStandardize:
             standardize(rows[1])
         with pytest.raises(DegenerateEpochError, match="non-finite"):
             standardize(rows.astype(np.float32))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_row_rejected_without_a_numpy_warning(self, value):
+        rows = np.random.default_rng(9).normal(size=(2, EPOCH_SAMPLES))
+        rows[0, 17] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateEpochError, match="non-finite"):
+                standardize(rows[0])
+            with pytest.raises(DegenerateEpochError, match="non-finite"):
+                standardize(rows)
 
     def test_underflowing_variance_rejected(self):
         # two distinct values whose squared spread underflows: max != min,

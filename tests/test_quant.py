@@ -15,13 +15,11 @@ from edgesleep.model import (
     write_slpm,
 )
 from edgesleep.quant import (
-    QuantTensor,
     load_any_model,
     quantize_model,
     quantize_tensor,
     save_quant_model,
 )
-from edgesleep.streaming import make_predictor
 
 
 def dequantized_forward(qm, x):
@@ -148,7 +146,7 @@ class TestQuantizeModel:
             entries = [(n, a, None) for n, a in params.tensors.items()]
             load = load_model
         path = tmp_path / "bad.slpm"
-        write_slpm(path, config, tamper(entries), quantized=quantized)
+        write_slpm(path, config, tamper(entries))
         for loader in (load, load_any_model):
             with pytest.raises(ModelFormatError, match=message):
                 loader(path)
@@ -169,33 +167,17 @@ class TestQuantizeModel:
         assert float_size > 4 * 277_669
 
 
-class TestDequantizeOnce:
-    def test_built_once_per_model(self, small_quant, monkeypatch):
-        config, _, qm = small_quant
-        fresh = quantize_model(qm.dequantize(), config)
-        calls = []
-        original = QuantTensor.dequantize
-        monkeypatch.setattr(
-            QuantTensor, "dequantize", lambda self: calls.append(1) or original(self)
-        )
-        x = standardize(np.random.default_rng(57).normal(size=3000))
-        first = dequantized_forward(fresh, x)
-        predict = make_predictor(fresh.dequantize(), config)
-        assert np.array_equal(dequantized_forward(fresh, x), first)
-        assert np.array_equal(predict(x), first)
-        assert fresh.dequantize() is fresh.dequantize()
-        assert len(calls) == len(fresh.quantized)
-
-    def test_arrays_read_only_and_originals_writable(self, small_quant):
-        config, params, _ = small_quant
-        qm = quantize_model(params, config)
-        deq = qm.dequantize()
-        for arr in deq.tensors.values():
-            with pytest.raises(ValueError):
-                arr[...] = 0
-        for name, arr in qm.retained.items():
-            assert arr.flags.writeable
-            assert np.array_equal(deq[name], arr)
+class TestDequantize:
+    def test_fresh_arrays_on_every_call(self, small_quant):
+        _, _, qm = small_quant
+        first, second = qm.dequantize(), qm.dequantize()
+        assert first.names() == second.names()
+        for name in first.names():
+            np.testing.assert_array_equal(first[name], second[name])
+            assert first[name].dtype == np.float32
+            assert not np.shares_memory(first[name], second[name])
+            for arr in qm.retained.values():
+                assert not np.shares_memory(first[name], arr)
 
 
 class TestQuantForward:

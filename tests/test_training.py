@@ -89,6 +89,11 @@ class TestAdam:
         np.testing.assert_allclose(state.m["w"], (1 - ADAM_BETA1) * g)
         np.testing.assert_allclose(state.v["w"], (1 - ADAM_BETA2) * g * g)
 
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
 
 class TestBackprop:
     def setup_method(self):
@@ -255,14 +260,14 @@ class TestFolds:
 class TestSplitAndFit:
     def test_validation_size_is_rounded_tenth(self):
         pool = make_synth_epochs(87, seed=16)
-        train, val = split_train_val(pool, TrainConfig(seed=4))
+        train, val = split_train_val(pool, 4)
         assert len(val) == round(0.10 * 87)
         assert len(train) + len(val) == 87
 
     def test_split_disjoint_and_deterministic(self):
         pool = make_synth_epochs(40, seed=17)
-        t1, v1 = split_train_val(pool, TrainConfig(seed=5))
-        t2, v2 = split_train_val(pool, TrainConfig(seed=5))
+        t1, v1 = split_train_val(pool, 5)
+        t2, v2 = split_train_val(pool, 5)
         assert [e.epoch_index for e in t1] == [e.epoch_index for e in t2]
         assert [e.epoch_index for e in v1] == [e.epoch_index for e in v2]
         assert {e.epoch_index for e in t1}.isdisjoint({e.epoch_index for e in v1})
@@ -298,7 +303,7 @@ class TestSplitAndFit:
         params, history = train_fold(epochs, {3}, config, tc)
         assert len(history) == 1
         pool = epochs[epochs.subject_id != 3]
-        train, val = split_train_val(pool, tc)
+        train, val = split_train_val(pool, tc.seed)
         assert len(val) == round(0.10 * len(pool))
         assert all(e.subject_id != 3 for e in join_epochs(train, val))
 
