@@ -14,12 +14,15 @@ from edgesleep.model import (
     save_model,
     write_slpm,
 )
+from edgesleep.cli import _load_float_model
 from edgesleep.quant import (
+    QuantTensor,
     load_any_model,
     quantize_model,
     quantize_tensor,
     save_quant_model,
 )
+from edgesleep.streaming import make_predictor
 
 
 def dequantized_forward(qm, x):
@@ -165,6 +168,25 @@ class TestQuantizeModel:
         assert quant_size < 300_000
         assert quant_size < 0.3 * float_size
         assert float_size > 4 * 277_669
+
+
+class TestDequantizeOnce:
+    def test_built_once_per_model(self, small_quant, tmp_path, monkeypatch):
+        config, _, qm = small_quant
+        path = tmp_path / "q.slpm"
+        save_quant_model(qm, path)
+        calls = []
+        original = QuantTensor.dequantize
+        monkeypatch.setattr(
+            QuantTensor, "dequantize", lambda self: calls.append(1) or original(self)
+        )
+        params, loaded_config = _load_float_model(path)
+        assert loaded_config == config
+        assert len(calls) == len(qm.quantized)
+        x = standardize(np.random.default_rng(57).normal(size=3000))
+        predict = make_predictor(params, loaded_config)
+        assert len(calls) == len(qm.quantized)
+        assert np.array_equal(predict(x), dequantized_forward(qm, x))
 
 
 class TestDequantize:
