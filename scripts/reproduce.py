@@ -5,7 +5,16 @@ This is the long-running counterpart to the desk-scale test suite: it
 converts every SC4* recording pair, checks the preprocessed class counts
 against the expected distribution, trains the 5-fold cross-validated model
 from scratch, evaluates before and after subject-specific adaptation, and
-renders the final tables.
+renders the final tables.  Each step is an `edgesleep` command run through
+`cli.main`, so the full-scale run goes through the code the CLI tests run:
+
+  - convert: `convert` per night into stores/SC4ssN.slpe, written under a
+    `.part` name and renamed once complete; a night whose store exists is
+    skipped
+  - train: `train --fold i --store stores/*.slpe` per fold without a model
+  - evaluate: `adapt --store <the subject's stores> --out-prefix
+    adapt/subjectSS` per held-out subject of folds.txt, with the count
+    CSVs pooled into the before/after tables; then `quantize` of fold 0
 
 Expected inputs: a directory holding the sleep-cassette files, named like
 
@@ -15,19 +24,23 @@ Expected inputs: a directory holding the sleep-cassette files, named like
 Get them from the public Sleep-EDF Database Expanded (version 1, 2013,
 sleep-cassette subset; 153 recording pairs, ~8 GB).
 
-Resource expectations, measured on one core of a desktop CPU:
+Resource expectations, measured on one core of a desktop CPU unless marked:
   - conversion: ~20 minutes, writes ~1.8 GB of epoch stores
-  - training: several hours PER FOLD at default settings (reduce
-    --max-epochs or train single folds with --fold to iterate faster)
-  - RAM: the training and evaluation stages hold every epoch once, as one
-    array of 12,008-byte store records with no per-epoch Python objects:
-    about 1.8 GB (arithmetic, not measured: 148,471 epochs x 12,008
-    bytes).  On top of that come one night's store while it is read into
-    place (~12 MB), one subject's records in evaluation (copied by mask,
-    then split into adaptation and holdout copies: ~45 MB for ~1,900
-    epochs), one 64-epoch training batch (768 KB) and tens of MB of
-    per-chunk working memory; training selects by row index, standardizes
-    each chunk as it goes and keeps no float64 copy of the data
+  - training: about 1.4 h per fold at default settings (arithmetic, not
+    measured: 1.57 ms per sample, as one 64-sample float32 batch at width
+    1.0 took on a 2-core x86 VM, x ~107k training epochs x 30 epochs;
+    reduce --max-epochs or train single folds with --fold to iterate
+    faster)
+  - RAM: training holds every epoch once, as one array of 12,008-byte
+    store records with no per-epoch Python objects: about 1.8 GB
+    (arithmetic, not measured: 148,471 epochs x 12,008 bytes).  On top of
+    that come one night's store while it is copied into place (~12 MB),
+    one 64-epoch training batch (768 KB) and tens of MB of per-chunk
+    working memory; training selects by row index, standardizes each chunk
+    as it goes and keeps no float64 copy of the data.  Evaluation reads
+    one subject's stores per `adapt` (copied by mask, then split into
+    adaptation and holdout copies: ~45 MB for ~1,900 epochs), not the
+    whole cohort
 
 Reproduction targets:
   - preprocessed epoch counts: Wake 44752, N1 15793, N2 54682, N3 12268,
@@ -50,22 +63,11 @@ import time
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from edgesleep import cli  # noqa: E402
 from edgesleep import epochs as ep  # noqa: E402
-from edgesleep.adapt import ADAPT_DEFAULT_EPOCHS, fine_tune, split_adapt  # noqa: E402
-from edgesleep.edf import RawAnnotation, parse_edf, read_signal  # noqa: E402
-from edgesleep.metrics import class_metrics, confusion, counts_to_csv, render_report  # noqa: E402
-from edgesleep.model import ArchConfig, load_model, predict, save_model  # noqa: E402
-from edgesleep.quant import quantize_model, save_quant_model  # noqa: E402
-from edgesleep.training import (  # noqa: E402
-    TrainConfig,
-    history_to_csv,
-    make_folds,
-    train_fold,
-)
+from edgesleep.metrics import class_metrics, counts_from_csv, counts_to_csv, render_report  # noqa: E402
 
 EXPECTED_COUNTS = {"Wake": 44752, "N1": 15793, "N2": 54682, "N3": 12268, "REM": 20976}
 EXPECTED_TOTAL = 148471
@@ -73,12 +75,20 @@ TARGET_ACCURACY_BEFORE = 0.775
 TARGET_ACCURACY_AFTER = 0.795
 ACCURACY_TOLERANCE = 0.03
 
-CHANNEL = "EEG Fpz-Cz"
 PSG_PATTERN = re.compile(r"^SC4(\d\d)(\d)\w0-PSG\.edf$")
 
 
 def log(msg: str) -> None:
     print(f"[{time.strftime('%H:%M:%S')}] {msg}", flush=True)
+
+
+def edgesleep(*argv) -> None:
+    """Run one edgesleep command; a failure ends the script with its exit code."""
+    argv = [str(arg) for arg in argv]
+    code = cli.main(argv)
+    if code:
+        log(f"edgesleep {argv[0]} exited {code}; stopping")
+        sys.exit(code)
 
 
 def recording_pairs(data_dir: Path) -> list[tuple[int, int, Path, Path]]:
@@ -98,28 +108,6 @@ def recording_pairs(data_dir: Path) -> list[tuple[int, int, Path, Path]]:
     return pairs
 
 
-def clamp_to_signal(
-    annotations: list[RawAnnotation], signal_seconds: float
-) -> list[RawAnnotation]:
-    """Trim annotations to the signal extent on the 30 s grid.
-
-    The archive's final hypnogram entry regularly overruns the PSG signal;
-    clamping (rather than erroring) matches how the recordings are meant to
-    be read.
-    """
-    grid_end = 30 * int(signal_seconds // 30)
-    out = []
-    for ann in annotations:
-        if ann.onset >= grid_end:
-            continue
-        end = min(ann.onset + ann.duration, grid_end)
-        duration = end - ann.onset
-        if duration <= 0:
-            continue
-        out.append(RawAnnotation(onset=ann.onset, duration=duration, text=ann.text))
-    return out
-
-
 def stage_convert(args) -> None:
     store_dir = args.work / "stores"
     store_dir.mkdir(parents=True, exist_ok=True)
@@ -131,27 +119,23 @@ def stage_convert(args) -> None:
         out = store_dir / f"SC4{subject:02d}{night}.slpe"
         if out.exists():
             continue
-        with parse_edf(psg_path) as psg:
-            ep.check_sample_rate(psg, CHANNEL)
-            signal = read_signal(psg, CHANNEL)
-        with parse_edf(hyp_path) as hyp:
-            annotations = hyp.annotations()
-        annotations = clamp_to_signal(annotations, len(signal) / ep.SAMPLE_RATE)
-        night_epochs = ep.trim_wake(
-            ep.segment_epochs(signal, annotations, subject_id=subject, night=night)
-        )
-        ep.write_store(night_epochs.epochs, out)
-        log(f"  {out.name}: {len(night_epochs.epochs)} epochs")
+        # a run killed mid-write leaves only the .part file, which the
+        # *.slpe glob and the skip above ignore
+        part = store_dir / f"{out.name}.part"
+        edgesleep("convert", psg_path, "--hypnogram", hyp_path,
+                  "--subject", subject, "--night", night, "--out", part)
+        part.replace(out)
 
 
-def iter_stores(args):
-    for store in sorted((args.work / "stores").glob("*.slpe")):
-        yield store
+def stores(args, subject: int | None = None) -> list[Path]:
+    """The converted night stores, all or one subject's, in name order."""
+    pattern = "*.slpe" if subject is None else f"SC4{subject:02d}?.slpe"
+    return sorted((args.work / "stores").glob(pattern))
 
 
 def stage_verify(args) -> bool:
     counts = Counter()
-    for store in iter_stores(args):
+    for store in stores(args):
         dist = ep.class_distribution(ep.read_store(store))
         counts.update(dict(zip(ep.STAGE_NAMES, dist.counts)))
     total = sum(counts.values())
@@ -167,85 +151,50 @@ def stage_verify(args) -> bool:
     return ok and total == EXPECTED_TOTAL
 
 
-def load_all_epochs(args) -> np.recarray:
-    """Every converted night in one record array.  Each store is read into
-    its own slice, so the cohort is held once; a store's size gives its
-    epoch count, which read_store checks against the header."""
-    stores = list(iter_stores(args))
-    record = ep.STORE_RECORD.itemsize
-    sizes = [(s.stat().st_size - ep.STORE_HEADER_BYTES) // record for s in stores]
-    if not sum(sizes):
-        sys.exit("no converted stores found; run --stage convert first")
-    epochs = np.recarray(sum(sizes), dtype=ep.STORE_RECORD)
-    for store, end, n in zip(stores, np.cumsum(sizes), sizes):
-        epochs[end - n : end] = ep.read_store(store)
-    return epochs
-
-
 def stage_train(args) -> None:
-    epochs = load_all_epochs(args)
-    subjects = sorted(set(epochs.subject_id.tolist()))
-    log(f"{len(epochs)} epochs across {len(subjects)} subjects")
-    plan = make_folds(subjects, k=args.folds, seed=args.seed)
-    arch = ArchConfig()
-    tc = TrainConfig(max_epochs=args.max_epochs, seed=args.seed)
+    cohort = stores(args)
+    if not cohort:
+        sys.exit("no converted stores found; run --stage convert first")
     fold_ids = [args.fold] if args.fold is not None else list(range(args.folds))
     for i in fold_ids:
-        model_path = args.work / f"model_fold{i}.slpm"
-        if model_path.exists():
+        if (args.work / f"model_fold{i}.slpm").exists():
             log(f"fold {i}: model exists, skipping")
             continue
-        log(f"fold {i}: training on {len(subjects) - len(plan.folds[i])} subjects")
-        params, history = train_fold(epochs, plan.test_subjects(i), arch, tc)
-        save_model(params, arch, model_path)
-        (args.work / f"history_fold{i}.csv").write_text(history_to_csv(history))
-        log(f"fold {i}: done, val_acc {history[-1].val_acc:.3f}")
-    (args.work / "folds.txt").write_text(
-        "\n".join(f"fold{i}: {','.join(map(str, f))}" for i, f in enumerate(plan.folds)) + "\n"
-    )
+        log(f"fold {i}: training on {len(cohort)} night stores")
+        edgesleep("train", "--store", *cohort, "--out-dir", args.work, "--folds", args.folds,
+                  "--fold", i, "--seed", args.seed, "--max-epochs", args.max_epochs)
 
 
-def classify(params, config, epochs):
-    return np.argmax(predict(params, config, epochs.samples), axis=-1).tolist()
+def held_out_subjects(args) -> list[list[int]]:
+    """Each fold's test subjects, as `train` wrote them to folds.txt."""
+    path = args.work / "folds.txt"
+    if not path.exists():
+        sys.exit(f"missing {path}; run --stage train")
+    return [
+        [int(s) for s in line.split(":", 1)[1].split(",")]
+        for line in path.read_text().splitlines()
+    ]
 
 
 def stage_evaluate(args) -> None:
     """Pooled test-fold evaluation before and after per-subject adaptation."""
-    epochs = load_all_epochs(args)
-    subjects = sorted(set(epochs.subject_id.tolist()))
-    plan = make_folds(subjects, k=args.folds, seed=args.seed)
-    before_pred, before_true = [], []
-    after_pred, after_true = [], []
-    adapt_tc = TrainConfig(max_epochs=ADAPT_DEFAULT_EPOCHS, seed=args.seed)
-    for i in range(args.folds):
+    pooled = {"before": 0, "after": 0}
+    for i, subjects in enumerate(held_out_subjects(args)):
         model_path = args.work / f"model_fold{i}.slpm"
         if not model_path.exists():
             sys.exit(f"missing {model_path}; run --stage train")
-        params, config = load_model(model_path)
-        for subject in plan.folds[i]:
-            subject_epochs = epochs[epochs.subject_id == subject]
-            adapt_set, holdout = split_adapt(
-                subject_epochs,
-                fraction=args.fraction,
-                stratified=args.stratified,
-                seed=args.seed,
-            )
-            labels = holdout.stage.tolist()
-            before = classify(params, config, holdout)
-            before_pred += before
-            before_true += labels
-            tuned = fine_tune(params, config, adapt_set, adapt_tc)
-            after_pred += classify(tuned, config, holdout)
-            after_true += labels
-        log(f"fold {i}: evaluated {len(plan.folds[i])} subjects")
+        for subject in subjects:
+            prefix = args.work / "adapt" / f"subject{subject:02d}"
+            edgesleep("adapt", "--store", *stores(args, subject), "--model", model_path,
+                      "--subject", subject, "--fraction", args.fraction, "--seed", args.seed,
+                      *(["--stratified"] if args.stratified else []), "--out-prefix", prefix)
+            for tag in pooled:
+                pooled[tag] += counts_from_csv(Path(f"{prefix}_{tag}_counts.csv").read_text())
+        log(f"fold {i}: evaluated {len(subjects)} subjects")
 
-    for tag, pred, true, target in (
-        ("before", before_pred, before_true, TARGET_ACCURACY_BEFORE),
-        ("after", after_pred, after_true, TARGET_ACCURACY_AFTER),
-    ):
-        cm = confusion(pred, true)
-        report = class_metrics(cm)
-        (args.work / f"confusion_{tag}.csv").write_text(counts_to_csv(cm))
+    for tag, target in (("before", TARGET_ACCURACY_BEFORE), ("after", TARGET_ACCURACY_AFTER)):
+        report = class_metrics(pooled[tag])
+        (args.work / f"confusion_{tag}.csv").write_text(counts_to_csv(report.confusion))
         (args.work / f"metrics_{tag}.txt").write_text(render_report(report, "text"))
         (args.work / f"metrics_{tag}.csv").write_text(render_report(report, "csv"))
         delta = abs(report.accuracy - target)
@@ -254,11 +203,13 @@ def stage_evaluate(args) -> None:
             f"accuracy {tag} adaptation: {report.accuracy:.3f} "
             f"(target {target:.3f} +-{ACCURACY_TOLERANCE}): {verdict}"
         )
-    # deployment artifact: quantized copy of fold-0 for the budget check
-    params, config = load_model(args.work / "model_fold0.slpm")
-    save_quant_model(quantize_model(params, config), args.work / "model_fold0_int8.slpm")
-    log("wrote quantized fold-0 model; check it with: "
-        f"edgesleep budget --model {args.work / 'model_fold0_int8.slpm'}")
+    # deployment artifact: quantized copy of fold-0 for the budget check,
+    # rewritten only when fold 0's model is newer
+    fold0 = args.work / "model_fold0.slpm"
+    int8 = args.work / "model_fold0_int8.slpm"
+    if not int8.exists() or int8.stat().st_mtime < fold0.stat().st_mtime:
+        edgesleep("quantize", "--model", fold0, "--out", int8)
+    log(f"quantized fold-0 model; check it with: edgesleep budget --model {int8}")
 
 
 def main() -> None:

@@ -164,11 +164,15 @@ def mac_count(config: ArchConfig) -> int:
 
 def check_fit(model_file: str | Path, config: ArchConfig, profile: DeviceProfile) -> BudgetReport:
     """Combine flash, peak activation RAM, and a naive 1-MAC-per-cycle latency
-    bound into one feasibility report against the profile."""
+    bound into one feasibility report against the profile.
+
+    config is the model file's, as its caller read it with model.read_slpm,
+    which checked the file; flash is the file's byte size, so the file is
+    not read again."""
     macs = mac_count(config)
     return BudgetReport(
         profile=profile,
-        flash_used=flash_usage(model_file),
+        flash_used=os.path.getsize(model_file),
         peak_ram=peak_ram(config),
         macs=macs,
         latency_bound_s=macs / profile.clock_hz,

@@ -67,7 +67,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_train(args) -> int:
-    store = epochs.read_store(args.store)
+    store = epochs.read_stores(args.store)
     if not len(store):
         raise training.TrainingError("store holds no epochs")
     arch = model.ArchConfig(width_multiplier=args.width_multiplier)
@@ -135,7 +135,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    store = epochs.read_store(args.store)
+    store = epochs.read_stores(args.store)
     subject = store[store.subject_id == args.subject]
     if not len(subject):
         raise training.TrainingError(f"store has no epochs for subject {args.subject}")
@@ -153,6 +153,11 @@ def cmd_adapt(args) -> int:
     after = _evaluate_store(tuned, config, holdout)
     print(f"holdout accuracy before {before.accuracy:.3f} -> after {after.accuracy:.3f}")
     print(metrics.render_report(after, "text"), end="")
+    if args.out_prefix:
+        prefix = Path(args.out_prefix)
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+        for tag, report in (("before", before), ("after", after)):
+            Path(f"{prefix}_{tag}_counts.csv").write_text(metrics.counts_to_csv(report.confusion))
     if args.out:
         model.save_model(tuned, config, args.out)
         print(f"adapted model written to {args.out}")
@@ -292,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--append", action="store_true", help="extend an existing store")
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("train", help="k-fold training over a store")
-    p.add_argument("--store", required=True)
+    p = sub.add_parser("train", help="k-fold training over one or more stores")
+    p.add_argument("--store", nargs="+", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--folds", type=_positive(int), default=5)
     p.add_argument("--fold", type=int, default=None, help="train only this fold index")
@@ -314,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("adapt", help="subject-specific fine-tuning")
-    p.add_argument("--store", required=True)
+    p.add_argument("--store", nargs="+", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--subject", type=int, required=True)
     p.add_argument("--fraction", type=float, default=0.10)
@@ -323,6 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=adapt_mod.ADAPT_DEFAULT_EPOCHS)
     p.add_argument("--out", default=None, help="write the adapted model here")
+    p.add_argument(
+        "--out-prefix", default=None, help="write P_before_counts.csv and P_after_counts.csv"
+    )
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("quantize", help="float model -> int8 model")

@@ -144,17 +144,19 @@ def segment_epochs(
 ) -> SubjectNight:
     """Cut an annotated 100 Hz signal into labeled 30-second epochs.
 
-    Each annotation must start and end on the 30-second grid and lie within
-    the signal; a stage annotation of duration D yields D/30 consecutive
-    epochs.  Windows whose label maps to DISCARD produce no epoch, leaving a
-    gap in epoch_index.  No window may be covered twice, whatever the labels
-    or their order.  subject_id, night and every epoch_index must fit their
-    store fields (StoreError otherwise).
+    Each annotation must start and end on the 30-second grid and start
+    before the end of the signal's last whole window; a stage annotation of
+    duration D yields D/30 consecutive epochs.  One that runs past that end
+    is cut there, whatever its label: the archive's hypnograms often
+    overrun the recording.  Windows whose label maps to DISCARD produce no
+    epoch, leaving a gap in epoch_index.  No window may be covered twice,
+    whatever the labels or their order.  subject_id, night and every
+    epoch_index must fit their store fields (StoreError otherwise).
     """
     _check_range("subject_id", subject_id, STORE_RECORD["subject_id"])
     _check_range("night", night, STORE_RECORD["night"])
-    signal_seconds = len(samples) / SAMPLE_RATE
     stages = np.full(len(samples) // EPOCH_SAMPLES, -1, dtype=np.int8)  # -1: free, -2: DISCARD
+    grid_end = len(stages) * EPOCH_SECONDS
     for ann in annotations:
         if ann.onset < 0 or ann.onset % EPOCH_SECONDS != 0:
             raise PipelineError(
@@ -164,13 +166,14 @@ def segment_epochs(
             raise PipelineError(
                 f"annotation duration {ann.duration} not a multiple of {EPOCH_SECONDS}s"
             )
-        if ann.onset + ann.duration > signal_seconds:
+        if ann.onset >= grid_end and ann.onset + ann.duration > grid_end:
             raise PipelineError(
-                f"annotation [{ann.onset}, {ann.onset + ann.duration}) "
-                f"extends past signal end at {signal_seconds}s"
+                f"annotation [{ann.onset}, {ann.onset + ann.duration}) starts past "
+                f"the signal's last whole window, which ends at {grid_end}s"
             )
         stage = map_label(ann.text)
         first = int(ann.onset) // EPOCH_SECONDS
+        # the slice ends at the last whole window, which cuts an overrun
         span = stages[first : first + int(ann.duration) // EPOCH_SECONDS]
         covered = np.flatnonzero(span != -1)
         if len(covered):
@@ -340,6 +343,23 @@ def write_store(epochs: np.ndarray, path: str | Path, append: bool = False) -> N
         records.tofile(f)
         f.seek(0)
         f.write(head)
+
+
+def read_stores(paths: list[str | Path]) -> np.recarray:
+    """Read stores into one array of STORE_RECORD records, in the order
+    given.  One path reads as read_store.  For several, every header is
+    checked first and gives its store's epoch count, so the array is
+    allocated once and each store is copied into its own slice."""
+    if len(paths) == 1:
+        return read_store(paths[0])
+    counts = []
+    for path in paths:
+        with open(path, "rb") as f:
+            counts.append(_read_header(f))
+    records = np.recarray(sum(counts), dtype=STORE_RECORD)
+    for path, end, count in zip(paths, np.cumsum(counts), counts):
+        records[end - count : end] = read_store(path)
+    return records
 
 
 def read_store(path: str | Path) -> np.recarray:

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edgesleep import budget as budget_mod
 from edgesleep import epochs as ep
+from edgesleep import model as model_mod
 from edgesleep.cli import main
 from edgesleep.metrics import counts_from_csv
 from edgesleep.model import (
@@ -111,6 +113,55 @@ class TestConvert:
         )
         assert code == 4
         assert "200 Hz" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# 240 s of signal whose last entry runs 30 s past it, as the sleep-cassette
+# hypnograms' last entries often do
+OVERRUN_HYPNOGRAM = [
+    (0.0, 60.0, "Sleep stage W"),
+    (60.0, 90.0, "Sleep stage 2"),
+    (150.0, 30.0, "Sleep stage R"),
+    (180.0, 90.0, "Sleep stage ?"),
+]
+
+
+class TestConvertOverrun:
+    @pytest.fixture()
+    def convert(self, tmp_path):
+        rng = np.random.default_rng(93)
+        data = rng.integers(-2048, 2048, size=8 * 3000, dtype=np.int16)
+        psg = tmp_path / "psg240.edf"
+        psg.write_bytes(
+            build_edf(
+                [SignalSpec(label="EEG Fpz-Cz", samples_per_record=3000, data=data)],
+                n_records=8,
+                record_duration=30.0,
+                reserved="EDF+C",
+            )
+        )
+
+        def run(hypnogram, out):
+            hyp = tmp_path / "hyp.edf"
+            hyp.write_bytes(hypnogram_edf(hypnogram))
+            return main(["convert", str(psg), "--hypnogram", str(hyp), "--subject", "1",
+                         "--out", str(out)])
+
+        return run
+
+    def test_overrunning_entry_is_cut(self, tmp_path, convert):
+        out = tmp_path / "night.slpe"
+        assert convert(OVERRUN_HYPNOGRAM, out) == 0
+        stored = ep.read_store(out)
+        assert stored.stage.tolist() == [0, 0, 2, 2, 2, 4]
+        assert stored.epoch_index.tolist() == [0, 1, 2, 3, 4, 5]
+
+    def test_onset_past_the_end_exits_4(self, tmp_path, convert, capsys):
+        out = tmp_path / "night.slpe"
+        hypnogram = OVERRUN_HYPNOGRAM[:3] + [(180.0, 60.0, "Sleep stage W"),
+                                             (240.0, 30.0, "Sleep stage ?")]
+        assert convert(hypnogram, out) == 4
+        assert "[240.0, 270.0) starts past" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -364,6 +415,22 @@ class TestTrainEvalFlow:
         out = capsys.readouterr().out
         assert "fits: flash yes, ram yes" in out
 
+    def test_budget_reads_the_model_once(self, trained_setup, capsys, monkeypatch):
+        _, model_path, quant_path, _ = trained_setup
+        read_slpm = model_mod.read_slpm
+        calls = []
+
+        def counting_read_slpm(*args, **kwargs):
+            calls.append(args)
+            return read_slpm(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "read_slpm", counting_read_slpm)
+        monkeypatch.setattr(budget_mod, "read_slpm", counting_read_slpm)
+        for path in (model_path, quant_path):
+            calls.clear()
+            assert main(["budget", "--model", str(path)]) == 0
+            assert len(calls) == 1, path
+
     def test_budget_kv_output(self, trained_setup, capsys):
         _, model_path, _, _ = trained_setup
         assert main(["budget", "--model", str(model_path), "--kv"]) == 0
@@ -383,6 +450,99 @@ class TestTrainEvalFlow:
         code = main(["report", "--counts", f"{prefix}_counts.csv", "--style", "csv"])
         assert code == 0
         assert capsys.readouterr().out.startswith("confusion_row,")
+
+
+@pytest.fixture(scope="module")
+def night_stores(tmp_path_factory):
+    """Two night stores of four subjects each, one store of both nights in
+    the same order, and an untrained width-0.25 model."""
+    tmp = tmp_path_factory.mktemp("nights")
+    nights = [
+        join_epochs(
+            *(make_synth_epochs(9, seed=40 + 4 * night + s, subject_id=s, night=night)
+              for s in range(4))
+        )
+        for night in (1, 2)
+    ]
+    paths = [tmp / "night1.slpe", tmp / "night2.slpe"]
+    for records, path in zip(nights, paths):
+        ep.write_store(records, path)
+    both = tmp / "both.slpe"
+    ep.write_store(join_epochs(*nights), both)
+    config = ArchConfig(width_multiplier=0.25)
+    model_path = tmp / "m.slpm"
+    save_model(init_params(config, 5), config, model_path)
+    return paths, both, model_path
+
+
+def adapt_argv(stores, model_path, *flags):
+    return ["adapt", "--store", *map(str, stores), "--model", str(model_path),
+            "--subject", "2", "--fraction", "0.25", "--epochs", "2", "--seed", "3", *flags]
+
+
+class TestSeveralStores:
+    """train and adapt read several --store paths as one store holding
+    their records in the order given."""
+
+    def test_train_over_two_stores_equals_train_over_their_join(self, night_stores, tmp_path):
+        paths, both, _ = night_stores
+        flags = ["--folds", "2", "--fold", "0", "--seed", "1", "--max-epochs", "1",
+                 "--batch-size", "16", "--width-multiplier", "0.25"]
+        for name, stores in (("split", paths), ("joined", [both])):
+            argv = ["train", "--store", *map(str, stores), "--out-dir", str(tmp_path / name)]
+            assert main(argv + flags) == 0
+        for artifact in ("model_fold0.slpm", "history_fold0.csv", "folds.txt"):
+            split = (tmp_path / "split" / artifact).read_bytes()
+            assert split == (tmp_path / "joined" / artifact).read_bytes(), artifact
+
+    def test_adapt_over_two_stores_equals_adapt_over_their_join(
+        self, night_stores, tmp_path, capsys
+    ):
+        paths, both, model_path = night_stores
+        outputs = {}
+        for name, stores in (("split", paths), ("joined", [both])):
+            prefix, adapted = tmp_path / name, tmp_path / f"{name}.slpm"
+            argv = adapt_argv(stores, model_path, "--out-prefix", str(prefix), "--out", str(adapted))
+            assert main(argv) == 0
+            outputs[name] = (
+                capsys.readouterr().out.replace(str(adapted), "ADAPTED"),
+                Path(f"{prefix}_before_counts.csv").read_text(),
+                Path(f"{prefix}_after_counts.csv").read_text(),
+                adapted.read_bytes(),
+            )
+        assert outputs["split"] == outputs["joined"]
+
+    def test_adapt_counts_match_the_printed_split_and_accuracies(
+        self, night_stores, tmp_path, capsys
+    ):
+        paths, _, model_path = night_stores
+        prefix = tmp_path / "counts" / "s2"
+        assert main(adapt_argv(paths, model_path, "--out-prefix", str(prefix))) == 0
+        out = capsys.readouterr().out
+        holdout = int(re.search(r"(\d+) holdout", out).group(1))
+        before, after = map(float, re.search(r"before ([\d.]+) -> after ([\d.]+)", out).groups())
+        for tag, accuracy in (("before", before), ("after", after)):
+            cm = counts_from_csv(Path(f"{prefix}_{tag}_counts.csv").read_text())
+            assert cm.sum() == holdout
+            assert f"{np.trace(cm) / holdout:.3f}" == f"{accuracy:.3f}"
+
+    @pytest.mark.parametrize("command", ["train", "adapt"])
+    def test_bad_second_store_exits_as_a_single_one(self, night_stores, tmp_path, command):
+        paths, _, model_path = night_stores
+        corrupt = tmp_path / "corrupt.slpe"
+        corrupt.write_bytes(paths[1].read_bytes() + b"!")
+        missing = tmp_path / "missing.slpe"
+
+        def run(*stores):
+            if command == "adapt":
+                return main(adapt_argv(stores, model_path))
+            return main(["train", "--store", *map(str, stores), "--out-dir",
+                         str(tmp_path / "runs"), "--folds", "2", "--max-epochs", "1"])
+
+        for bad, code in ((missing, 13), (corrupt, 5)):
+            assert run(bad) == code
+            assert run(paths[0], bad) == code
+        assert not (tmp_path / "runs").exists()
 
 
 class TestStreamCommand:

@@ -81,9 +81,33 @@ class TestSegment:
         with pytest.raises(PipelineError, match="grid"):
             segment_epochs(noise(90), [ann(15, 30, "Sleep stage 2")])
 
-    def test_extends_past_signal(self):
-        with pytest.raises(PipelineError, match="past signal end"):
-            segment_epochs(noise(60), [ann(0, 90, "Sleep stage 2")])
+    def test_overrun_cut_at_signal_end(self):
+        night = segment_epochs(noise(60), [ann(0, 90, "Sleep stage 2")])
+        assert [e.stage for e in night.epochs] == [SleepStage.N2] * 2
+        assert [e.epoch_index for e in night.epochs] == [0, 1]
+
+    def test_overrun_cut_at_last_whole_window(self):
+        samples = noise(75)  # two whole windows and a 15 s tail
+        night = segment_epochs(
+            samples, [ann(0, 30, "Sleep stage W"), ann(30, 60, "Sleep stage R")]
+        )
+        assert [(e.epoch_index, e.stage) for e in night.epochs] == [
+            (0, SleepStage.WAKE), (1, SleepStage.REM)
+        ]
+        assert np.array_equal(night.epochs[1].samples, samples[EPOCH_SAMPLES : 2 * EPOCH_SAMPLES])
+
+    @pytest.mark.parametrize("seconds, onset", [(60, 60), (75, 60), (60, 90)])
+    def test_onset_at_or_past_last_whole_window_rejected(self, seconds, onset):
+        with pytest.raises(PipelineError, match="starts past the signal's last whole window"):
+            segment_epochs(
+                noise(seconds), [ann(0, 30, "Sleep stage 2"), ann(onset, 30, "Sleep stage ?")]
+            )
+
+    def test_overrun_and_a_second_annotation_on_the_last_window_rejected(self):
+        with pytest.raises(PipelineError, match="window 1 covered by more than one"):
+            segment_epochs(
+                noise(60), [ann(0, 90, "Sleep stage 2"), ann(30, 30, "Sleep stage W")]
+            )
 
     def test_overlap_rejected(self):
         with pytest.raises(PipelineError, match="more than one"):
