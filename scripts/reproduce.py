@@ -32,15 +32,15 @@ Resource expectations, measured on one core of a desktop CPU unless marked:
     reduce --max-epochs or train single folds with --fold to iterate
     faster)
   - RAM: training holds every epoch once, as one array of 12,008-byte
-    store records with no per-epoch Python objects: about 1.8 GB
-    (arithmetic, not measured: 148,471 epochs x 12,008 bytes).  On top of
-    that come one night's store while it is copied into place (~12 MB),
-    one 64-epoch training batch (768 KB) and tens of MB of per-chunk
-    working memory; training selects by row index, standardizes each chunk
-    as it goes and keeps no float64 copy of the data.  Evaluation reads
-    one subject's stores per `adapt` (copied by mask, then split into
-    adaptation and holdout copies: ~45 MB for ~1,900 epochs), not the
-    whole cohort
+    store records with no per-epoch Python objects, each store read
+    straight into its slice: about 1.8 GB (arithmetic, not measured:
+    148,471 epochs x 12,008 bytes).  Training selects by row index and
+    gathers one 8-row chunk at a time, standardized as float64 (192 KB,
+    arithmetic: 8 x 3000 x 8 bytes), plus tens of MB of per-chunk working
+    memory; it keeps no float64 copy of the data.  Evaluation reads one
+    subject's stores per `adapt`, about 23 MB (arithmetic: ~1,900 epochs
+    x 12,008 bytes), not the whole cohort, and selects the adaptation and
+    holdout epochs from it by row index, without copying them
 
 Reproduction targets:
   - preprocessed epoch counts: Wake 44752, N1 15793, N2 54682, N3 12268,

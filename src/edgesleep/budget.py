@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .epochs import EPOCH_SAMPLES
-from .model import ArchConfig, read_slpm
+from .model import ArchConfig
 
 EPOCH_DEADLINE_SECONDS = 30.0
 ACTIVATION_BYTES = 4  # float32 activations
@@ -87,12 +87,6 @@ class BudgetReport:
     @property
     def realtime_ok(self) -> bool:
         return self.latency_bound_s < EPOCH_DEADLINE_SECONDS
-
-
-def flash_usage(model_file: str | Path) -> int:
-    """Exact byte size of a model file, checked by model.read_slpm."""
-    read_slpm(model_file)
-    return os.path.getsize(model_file)
 
 
 def activation_table(config: ArchConfig) -> list[LayerLiveness]:

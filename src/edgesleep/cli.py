@@ -67,7 +67,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_train(args) -> int:
-    store = epochs.read_stores(args.store)
+    store = epochs.read_store(*args.store)
     if not len(store):
         raise training.TrainingError("store holds no epochs")
     arch = model.ArchConfig(width_multiplier=args.width_multiplier)
@@ -108,10 +108,9 @@ def _load_float_model(path):
     return (obj.dequantize() if kind == "quant" else obj), config
 
 
-def _evaluate_store(params, config, store, rows=None):
+def _evaluate_store(params, config, store, rows):
     probs = model.predict(params, config, store.samples, rows)
-    labels = store.stage if rows is None else store.stage[rows]
-    return metrics.class_metrics(metrics.confusion(np.argmax(probs, axis=-1), labels))
+    return metrics.class_metrics(metrics.confusion(np.argmax(probs, axis=-1), store.stage[rows]))
 
 
 def cmd_eval(args) -> int:
@@ -135,22 +134,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    store = epochs.read_stores(args.store)
-    subject = store[store.subject_id == args.subject]
+    store = epochs.read_store(*args.store)
+    subject = np.flatnonzero(store.subject_id == args.subject)
     if not len(subject):
         raise training.TrainingError(f"store has no epochs for subject {args.subject}")
     params, config = model.load_model(args.model)
-    adapt_set, holdout = adapt_mod.split_adapt(
-        subject, fraction=args.fraction, stratified=args.stratified, seed=args.seed
+    adapt_rows, holdout = adapt_mod.split_adapt(
+        store, subject, fraction=args.fraction, stratified=args.stratified, seed=args.seed
     )
     print(
-        f"subject {args.subject}: {len(adapt_set)} adaptation epochs "
-        f"({len(adapt_set) / len(subject):.0%}), {len(holdout)} holdout"
+        f"subject {args.subject}: {len(adapt_rows)} adaptation epochs "
+        f"({len(adapt_rows) / len(subject):.0%}), {len(holdout)} holdout"
     )
-    before = _evaluate_store(params, config, holdout)
+    before = _evaluate_store(params, config, store, holdout)
     tc = training.TrainConfig(max_epochs=args.epochs, seed=args.seed)
-    tuned = adapt_mod.fine_tune(params, config, adapt_set, tc, scope=args.scope)
-    after = _evaluate_store(tuned, config, holdout)
+    tuned = adapt_mod.fine_tune(params, config, store, adapt_rows, tc, scope=args.scope)
+    after = _evaluate_store(tuned, config, store, holdout)
     print(f"holdout accuracy before {before.accuracy:.3f} -> after {after.accuracy:.3f}")
     print(metrics.render_report(after, "text"), end="")
     if args.out_prefix:
@@ -264,13 +263,15 @@ def _subject_list(text: str) -> list[int]:
         ) from None
 
 
-def _positive(convert):
-    """argparse type of a count or size: convert(text), finite and > 0."""
+def _positive(convert, zero_ok=False):
+    """argparse type of a count or size: convert(text), finite and > 0, or
+    >= 0 with zero_ok."""
+    wanted = "non-negative" if zero_ok else "positive"
 
     def parse(text: str):
         value = convert(text)
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+        if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+            raise argparse.ArgumentTypeError(f"expected a {wanted} number, got {text!r}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
@@ -326,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stratified", action="store_true")
     p.add_argument("--scope", choices=("all", "classifier_only"), default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=adapt_mod.ADAPT_DEFAULT_EPOCHS)
+    p.add_argument(
+        "--epochs", type=_positive(int, zero_ok=True), default=adapt_mod.ADAPT_DEFAULT_EPOCHS
+    )
     p.add_argument("--out", default=None, help="write the adapted model here")
     p.add_argument(
         "--out-prefix", default=None, help="write P_before_counts.csv and P_after_counts.csv"

@@ -77,7 +77,7 @@ _LABEL_MAP: dict[str, SleepStage | Discard] = {
 
 # One SLPE v1 record: the store's on-disk layout and the in-memory form of a
 # set of epochs.  Sets are arrays of these records (np.recarray, so a record
-# reads as e.samples / e.stage), selected by mask or row index.
+# reads as e.samples / e.stage), selected by row index.
 STORE_RECORD = np.dtype(
     [
         ("subject_id", "<u2"),
@@ -345,36 +345,31 @@ def write_store(epochs: np.ndarray, path: str | Path, append: bool = False) -> N
         f.write(head)
 
 
-def read_stores(paths: list[str | Path]) -> np.recarray:
-    """Read stores into one array of STORE_RECORD records, in the order
-    given.  One path reads as read_store.  For several, every header is
-    checked first and gives its store's epoch count, so the array is
-    allocated once and each store is copied into its own slice."""
-    if len(paths) == 1:
-        return read_store(paths[0])
+def read_store(*paths: str | Path) -> np.recarray:
+    """Read one or more stores written by write_store as one array of
+    STORE_RECORD records, in the order given.
+
+    Every header is checked against its file's size first (StoreError),
+    so the array is allocated once and each store is read straight into
+    its own slice.  Then every stage byte (StoreError) and every sample
+    (PipelineError if not finite) is checked once.
+    """
     counts = []
     for path in paths:
         with open(path, "rb") as f:
             counts.append(_read_header(f))
     records = np.recarray(sum(counts), dtype=STORE_RECORD)
-    for path, end, count in zip(paths, np.cumsum(counts), counts):
-        records[end - count : end] = read_store(path)
-    return records
-
-
-def read_store(path: str | Path) -> np.recarray:
-    """Read a store written by write_store as one array of STORE_RECORD
-    records.  Checks the header against the file size (StoreError), every
-    stage byte (StoreError) and every sample (PipelineError if not finite).
-    """
-    with open(path, "rb") as f:
-        count = _read_header(f)
-        records = np.fromfile(f, dtype=STORE_RECORD, count=count)
-    if len(records) < count:
-        raise StoreError("store truncated mid-epoch")
-    bad = np.flatnonzero(records["stage"] >= len(SleepStage))
+    start = 0
+    for path, count in zip(paths, counts):
+        part = records[start : start + count].view(np.uint8)
+        with open(path, "rb") as f:
+            f.seek(STORE_HEADER_BYTES)
+            if f.readinto(part) < len(part):
+                raise StoreError("store truncated mid-epoch")
+        start += count
+    bad = np.flatnonzero(records.stage >= len(SleepStage))
     if len(bad):
-        raise StoreError(f"invalid stage byte {records['stage'][bad[0]]}")
-    if not _all_finite(records["samples"]):
+        raise StoreError(f"invalid stage byte {records.stage[bad[0]]}")
+    if not _all_finite(records.samples):
         raise PipelineError("epoch contains non-finite samples")
-    return records.view(np.recarray)
+    return records

@@ -284,22 +284,22 @@ def forward(
     return probs, cache
 
 
-def predict(params: ModelParams, config: ArchConfig, X, rows=None) -> np.ndarray:
-    """Stage probabilities [N, 5] of N epochs, one forward per PREDICT_ROWS.
+def predict(
+    params: ModelParams, config: ArchConfig, X: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Stage probabilities [len(rows), 5] of the epochs X[rows] of an
+    [N, 3000] array, one forward per PREDICT_ROWS rows.
 
-    X is an [N, 3000] array or a sequence of N [3000] arrays; with rows, an
-    array whose epochs X[rows] are scored, gathered one chunk at a time.
-    Each chunk is standardized row by row (epochs.standardize; a flat or
-    non-finite epoch raises DegenerateEpochError).  forward is
-    batch-invariant, so each row equals forward(params, standardize(x),
-    config) on that epoch alone, bit for bit, whatever N.
+    Each chunk of rows is gathered from X and standardized row by row
+    (epochs.standardize; a flat or non-finite epoch raises
+    DegenerateEpochError).  forward is batch-invariant, so each row equals
+    forward(params, standardize(x), config) on that epoch alone, bit for
+    bit, whatever the rows.
     """
-    n = len(X) if rows is None else len(rows)
-    probs = np.empty((n, config.n_classes), dtype=params["conv1_w"].dtype)
-    for start in range(0, n, PREDICT_ROWS):
+    probs = np.empty((len(rows), config.n_classes), dtype=params["conv1_w"].dtype)
+    for start in range(0, len(rows), PREDICT_ROWS):
         chunk = slice(start, start + PREDICT_ROWS)
-        x = standardize(np.asarray(X[chunk] if rows is None else X[rows[chunk]]))
-        probs[chunk] = forward(params, x, config)[0]
+        probs[chunk] = forward(params, standardize(X[rows[chunk]]), config)[0]
     return probs
 
 

@@ -51,6 +51,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate {self.learning_rate} is not finite and positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be >= 0")
 
 
 @dataclass
@@ -198,11 +200,11 @@ def make_folds(subject_ids: list[int], k: int = 5, seed: int = 0) -> FoldPlan:
 
 
 def evaluate_epochs(
-    params: ModelParams, config: ArchConfig, epochs: np.ndarray, rows=None
+    params: ModelParams, config: ArchConfig, epochs: np.ndarray, rows: np.ndarray
 ) -> tuple[float, float]:
     """(mean cross-entropy, accuracy) of model.predict on the records
-    epochs[rows] (all of them when rows is None); nan for no epochs."""
-    ys = epochs["stage"] if rows is None else epochs["stage"][rows]
+    epochs[rows]; nan for no rows."""
+    ys = epochs["stage"][rows]
     if not len(ys):
         return float("nan"), float("nan")
     probs = predict(params, config, epochs["samples"], rows)
@@ -212,32 +214,31 @@ def evaluate_epochs(
 
 
 def batch_gradients(
-    params: ModelParams,
-    config: ArchConfig,
-    xs: np.ndarray | list[np.ndarray],
-    ys: np.ndarray,
+    params: ModelParams, config: ArchConfig, epochs: np.ndarray, rows: np.ndarray
 ) -> tuple[dict[str, np.ndarray], float]:
-    """Mean gradient and mean loss over one mini-batch of raw epochs.
+    """Mean gradient and mean loss over the mini-batch of records
+    epochs[rows].
 
-    xs is an [N, 3000] array or a sequence of N [3000] arrays.  Rows run
-    through one batched forward and backprop per CHUNK_ROWS, each chunk
-    standardized row by row just before its forward; the chunk gradients
-    add up in place in chunk order and are scaled once.
+    Rows run through one batched forward and backprop per CHUNK_ROWS, each
+    chunk gathered from epochs["samples"] and standardized row by row just
+    before its forward; the chunk gradients add up in place in chunk order
+    and are scaled once.
     """
+    samples, stages = epochs["samples"], epochs["stage"]
     total: dict[str, np.ndarray] | None = None
     loss = 0.0
-    for start in range(0, len(xs), CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        x = standardize(np.asarray(xs[rows]))
-        probs, cache = forward(params, x, config, mode="train")
-        loss += sum(map(cross_entropy, probs, ys[rows]))
-        grads = backprop(params, config, cache, ys[rows])
+    for start in range(0, len(rows), CHUNK_ROWS):
+        chunk = rows[start : start + CHUNK_ROWS]
+        ys = stages[chunk]
+        probs, cache = forward(params, standardize(samples[chunk]), config, mode="train")
+        loss += sum(map(cross_entropy, probs, ys))
+        grads = backprop(params, config, cache, ys)
         if total is None:
             total = grads
         else:
             for name in total:
                 total[name] += grads[name]
-    scale = 1.0 / len(xs)
+    scale = 1.0 / len(rows)
     for name in total:
         total[name] *= scale
     return total, loss * scale
@@ -265,7 +266,6 @@ def fit(
     train_rows = np.asarray(train_rows, dtype=np.int64)
     if not len(train_rows):
         raise TrainingError("empty training set")
-    samples, stages = epochs["samples"], epochs["stage"]
     rng = np.random.default_rng(tc.seed)
     state = AdamState.zeros_like(params)
     history: list[EpochStats] = []
@@ -276,10 +276,7 @@ def fit(
         running = 0.0
         for start in range(0, len(order), tc.batch_size):
             batch = train_rows[order[start : start + tc.batch_size]]
-            # views of the batch's rows: batch_gradients copies one chunk at a time
-            grads, batch_loss = batch_gradients(
-                params, config, [samples[i] for i in batch], stages[batch]
-            )
+            grads, batch_loss = batch_gradients(params, config, epochs, batch)
             running += batch_loss * len(batch)
             params, state = adam_step(params, grads, state, tc, trainable)
         val_loss, val_acc = evaluate_epochs(params, config, epochs, val_rows)
@@ -300,8 +297,8 @@ def fit(
 
 
 def split_train_val(pool: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded-shuffle split of pool (records or row indices) into (train,
-    val); validation takes round(VALIDATION_FRACTION * n)."""
+    """Seeded-shuffle split of the row indices pool into (train rows, val
+    rows); validation takes round(VALIDATION_FRACTION * n)."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pool))
     n_val = round(VALIDATION_FRACTION * len(pool))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgesleep.epochs import EPOCH_SAMPLES, STORE_RECORD
+from edgesleep.epochs import EPOCH_SAMPLES, STORE_RECORD, write_store
 from edgesleep.model import ArchConfig, init_params
 from edgesleep.training import TrainConfig, fit
 
@@ -37,6 +37,18 @@ def make_synth_epochs(
 def join_epochs(*parts: np.ndarray) -> np.recarray:
     """One record array of several, in order."""
     return np.concatenate(parts).view(np.recarray)
+
+
+@pytest.fixture(scope="session")
+def two_subject_stores(tmp_path_factory):
+    """Two stores of 1,000 epochs each, one per subject (ids 0 and 1): a
+    cohort big enough that a copy of one subject's records shows in a
+    tracemalloc peak."""
+    tmp = tmp_path_factory.mktemp("two_subjects")
+    paths = [tmp / "subject0.slpe", tmp / "subject1.slpe"]
+    for subject, path in enumerate(paths):
+        write_store(make_synth_epochs(1000, seed=50 + subject, subject_id=subject), path)
+    return paths
 
 
 def claim_tensor_length(raw: bytes, name: str, length: int) -> bytes:

@@ -7,7 +7,6 @@ from edgesleep.budget import (
     DeviceProfile,
     activation_table,
     check_fit,
-    flash_usage,
     mac_count,
     mac_table,
     parse_profiles,
@@ -16,7 +15,7 @@ from edgesleep.budget import (
     render_report_text,
     resolve_profile,
 )
-from edgesleep.model import ArchConfig, init_params, save_model
+from edgesleep.model import ArchConfig, ModelFormatError, init_params, read_slpm, save_model
 from edgesleep.quant import quantize_model, save_quant_model
 
 
@@ -109,7 +108,7 @@ class TestCheckFit:
     def test_float_model_fails_flash_passes_ram(self, model_files):
         config, float_path, _ = model_files
         report = check_fit(float_path, config, NANO33BLE)
-        assert flash_usage(float_path) > 1_048_576
+        assert report.flash_used == float_path.stat().st_size > 1_048_576
         assert not report.fits_flash
         assert report.fits_ram
         assert report.realtime_ok
@@ -133,14 +132,14 @@ class TestCheckFit:
             config = ArchConfig(width_multiplier=m)
             path = tmp_path / f"w{m}.slpm"
             save_model(init_params(config, 62).astype(np.float32), config, path)
-            sizes.append(flash_usage(path))
+            sizes.append(check_fit(path, read_slpm(path)[0], NANO33BLE).flash_used)
         assert sizes == sorted(sizes)
 
     def test_invalid_file_rejected(self, tmp_path):
         path = tmp_path / "garbage.slpm"
         path.write_bytes(b"garbage")
-        with pytest.raises(Exception):
-            flash_usage(path)
+        with pytest.raises(ModelFormatError):
+            read_slpm(path)
 
     def test_renderings(self, model_files):
         config, _, quant_path = model_files

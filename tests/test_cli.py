@@ -1,6 +1,7 @@
 import io
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -425,7 +426,8 @@ class TestTrainEvalFlow:
             return read_slpm(*args, **kwargs)
 
         monkeypatch.setattr(model_mod, "read_slpm", counting_read_slpm)
-        monkeypatch.setattr(budget_mod, "read_slpm", counting_read_slpm)
+        # budget no longer imports read_slpm; the patch still covers it if it ever does
+        monkeypatch.setattr(budget_mod, "read_slpm", counting_read_slpm, raising=False)
         for path in (model_path, quant_path):
             calls.clear()
             assert main(["budget", "--model", str(path)]) == 0
@@ -478,6 +480,41 @@ def night_stores(tmp_path_factory):
 def adapt_argv(stores, model_path, *flags):
     return ["adapt", "--store", *map(str, stores), "--model", str(model_path),
             "--subject", "2", "--fraction", "0.25", "--epochs", "2", "--seed", "3", *flags]
+
+
+class TestAdaptArguments:
+    def test_negative_epochs_is_a_usage_error(self, night_stores, tmp_path, capsys):
+        """--epochs -3 exits 2 and writes nothing; --epochs 0 writes the
+        model unadapted."""
+        paths, _, model_path = night_stores
+        out = tmp_path / "adapted.slpm"
+        with pytest.raises(SystemExit) as exc:
+            main(adapt_argv(paths, model_path, "--epochs", "-3", "--out", str(out)))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --epochs: expected a non-negative number, got '-3'" in err
+        assert not out.exists()
+        assert main(adapt_argv(paths, model_path, "--epochs", "0", "--out", str(out))) == 0
+        (before, _), (after, _) = load_model(model_path), load_model(out)
+        assert all(np.array_equal(before[n], after[n]) for n in before.names())
+
+    def test_adapt_holds_the_store_once(self, two_subject_stores, tmp_path, capsys):
+        """Subject, adaptation and holdout epochs are rows of the store, so
+        the peak above the store stays below one subject's records."""
+        config = ArchConfig(width_multiplier=0.25)
+        model_path = tmp_path / "m.slpm"
+        save_model(init_params(config, 5), config, model_path)
+        store_bytes = sum(p.stat().st_size for p in two_subject_stores)
+        subject_bytes = 1000 * ep.STORE_RECORD.itemsize
+        tracemalloc.start()
+        try:  # a small --fraction keeps the one training epoch short; copies would not shrink
+            code = main(["adapt", "--store", *map(str, two_subject_stores), "--model",
+                         str(model_path), "--subject", "1", "--epochs", "1", "--fraction", "0.05"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak - store_bytes < subject_bytes
 
 
 class TestSeveralStores:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -454,6 +455,19 @@ class TestStore:
         path.write_bytes(path.read_bytes() + b"!")
         with pytest.raises(StoreError, match="trailing"):
             read_store(path)
+
+    def test_several_stores_read_into_one_array_in_place(self, two_subject_stores):
+        """Each store is read straight into its slice of the one array,
+        with no per-store temporary."""
+        tracemalloc.start()
+        try:
+            records = read_store(*two_subject_stores)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * records.nbytes
+        joined = join_epochs(*map(read_store, two_subject_stores))
+        assert records.tobytes() == joined.tobytes()
 
     @pytest.mark.parametrize(
         "count, error",

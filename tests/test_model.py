@@ -222,31 +222,31 @@ class TestPredict:
     def test_equals_per_epoch_loop_bitwise(self, scored):
         params, config, epochs, want = scored
         assert len(epochs) % PREDICT_ROWS != 0
-        probs = predict(params, config, [e.samples for e in epochs])
+        probs = predict(params, config, epochs.samples, np.arange(len(epochs)))
         assert probs.shape == (len(epochs), 5) and probs.dtype == np.float32
         assert np.array_equal(probs, want)
 
-    def test_array_input_equals_list_input(self, scored):
+    def test_rows_select_and_order_the_epochs(self, scored):
         params, config, epochs, want = scored
-        stacked = np.stack([e.samples for e in epochs])
-        assert np.array_equal(predict(params, config, stacked), want)
+        rows = np.random.default_rng(16).permutation(len(epochs))[: PREDICT_ROWS + 5]
+        assert np.array_equal(predict(params, config, epochs.samples, rows), want[rows])
 
     @pytest.mark.parametrize("rows", [1, 5, 3 * PREDICT_ROWS])
     def test_chunk_size_does_not_change_bits(self, scored, monkeypatch, rows):
         params, config, epochs, want = scored
         monkeypatch.setattr(model_mod, "PREDICT_ROWS", rows)
-        assert np.array_equal(predict(params, config, [e.samples for e in epochs]), want)
+        assert np.array_equal(predict(params, config, epochs.samples, np.arange(len(epochs))), want)
 
     def test_no_epochs(self, scored):
-        params, config, _, _ = scored
-        assert predict(params, config, []).shape == (0, 5)
+        params, config, epochs, _ = scored
+        assert predict(params, config, epochs.samples, np.arange(0)).shape == (0, 5)
 
     def test_flat_epoch_raises(self, scored):
         params, config, epochs, _ = scored
-        samples = [e.samples for e in epochs]
-        samples[PREDICT_ROWS + 3] = np.full(EPOCH_SAMPLES, 5.0, dtype=np.float32)
+        samples = epochs.samples.copy()
+        samples[PREDICT_ROWS + 3] = 5.0
         with pytest.raises(DegenerateEpochError):
-            predict(params, config, samples)
+            predict(params, config, samples, np.arange(len(samples)))
 
 
 class TestSerialization:

@@ -190,7 +190,7 @@ class TestBatchEquivalence:
         epochs = make_synth_epochs(PREDICT_ROWS + 3, seed=82)
         replay = np.concatenate([e.samples for e in epochs])
         decisions, _ = collect([replay], predict_window)
-        batch = predict(params, config, [e.samples for e in epochs])
+        batch = predict(params, config, epochs.samples, np.arange(len(epochs)))
         assert len(decisions) == len(epochs)
         for d, probs in zip(decisions, batch):
             assert np.array_equal(d.probs, probs)

@@ -94,6 +94,11 @@ class TestAdam:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=rate)
 
+    def test_max_epochs_must_not_be_negative(self):
+        assert TrainConfig(max_epochs=0).max_epochs == 0
+        with pytest.raises(ValueError, match="max_epochs"):
+            TrainConfig(max_epochs=-1)
+
 
 class TestBackprop:
     def setup_method(self):
@@ -123,13 +128,13 @@ class TestBackprop:
         assert norm < 1e-6
 
     def test_batch_gradient_is_mean_of_per_sample(self):
-        epochs = make_synth_epochs(3, seed=15)
-        ys = np.array([int(e.stage) for e in epochs])
-        batch, _ = batch_gradients(self.params, self.config, [e.samples for e in epochs], ys)
+        epochs = make_synth_epochs(5, seed=15)
+        rows = np.array([4, 0, 2])
+        batch, _ = batch_gradients(self.params, self.config, epochs, rows)
         singles = []
-        for e, y in zip(epochs, ys):
+        for e in epochs[rows]:
             _, cache = forward(self.params, standardize(e.samples), self.config, mode="train")
-            singles.append(backprop(self.params, self.config, cache, y))
+            singles.append(backprop(self.params, self.config, cache, int(e.stage)))
         for name in batch:
             mean = (singles[0][name] + singles[1][name] + singles[2][name]) / 3.0
             np.testing.assert_allclose(batch[name], mean, atol=1e-12)
@@ -152,18 +157,17 @@ class TestBackprop:
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_batch_gradients_independent_of_chunk_size(self, chunk, monkeypatch):
         epochs = make_synth_epochs(7, seed=27)
-        xs = np.stack([e.samples for e in epochs])
-        ys = np.array([int(e.stage) for e in epochs])
-        want, want_loss = batch_gradients(self.params, self.config, xs, ys)
+        rows = np.arange(len(epochs))
+        want, want_loss = batch_gradients(self.params, self.config, epochs, rows)
         monkeypatch.setattr(training, "CHUNK_ROWS", chunk)
-        got, got_loss = batch_gradients(self.params, self.config, xs, ys)
+        got, got_loss = batch_gradients(self.params, self.config, epochs, rows)
         assert got_loss == pytest.approx(want_loss, abs=1e-12)
         for name in want:
             np.testing.assert_allclose(got[name], want[name], atol=1e-12)
 
     def test_evaluate_matches_per_epoch_forward(self):
         epochs = make_synth_epochs(5, seed=28)
-        loss, acc = evaluate_epochs(self.params, self.config, epochs)
+        loss, acc = evaluate_epochs(self.params, self.config, epochs, np.arange(len(epochs)))
         losses, hits = [], []
         for e in epochs:
             probs, _ = forward(self.params, standardize(e.samples), self.config)
@@ -259,18 +263,17 @@ class TestFolds:
 
 class TestSplitAndFit:
     def test_validation_size_is_rounded_tenth(self):
-        pool = make_synth_epochs(87, seed=16)
+        pool = np.arange(87)
         train, val = split_train_val(pool, 4)
         assert len(val) == round(0.10 * 87)
         assert len(train) + len(val) == 87
 
     def test_split_disjoint_and_deterministic(self):
-        pool = make_synth_epochs(40, seed=17)
+        pool = np.arange(100, 140)
         t1, v1 = split_train_val(pool, 5)
         t2, v2 = split_train_val(pool, 5)
-        assert [e.epoch_index for e in t1] == [e.epoch_index for e in t2]
-        assert [e.epoch_index for e in v1] == [e.epoch_index for e in v2]
-        assert {e.epoch_index for e in t1}.isdisjoint({e.epoch_index for e in v1})
+        assert np.array_equal(t1, t2) and np.array_equal(v1, v2)
+        assert sorted(np.concatenate([t1, v1])) == list(pool)
 
     def test_fit_history_and_determinism(self):
         config = ArchConfig(width_multiplier=0.25)
@@ -302,10 +305,10 @@ class TestSplitAndFit:
         tc = TrainConfig(max_epochs=1, batch_size=8, seed=8)
         params, history = train_fold(epochs, {3}, config, tc)
         assert len(history) == 1
-        pool = epochs[epochs.subject_id != 3]
+        pool = np.flatnonzero(epochs.subject_id != 3)
         train, val = split_train_val(pool, tc.seed)
         assert len(val) == round(0.10 * len(pool))
-        assert all(e.subject_id != 3 for e in join_epochs(train, val))
+        assert (epochs.subject_id[np.concatenate([train, val])] != 3).all()
 
     def test_empty_training_pool_rejected(self):
         epochs = make_synth_epochs(5, seed=25, subject_id=1)
@@ -328,10 +331,9 @@ class TestFloat32Training:
         config = ArchConfig(width_multiplier=width)
         epochs = make_synth_epochs(16, seed=40)
         params64 = init_params(config, 13)
-        g64, loss64 = batch_gradients(params64, config, epochs.samples, epochs.stage)
-        g32, loss32 = batch_gradients(
-            params64.astype(np.float32), config, epochs.samples, epochs.stage
-        )
+        rows = np.arange(len(epochs))
+        g64, loss64 = batch_gradients(params64, config, epochs, rows)
+        g32, loss32 = batch_gradients(params64.astype(np.float32), config, epochs, rows)
         global_norm = np.sqrt(sum(float((g * g).sum()) for g in g64.values()))
         assert global_norm > 0
         assert set(g32) == set(g64)
@@ -350,9 +352,10 @@ class TestFloat32Training:
         config = ArchConfig(width_multiplier=0.25)
         params = init_params(config, 13).astype(np.float32)
         epochs = make_synth_epochs(7, seed=27)
-        want, want_loss = batch_gradients(params, config, epochs.samples, epochs.stage)
+        rows = np.arange(len(epochs))
+        want, want_loss = batch_gradients(params, config, epochs, rows)
         monkeypatch.setattr(training, "CHUNK_ROWS", chunk)
-        got, got_loss = batch_gradients(params, config, epochs.samples, epochs.stage)
+        got, got_loss = batch_gradients(params, config, epochs, rows)
         # each row's probabilities are the same bits in any chunk; only the
         # float64 sum of the per-row losses changes order
         assert got_loss == pytest.approx(want_loss, abs=1e-12)
