@@ -45,8 +45,6 @@ NANO33BLE = DeviceProfile(
 
 BUILTIN_PROFILES = {NANO33BLE.name: NANO33BLE}
 
-PROFILE_DIR_ENV = "EDGESLEEP_PROFILE_DIR"
-
 
 @dataclass(frozen=True)
 class LayerLiveness:
@@ -232,13 +230,9 @@ def parse_profiles(text: str) -> dict[str, DeviceProfile]:
 
 
 def resolve_profile(name: str, profiles_file: str | None = None) -> DeviceProfile:
-    """Find a profile by name: explicit file, then $EDGESLEEP_PROFILE_DIR
-    entries, then the built-ins."""
+    """Find a profile by name: the profiles file's entries, then the
+    built-ins."""
     candidates = dict(BUILTIN_PROFILES)
-    env_dir = os.environ.get(PROFILE_DIR_ENV)
-    if env_dir:
-        for path in sorted(Path(env_dir).glob("*.profiles")):
-            candidates.update(parse_profiles(path.read_text()))
     if profiles_file:
         candidates.update(parse_profiles(Path(profiles_file).read_text()))
     try:

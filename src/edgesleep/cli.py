@@ -34,20 +34,14 @@ EXIT_CODES = [
 
 
 def cmd_convert(args) -> int:
-    parsed = edf.parse_edf(args.psg)
-    try:
-        epochs.check_sample_rate(parsed, args.channel)
-        signal = edf.read_signal(parsed, args.channel)
-        if args.hypnogram:
-            hyp = edf.parse_edf(args.hypnogram)
-            try:
-                annotations = hyp.annotations()
-            finally:
-                hyp.close()
-        else:
-            annotations = epochs.parse_hypnogram_text(Path(args.hypnogram_txt).read_text())
-    finally:
-        parsed.close()
+    with edf.parse_edf(args.psg) as psg:
+        epochs.check_sample_rate(psg, args.channel)
+        signal = edf.read_signal(psg, args.channel)
+    if args.hypnogram:
+        with edf.parse_edf(args.hypnogram) as hyp:
+            annotations = hyp.annotations()
+    else:
+        annotations = epochs.parse_hypnogram_text(Path(args.hypnogram_txt).read_text())
     night = epochs.segment_epochs(
         signal, annotations, subject_id=args.subject, night=args.night
     )
@@ -203,9 +197,13 @@ def _stdin_samples(raw, args):
             raise streaming.StreamGapError(
                 f"--dig-max must differ from --dig-min (both {args.dig_min})"
             )
-        gain = (args.phys_max - args.phys_min) / (args.dig_max - args.dig_min)
+        try:
+            convert = edf.physical_map(
+                args.dig_min, args.dig_max, args.phys_min, args.phys_max, "--phys-min/--phys-max"
+            )
+        except edf.EdfError as exc:
+            raise streaming.StreamGapError(str(exc)) from None
         dtype = np.dtype("<i2")
-        convert = lambda arr: (arr.astype(np.float64) - args.dig_min) * gain + args.phys_min
     else:
         dtype = np.dtype("<f4")
         convert = lambda arr: arr.astype(np.float64)
@@ -225,10 +223,6 @@ def _stdin_samples(raw, args):
 
 
 def cmd_stream(args) -> int:
-    if args.rate != epochs.SAMPLE_RATE:
-        raise streaming.StreamGapError(
-            f"only {epochs.SAMPLE_RATE} Hz feeds are supported, got {args.rate}"
-        )
     params, config = _load_float_model(args.model)
     predict = streaming.make_predictor(params, config)
     latencies = []
@@ -350,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stream", help="classify a raw sample feed from stdin")
     p.add_argument("--model", required=True)
-    p.add_argument("--rate", type=int, default=epochs.SAMPLE_RATE)
     p.add_argument("--int16", action="store_true", help="feed is int16 digital samples")
     p.add_argument("--dig-min", type=int, default=None)
     p.add_argument("--dig-max", type=int, default=None)

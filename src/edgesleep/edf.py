@@ -12,9 +12,10 @@ recordings parse in bounded memory.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -170,7 +171,8 @@ def parse_edf(source: str | Path | bytes | BinaryIO) -> EdfFile:
 
     ``source`` may be a path, raw bytes, or a seekable binary stream.  The
     declared sizes are validated against the actual stream length; EDF+D
-    (discontinuous) recordings are rejected.
+    (discontinuous) recordings are rejected.  A file opened from a path is
+    closed again when the header is bad.
     """
     if isinstance(source, (str, Path)):
         stream: BinaryIO = open(source, "rb")
@@ -178,7 +180,17 @@ def parse_edf(source: str | Path | bytes | BinaryIO) -> EdfFile:
         stream = io.BytesIO(source)
     else:
         stream = source
+    try:
+        header = _read_header(stream)
+    except BaseException:
+        if stream is not source:
+            stream.close()
+        raise
+    return EdfFile(header, stream, header.header_bytes)
 
+
+def _read_header(stream: BinaryIO) -> EdfHeader:
+    """Decode and check the header; leaves the stream at the data area."""
     fixed = _read_exact(stream, 256, "EDF header")
     version = fixed[0:8].decode("ascii", errors="replace").rstrip()
     reserved = _ascii(fixed[192:236])
@@ -252,21 +264,33 @@ def parse_edf(source: str | Path | bytes | BinaryIO) -> EdfFile:
             f"data area holds {actual} bytes but header declares "
             f"{header.n_records} records x {header.record_bytes} bytes"
         )
+    return header
 
-    return EdfFile(header, stream, header.header_bytes)
+
+def physical_map(
+    dig_min: int, dig_max: int, phys_min: float, phys_max: float, what: str
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The affine map of digital values onto [phys_min, phys_max], as float64:
+    ``phys = (d - dig_min) * (phys_max - phys_min) / (dig_max - dig_min) + phys_min``.
+
+    dig_max must differ from dig_min.  A physical range that is empty or not
+    finite, so that the gain is zero or not finite (an overflowing width
+    included), raises EdfError naming `what`.
+    """
+    gain = (phys_max - phys_min) / (dig_max - dig_min)
+    if gain == 0 or not math.isfinite(gain):
+        raise EdfError(f"{what}: physical range {phys_min}..{phys_max} is empty or not finite")
+    return lambda digital: (digital.astype(np.float64) - dig_min) * gain + phys_min
 
 
 def read_signal(edf: EdfFile, channel_label: str) -> np.ndarray:
-    """Return one channel in physical units as float64.
-
-    Digital values map affinely onto [physical_min, physical_max]:
-    ``phys = (d - dig_min) * (phys_max - phys_min) / (dig_max - dig_min) + phys_min``.
-    """
-    index = edf.signal_index(channel_label)
-    sig = edf.header.signals[index]
-    digital = edf.read_digital(channel_label).astype(np.float64)
-    gain = (sig.physical_max - sig.physical_min) / (sig.digital_max - sig.digital_min)
-    return (digital - sig.digital_min) * gain + sig.physical_min
+    """Return one channel in physical units as float64 (physical_map)."""
+    sig = edf.header.signals[edf.signal_index(channel_label)]
+    to_physical = physical_map(
+        sig.digital_min, sig.digital_max, sig.physical_min, sig.physical_max,
+        f"signal {channel_label!r}",
+    )
+    return to_physical(edf.read_digital(channel_label))
 
 
 def parse_tal(annotation_bytes: bytes) -> list[RawAnnotation]:

@@ -13,7 +13,8 @@ scale after each int8 entry), then the raw payloads.  The header's
 FLAG_QUANTIZED bit is set exactly when some tensor is int8.  read_slpm is
 the one reader of the format: it checks every directory entry against the
 tensors the architecture block implies (expected_shapes) and every float32
-value for finiteness, and a malformed file raises ModelFormatError, which
+value for finiteness.  The block must describe the paper's network at a
+finite, positive width.  A malformed file raises ModelFormatError, which
 the CLI exits with code 6.
 """
 
@@ -49,41 +50,25 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ArchConfig:
-    """Architecture hyperparameters; channel widths scale with width_multiplier.
+    """The paper's network at some width: width_multiplier scales every
+    channel count, and nothing else of the architecture varies.
 
     conv_table rows are (kernel, stride, out_channels) at multiplier 1.0.
     Scaled channel counts round to a multiple of `heads` so attention always
     splits evenly.
     """
 
-    conv_table: tuple[tuple[int, int, int], ...] = (
-        (50, 6, 32),
-        (8, 4, 64),
-        (8, 3, 128),
-        (3, 2, 128),
-    )
-    d_model: int = 128
-    heads: int = 4
-    ffn_dim: int = 256
-    n_classes: int = 5
+    conv_table = ((50, 6, 32), (8, 4, 64), (8, 3, 128), (3, 2, 128))
+    d_model = 128
+    heads = 4
+    ffn_dim = 256
+    n_classes = 5
+
     width_multiplier: float = 1.0
 
     def __post_init__(self):
-        if not self.conv_table:
-            raise ValueError("conv_table needs at least one layer")
-        for i, (k, s, c) in enumerate(self.conv_table, start=1):
-            if min(k, s, c) < 1:
-                raise ValueError(f"conv{i} kernel, stride and channels must be >= 1, got {k, s, c}")
-        for name in ("d_model", "heads", "ffn_dim", "n_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.d_model % self.heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if self.conv_table[-1][2] != self.d_model:
-            raise ValueError("last conv layer must emit d_model channels")
         if not (math.isfinite(self.width_multiplier) and self.width_multiplier > 0):
             raise ValueError(f"width_multiplier {self.width_multiplier} is not finite and positive")
-        self.conv_lengths()  # every kernel must fit the epoch
 
     def _scale(self, channels: int) -> int:
         scaled = round(channels * self.width_multiplier / self.heads) * self.heads
@@ -106,8 +91,6 @@ class ArchConfig:
         lengths = []
         length = EPOCH_SAMPLES
         for k, s, _ in self.conv_table:
-            if length < k:
-                raise ValueError(f"conv kernel {k} longer than input {length}")
             length = (length - k) // s + 1
             lengths.append(length)
         return lengths
@@ -325,20 +308,25 @@ def _pack_config(config: ArchConfig) -> bytes:
 
 
 def _unpack_config(f) -> ArchConfig:
+    """Read an architecture block: every size but the width must be the
+    paper's, and the width must be finite and positive."""
     (n_conv,) = struct.unpack(_CONFIG_FMT_HEAD, _take(f, 4))
-    table = tuple(struct.unpack("<III", _take(f, 12)) for _ in range(n_conv))
-    d_model, heads, ffn_dim, n_classes, mult = struct.unpack(
-        _CONFIG_FMT_TAIL, _take(f, struct.calcsize(_CONFIG_FMT_TAIL))
-    )
-    try:
-        return ArchConfig(
-            conv_table=table,
-            d_model=d_model,
-            heads=heads,
-            ffn_dim=ffn_dim,
-            n_classes=n_classes,
-            width_multiplier=float(mult),
+    if n_conv != len(ArchConfig.conv_table):
+        raise ModelFormatError(
+            f"invalid architecture block: {n_conv} conv layers, the network has "
+            f"{len(ArchConfig.conv_table)}"
         )
+    table = tuple(struct.unpack("<III", _take(f, 12)) for _ in range(n_conv))
+    *sizes, mult = struct.unpack(_CONFIG_FMT_TAIL, _take(f, struct.calcsize(_CONFIG_FMT_TAIL)))
+    names = ("conv_table", "d_model", "heads", "ffn_dim", "n_classes")
+    for name, value in zip(names, (table, *sizes)):
+        if value != getattr(ArchConfig, name):
+            raise ModelFormatError(
+                f"invalid architecture block: {name} {value}, the network has "
+                f"{getattr(ArchConfig, name)}"
+            )
+    try:
+        return ArchConfig(width_multiplier=float(mult))
     except ValueError as exc:
         raise ModelFormatError(f"invalid architecture block: {exc}") from None
 

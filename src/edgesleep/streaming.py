@@ -23,8 +23,8 @@ from .model import ArchConfig, ModelParams, forward
 
 
 class StreamGapError(ValueError):
-    """Malformed feed: a trailing partial sample, missing or inconsistent
-    --int16 scaling flags, or an unsupported --rate."""
+    """Malformed feed: a trailing partial sample, or missing or inconsistent
+    --int16 scaling flags."""
 
 
 @dataclass(frozen=True)

@@ -76,13 +76,6 @@ class TestMacs:
     def test_total(self):
         assert mac_count(ArchConfig()) == sum(EXPECTED_MACS.values()) == 8_870_784
 
-    def test_single_tiny_conv_formula(self):
-        # one k=1 stride=1 conv from 1 channel to 2: Lout*K*Cin*Cout
-        config = ArchConfig(
-            conv_table=((1, 1, 2),), d_model=2, heads=1, ffn_dim=4, width_multiplier=1.0
-        )
-        assert dict(mac_table(config))["conv1"] == 3000 * 1 * 1 * 2
-
     def test_monotone_in_width(self):
         values = [mac_count(ArchConfig(width_multiplier=m)) for m in (0.25, 0.5, 1.0)]
         assert values == sorted(values)
@@ -175,8 +168,3 @@ class TestProfiles:
         assert resolve_profile("custom", str(extra)).sram_bytes == 2000
         with pytest.raises(BudgetError, match="unknown"):
             resolve_profile("missing")
-
-    def test_profile_dir_env(self, tmp_path, monkeypatch):
-        (tmp_path / "lab.profiles").write_text("labboard 4096 1024 8000000\n")
-        monkeypatch.setenv("EDGESLEEP_PROFILE_DIR", str(tmp_path))
-        assert resolve_profile("labboard").flash_bytes == 4096

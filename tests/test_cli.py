@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from edgesleep import budget as budget_mod
+from edgesleep import cli
 from edgesleep import epochs as ep
 from edgesleep import model as model_mod
 from edgesleep.cli import main
+from edgesleep.edf import UnknownChannelError
+from edgesleep.kernels import NonFiniteError
 from edgesleep.metrics import counts_from_csv
 from edgesleep.model import (
     PREDICT_ROWS, ArchConfig, init_params, load_model, save_model, forward, write_slpm,
@@ -93,6 +96,50 @@ class TestConvert:
             ]
         )
         assert code == 3
+
+    def test_short_psg_exits_3_and_is_closed(self, tmp_path, capsys):
+        # an unclosed file would fail the test as a ResourceWarning
+        psg = tmp_path / "short.edf"
+        psg.write_bytes(bytes(108))
+        sidecar = tmp_path / "hyp.txt"
+        sidecar.write_text("0,30,Sleep stage W\n")
+        out = tmp_path / "x.slpe"
+        code = main(["convert", str(psg), "--hypnogram-txt", str(sidecar), "--subject", "1",
+                     "--out", str(out)])
+        assert code == 3
+        assert "truncated EDF header" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "phys_min, phys_max", [(5.0, 5.0), (float("nan"), 200.0), (-200.0, float("inf"))],
+        ids=["empty", "nan-min", "inf-max"],
+    )
+    def test_bad_physical_range_exits_3(self, tmp_path, capsys, phys_min, phys_max):
+        rng = np.random.default_rng(94)
+        data = rng.integers(-2048, 2048, size=6 * 3000, dtype=np.int16)
+        # only the channel read is checked: the other one's range is empty too
+        signals = [
+            SignalSpec(label=label, samples_per_record=3000, data=data,
+                       phys_min=phys_min, phys_max=phys_max)
+            for label in ("EEG Fpz-Cz", "EEG Pz-Oz")
+        ]
+        psg = tmp_path / "psg.edf"
+        psg.write_bytes(build_edf(signals, n_records=6, record_duration=30.0, reserved="EDF+C"))
+        sidecar = tmp_path / "hyp.txt"
+        sidecar.write_text("0,180,Sleep stage 2\n")
+        out = tmp_path / "night.slpe"
+        code = main(["convert", str(psg), "--hypnogram-txt", str(sidecar), "--subject", "1",
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: signal 'EEG Fpz-Cz': physical range {phys_min}..{phys_max} "
+            "is empty or not finite\n"
+        )
+        assert not out.exists()
+        signals[0] = SignalSpec(label="EEG Fpz-Cz", samples_per_record=3000, data=data)
+        psg.write_bytes(build_edf(signals, n_records=6, record_duration=30.0, reserved="EDF+C"))
+        assert main(["convert", str(psg), "--hypnogram-txt", str(sidecar), "--subject", "1",
+                     "--out", str(out)]) == 0
 
     def test_channel_not_at_100_hz_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(92)
@@ -619,9 +666,32 @@ class TestStreamCommand:
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
 
-    def test_unsupported_rate(self, trained_setup):
+    def test_rate_is_a_usage_error(self, trained_setup, capsys):
         _, model_path, _, _ = trained_setup
-        assert main(["stream", "--model", str(model_path), "--rate", "256"]) == 10
+        with pytest.raises(SystemExit) as exc:
+            main(["stream", "--model", str(model_path), "--rate", "100"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rate 100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "phys_min, phys_max", [("5", "5"), ("nan", "200"), ("-200", "inf"), ("-1e308", "1e308")],
+        ids=["empty", "nan-min", "inf-max", "overflowing-width"],
+    )
+    def test_int16_bad_physical_range_exits_10(
+        self, trained_setup, capsys, monkeypatch, phys_min, phys_max
+    ):
+        _, model_path, _, _ = trained_setup
+        feed = np.arange(ep.EPOCH_SAMPLES, dtype="<i2").tobytes()
+        code, out, err = run_stream(
+            monkeypatch, capsys, model_path, PipeStdin(feed, len(feed)),
+            "--int16", "--dig-min", "-2048", "--dig-max", "2047",
+            f"--phys-min={phys_min}", f"--phys-max={phys_max}",
+        )
+        assert (code, out) == (10, "")
+        assert err == (
+            f"error: --phys-min/--phys-max: physical range {float(phys_min)}..{float(phys_max)} "
+            "is empty or not finite"
+        )
 
     def test_int16_equal_digital_range_exits_10(self, trained_setup, capsys, monkeypatch):
         _, model_path, _, _ = trained_setup
@@ -869,7 +939,16 @@ def _int8_nan_scale(config, path):
     write_slpm(path, config, entries + [(n, a, None) for n, a in qm.retained.items()])
 
 
+def _heads_8(config, path):
+    # a block the program cannot write: the tensors' shapes are those of 4 heads
+    save_model(init_params(config, 0), config, path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, HEADS, 8)
+    path.write_bytes(bytes(raw))
+
+
 CRAFTED_MODELS = {
+    "heads-8": (_heads_8, "invalid architecture block: heads 8, the network has 4"),
     "unexpected": (
         lambda c, p: _write_float(c, p, lambda e: e + [EXTRA]), "unexpected tensor 'extra_w'"
     ),
@@ -921,7 +1000,27 @@ class TestCraftedModelFile:
         assert not (tmp_path / "q.slpm").exists()
 
 
+EXIT_CASES = [(exc_type("boom"), code) for exc_type, code in cli.EXIT_CODES] + [
+    (ep.DegenerateEpochError("boom"), 4),
+    (UnknownChannelError("boom"), 3),
+    (NonFiniteError("boom"), 12),
+    (FileNotFoundError("boom"), 13),
+    (RuntimeError("boom"), 1),
+]
+
+
 class TestErrorSurface:
+    @pytest.mark.parametrize(
+        "exc, code", EXIT_CASES, ids=[type(exc).__name__ for exc, _ in EXIT_CASES]
+    )
+    def test_exit_code_table(self, monkeypatch, capsys, exc, code):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_report", fail)
+        assert main(["report", "--counts", "unused.csv"]) == code
+        assert capsys.readouterr() == ("", "error: boom\n")
+
     def test_missing_file_is_oserror_code(self, tmp_path):
         assert main(["eval", "--store", str(tmp_path / "nope.slpe"),
                      "--model", str(tmp_path / "nope.slpm")]) == 13

@@ -7,6 +7,7 @@ from edgesleep.edf import (
     EdfError,
     UnknownChannelError,
     parse_edf,
+    physical_map,
     parse_tal,
     read_signal,
 )
@@ -96,6 +97,22 @@ class TestReadSignal:
         raw = build_edf([sig, simple_signal(np.ones(10))], n_records=1)
         with pytest.raises(UnknownChannelError, match="duplicate"):
             read_signal(parse_edf(raw), "EEG Fpz-Cz")
+
+    def test_physical_map_is_the_affine_formula_bitwise(self):
+        digital = np.arange(-32768, 32768, dtype=np.int16)
+        for dig_min, dig_max, phys_min, phys_max in [(-2048, 2047, -200.0, 200.0),
+                                                     (-32768, 32767, 0.1, -37.3)]:
+            gain = (phys_max - phys_min) / (dig_max - dig_min)
+            expected = (digital.astype(np.float64) - dig_min) * gain + phys_min
+            got = physical_map(dig_min, dig_max, phys_min, phys_max, "x")(digital)
+            assert got.dtype == np.float64 and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "phys_min, phys_max", [(5.0, 5.0), (np.nan, 1.0), (0.0, -np.inf), (-1e308, 1e308)]
+    )
+    def test_empty_or_non_finite_physical_range_rejected(self, phys_min, phys_max):
+        with pytest.raises(EdfError, match="'EEG Fpz-Cz': physical range .* empty or not finite"):
+            physical_map(-2048, 2047, phys_min, phys_max, "signal 'EEG Fpz-Cz'")
 
     def test_label_trailing_space_trimmed(self):
         edf = self.fixture_edf(np.zeros(20))

@@ -1,3 +1,6 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
@@ -49,30 +52,23 @@ class TestArchConfig:
         assert config.scaled_d_model % config.heads == 0
         assert param_count(init_params(config, 0)) == shape_product_recount(config)
 
-    def test_d_model_heads_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="divisible"):
-            ArchConfig(d_model=130, heads=4, conv_table=((50, 6, 32), (8, 4, 130)))
-
-    def test_last_conv_must_match_d_model(self):
-        with pytest.raises(ValueError, match="d_model"):
-            ArchConfig(conv_table=((50, 6, 32),), d_model=128)
-
-    # heads, conv1 kernel/stride and a NaN width are covered through the
-    # CLI in test_cli.TestBadArchitectureBlock
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"conv_table": ()}, "at least one layer"),
-            ({"n_classes": 0}, "n_classes must be >= 1"),
-            ({"ffn_dim": 0}, "ffn_dim must be >= 1"),
-            ({"conv_table": ((50, 6, 0), (8, 4, 128))}, "conv1 kernel, stride"),
             ({"width_multiplier": float("inf")}, "not finite and positive"),
             ({"width_multiplier": 0.0}, "not finite and positive"),
         ],
+        # explicit ids keep these cases' names stable in test histories
+        ids=["kwargs4-not finite and positive", "kwargs5-not finite and positive"],
     )
     def test_bad_sizes_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ArchConfig(**kwargs)
+
+    def test_only_the_width_is_a_field(self):
+        assert [f.name for f in dataclasses.fields(ArchConfig)] == ["width_multiplier"]
+        with pytest.raises(TypeError):
+            ArchConfig(heads=8)
 
 
 class TestInit:
@@ -274,6 +270,31 @@ class TestSerialization:
         save_model(init_params(config, 0).astype(np.float32), config, path)
         size = path.stat().st_size
         assert 4 * 277_669 < size < 4 * 277_669 + 4096  # payload + modest header
+
+    # (byte offset, u32 value) edits of the architecture block, which follows
+    # the 8-byte magic and version/flags: conv count, then (kernel, stride,
+    # channels) per conv, then d_model, heads, ffn_dim, n_classes, width
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (8, 3, "3 conv layers, the network has 4"),
+            (28, 5, r"conv_table \(\(50, 6, 32\), \(8, 5, 64\)"),
+            (60, 64, "d_model 64, the network has 128"),
+            (64, 8, "heads 8, the network has 4"),
+            (68, 128, "ffn_dim 128, the network has 256"),
+            (72, 4, "n_classes 4, the network has 5"),
+        ],
+        ids=["conv-count", "conv2-stride", "d_model", "heads", "ffn_dim", "n_classes"],
+    )
+    def test_only_the_width_may_differ_from_the_paper(self, tmp_path, offset, value, message):
+        config = ArchConfig(width_multiplier=0.25)
+        path = tmp_path / "m.slpm"
+        save_model(init_params(config, 0), config, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelFormatError, match=f"invalid architecture block: {message}"):
+            load_model(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.slpm"
