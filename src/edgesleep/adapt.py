@@ -1,7 +1,7 @@
 """Subject-specific fine-tuning.
 
 A small slice of one subject's recordings is carved off for adaptation and
-the model is briefly retrained on it; evaluation then runs on the remainder.
+the whole model is retrained on it; evaluation then runs on the remainder.
 The stratified mode fixes the per-class share of the adaptation slice so a
 short night cannot skew it.
 """
@@ -14,8 +14,6 @@ from .model import ArchConfig, ModelParams
 from .training import TrainConfig, TrainingError, fit
 
 ADAPT_DEFAULT_EPOCHS = 20
-
-CLASSIFIER_TENSORS = {"cls_w", "cls_b"}
 
 
 def split_adapt(
@@ -59,17 +57,11 @@ def fine_tune(
     epochs: np.ndarray,
     rows: np.ndarray,
     tc: TrainConfig,
-    scope: str = "all",
 ) -> ModelParams:
-    """Continue training on the adaptation records epochs[rows] only.
-
-    scope="all" updates every tensor; scope="classifier_only" freezes all but
-    the final dense layer.  max_epochs=0 returns the parameters unchanged.
+    """Continue training every tensor on the adaptation records epochs[rows]
+    only.  max_epochs=0 returns the parameters unchanged.
     """
     if not len(rows):
         raise TrainingError("empty adaptation set")
-    if scope not in ("all", "classifier_only"):
-        raise TrainingError(f"unknown fine-tune scope {scope!r}")
-    trainable = None if scope == "all" else CLASSIFIER_TENSORS
-    tuned, _ = fit(params, config, epochs, rows, [], tc, trainable=trainable)
+    tuned, _ = fit(params, config, epochs, rows, [], tc)
     return tuned

@@ -1,4 +1,5 @@
-"""Static flash/RAM/compute accounting against a target device profile.
+"""Static flash/RAM/compute accounting against the target device, the
+Arduino Nano 33 BLE (NANO33BLE).
 
 The RAM model bounds activations only, under a sequential executor: one
 layer runs at a time with its input and output live simultaneously and
@@ -22,10 +23,6 @@ EPOCH_DEADLINE_SECONDS = 30.0
 ACTIVATION_BYTES = 4  # float32 activations
 
 
-class BudgetError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class DeviceProfile:
     name: str
@@ -33,17 +30,11 @@ class DeviceProfile:
     sram_bytes: int
     clock_hz: int
 
-    def __post_init__(self):
-        if min(self.flash_bytes, self.sram_bytes, self.clock_hz) <= 0:
-            raise BudgetError("device profile values must be positive")
-
 
 # Target board: 64 MHz 32-bit ARM MCU with 1 MB flash and 256 KB SRAM.
 NANO33BLE = DeviceProfile(
     name="nano33ble", flash_bytes=1_048_576, sram_bytes=262_144, clock_hz=64_000_000
 )
-
-BUILTIN_PROFILES = {NANO33BLE.name: NANO33BLE}
 
 
 @dataclass(frozen=True)
@@ -205,37 +196,3 @@ def render_report_kv(report: BudgetReport) -> str:
         ("realtime_ok", str(report.realtime_ok).lower()),
     ]
     return "\n".join(f"{k}={v}" for k, v in pairs) + "\n"
-
-
-def parse_profiles(text: str) -> dict[str, DeviceProfile]:
-    """Parse "name flash sram clock" lines (comma or whitespace separated)."""
-    profiles: dict[str, DeviceProfile] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 4:
-            raise BudgetError(f"profile line {lineno}: expected name flash sram clock")
-        try:
-            profiles[parts[0]] = DeviceProfile(
-                name=parts[0],
-                flash_bytes=int(parts[1]),
-                sram_bytes=int(parts[2]),
-                clock_hz=int(parts[3]),
-            )
-        except ValueError as exc:
-            raise BudgetError(f"profile line {lineno}: {exc}") from None
-    return profiles
-
-
-def resolve_profile(name: str, profiles_file: str | None = None) -> DeviceProfile:
-    """Find a profile by name: the profiles file's entries, then the
-    built-ins."""
-    candidates = dict(BUILTIN_PROFILES)
-    if profiles_file:
-        candidates.update(parse_profiles(Path(profiles_file).read_text()))
-    try:
-        return candidates[name]
-    except KeyError:
-        raise BudgetError(f"unknown device profile {name!r}") from None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -25,7 +26,6 @@ EXIT_CODES = [
     (epochs.PipelineError, 4),
     (model.ModelFormatError, 6),
     (training.TrainingError, 8),
-    (budget_mod.BudgetError, 9),
     (streaming.StreamGapError, 10),
     (metrics.MetricsError, 11),
     (kernels.KernelError, 12),
@@ -37,11 +37,8 @@ def cmd_convert(args) -> int:
     with edf.parse_edf(args.psg) as psg:
         epochs.check_sample_rate(psg, args.channel)
         signal = edf.read_signal(psg, args.channel)
-    if args.hypnogram:
-        with edf.parse_edf(args.hypnogram) as hyp:
-            annotations = hyp.annotations()
-    else:
-        annotations = epochs.parse_hypnogram_text(Path(args.hypnogram_txt).read_text())
+    with edf.parse_edf(args.hypnogram) as hyp:
+        annotations = hyp.annotations()
     night = epochs.segment_epochs(
         signal, annotations, subject_id=args.subject, night=args.night
     )
@@ -142,7 +139,7 @@ def cmd_adapt(args) -> int:
     )
     before = _evaluate_store(params, config, store, holdout)
     tc = training.TrainConfig(max_epochs=args.epochs, seed=args.seed)
-    tuned = adapt_mod.fine_tune(params, config, store, adapt_rows, tc, scope=args.scope)
+    tuned = adapt_mod.fine_tune(params, config, store, adapt_rows, tc)
     after = _evaluate_store(tuned, config, store, holdout)
     print(f"holdout accuracy before {before.accuracy:.3f} -> after {after.accuracy:.3f}")
     print(metrics.render_report(after, "text"), end="")
@@ -169,8 +166,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_budget(args) -> int:
     config, _ = model.read_slpm(args.model)
-    profile = budget_mod.resolve_profile(args.profile, args.profiles_file)
-    report = budget_mod.check_fit(args.model, config, profile)
+    report = budget_mod.check_fit(args.model, config, budget_mod.NANO33BLE)
     if args.kv:
         print(budget_mod.render_report_kv(report), end="")
     else:
@@ -183,8 +179,9 @@ def cmd_budget(args) -> int:
 
 
 def _stdin_samples(raw, args):
-    """Yield one float64 block per read of a binary feed (float32 LE, or int16
-    with an explicit digital->physical scaling).
+    """Yield one float32 block per read of a binary feed (float32 LE, or int16
+    with an explicit digital->physical scaling, rounded to float32 as
+    `convert` stores a sample, so a window holds the stored epoch's bits).
 
     Reads with `read1` where the stream has it, which returns what a pipe
     holds instead of waiting for a full buffer, so a live feed's decisions
@@ -198,15 +195,16 @@ def _stdin_samples(raw, args):
                 f"--dig-max must differ from --dig-min (both {args.dig_min})"
             )
         try:
-            convert = edf.physical_map(
+            to_physical = edf.physical_map(
                 args.dig_min, args.dig_max, args.phys_min, args.phys_max, "--phys-min/--phys-max"
             )
         except edf.EdfError as exc:
             raise streaming.StreamGapError(str(exc)) from None
         dtype = np.dtype("<i2")
+        convert = lambda arr: to_physical(arr).astype(np.float32)
     else:
         dtype = np.dtype("<f4")
-        convert = lambda arr: arr.astype(np.float64)
+        convert = lambda arr: arr
     read = getattr(raw, "read1", raw.read)
     carry = b""
     while True:
@@ -282,9 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="EDF + hypnogram -> epoch store")
     p.add_argument("psg", help="EDF recording with the EEG channel")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--hypnogram", help="EDF+ file carrying the stage annotations")
-    group.add_argument("--hypnogram-txt", help="text sidecar: onset,duration,label lines")
+    p.add_argument("--hypnogram", required=True, help="EDF+ file carrying the stage annotations")
     p.add_argument("--channel", default="EEG Fpz-Cz")
     p.add_argument("--subject", type=int, required=True)
     p.add_argument("--night", type=int, default=1)
@@ -319,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subject", type=int, required=True)
     p.add_argument("--fraction", type=float, default=0.10)
     p.add_argument("--stratified", action="store_true")
-    p.add_argument("--scope", choices=("all", "classifier_only"), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--epochs", type=_positive(int, zero_ok=True), default=adapt_mod.ADAPT_DEFAULT_EPOCHS
@@ -335,14 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_quantize)
 
-    p = sub.add_parser("budget", help="flash/RAM/latency feasibility report")
+    p = sub.add_parser("budget", help="flash/RAM/latency feasibility report on the nano33ble")
     p.add_argument("--model", required=True)
-    p.add_argument("--profile", default="nano33ble")
-    p.add_argument("--profiles-file", default=None)
     p.add_argument("--kv", action="store_true", help="machine-readable key=value block")
     p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("stream", help="classify a raw sample feed from stdin")
+    # a bound such as -3.2768e3 is a value, not an option (Python 3.13's rule)
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("--model", required=True)
     p.add_argument("--int16", action="store_true", help="feed is int16 digital samples")
     p.add_argument("--dig-min", type=int, default=None)

@@ -266,26 +266,6 @@ def class_distribution(epochs: np.ndarray) -> ClassDistribution:
     return ClassDistribution(counts=tuple(counts.tolist()), total=len(epochs))
 
 
-def parse_hypnogram_text(text: str) -> list[RawAnnotation]:
-    """Parse the plain-text sidecar format: one "onset,duration,label" per line."""
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",", 2)
-        if len(parts) != 3:
-            raise PipelineError(f"hypnogram line {lineno}: expected onset,duration,label")
-        try:
-            onset, duration = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise PipelineError(f"hypnogram line {lineno}: bad onset/duration") from None
-        if not np.isfinite(onset + duration) or duration < 0:
-            raise PipelineError(f"hypnogram line {lineno}: bad onset/duration")
-        out.append(RawAnnotation(onset=onset, duration=duration, text=parts[2].strip()))
-    return out
-
-
 _HEADER_FMT = "<4sHHII"  # magic, version, sample_rate, epoch_len, epoch_count
 STORE_HEADER_BYTES = struct.calcsize(_HEADER_FMT)
 

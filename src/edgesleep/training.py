@@ -154,19 +154,13 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     config: TrainConfig,
-    trainable: set[str] | None = None,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; frozen tensors pass through untouched."""
+    """One bias-corrected Adam update of every tensor."""
     t = state.t + 1
     new_tensors: dict[str, np.ndarray] = {}
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
     for name, theta in params.tensors.items():
-        if trainable is not None and name not in trainable:
-            new_tensors[name] = theta
-            new_m[name] = state.m[name]
-            new_v[name] = state.v[name]
-            continue
         g = grads[name]
         m = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
         v = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
@@ -251,7 +245,6 @@ def fit(
     train_rows: np.ndarray,
     val_rows: np.ndarray,
     tc: TrainConfig,
-    trainable: set[str] | None = None,
 ) -> tuple[ModelParams, list[EpochStats]]:
     """Mini-batch Adam over the records epochs[train_rows], validated on
     epochs[val_rows].
@@ -278,7 +271,7 @@ def fit(
             batch = train_rows[order[start : start + tc.batch_size]]
             grads, batch_loss = batch_gradients(params, config, epochs, batch)
             running += batch_loss * len(batch)
-            params, state = adam_step(params, grads, state, tc, trainable)
+            params, state = adam_step(params, grads, state, tc)
         val_loss, val_acc = evaluate_epochs(params, config, epochs, val_rows)
         history.append(
             EpochStats(

@@ -92,18 +92,6 @@ class TestFineTune:
         )
         assert all(np.array_equal(tuned[n], params[n]) for n in params.names())
 
-    def test_classifier_only_freezes_backbone(self, overfit_run):
-        params, config = overfit_run["params"], overfit_run["config"]
-        tc = TrainConfig(max_epochs=2, batch_size=8, seed=9)
-        tuned = fine_tune(
-            params, config, overfit_run["data"], np.arange(16), tc, scope="classifier_only"
-        )
-        for name in params.names():
-            if name in ("cls_w", "cls_b"):
-                assert not np.array_equal(tuned[name], params[name])
-            else:
-                assert np.array_equal(tuned[name], params[name])
-
     def test_deterministic(self, overfit_run):
         params, config = overfit_run["params"], overfit_run["config"]
         data, rows = overfit_run["data"], np.arange(16)
@@ -117,17 +105,6 @@ class TestFineTune:
             fine_tune(
                 overfit_run["params"], overfit_run["config"], overfit_run["data"], np.arange(0),
                 TrainConfig(),
-            )
-
-    def test_unknown_scope_rejected(self, overfit_run):
-        with pytest.raises(TrainingError, match="scope"):
-            fine_tune(
-                overfit_run["params"],
-                overfit_run["config"],
-                overfit_run["data"],
-                np.arange(5),
-                TrainConfig(),
-                scope="half",
             )
 
     def test_adaptation_helps_on_shifted_subject(self, overfit_run):

@@ -3,17 +3,14 @@ import pytest
 
 from edgesleep.budget import (
     NANO33BLE,
-    BudgetError,
     DeviceProfile,
     activation_table,
     check_fit,
     mac_count,
     mac_table,
-    parse_profiles,
     peak_ram,
     render_report_kv,
     render_report_text,
-    resolve_profile,
 )
 from edgesleep.model import ArchConfig, ModelFormatError, init_params, read_slpm, save_model
 from edgesleep.quant import quantize_model, save_quant_model
@@ -144,27 +141,3 @@ class TestCheckFit:
         )
         assert kv["fits_flash"] == "true"
         assert int(kv["macs"]) == 8_870_784
-
-
-class TestProfiles:
-    def test_parse_lines(self):
-        text = "# boards\nnano33ble 1048576 262144 64000000\nbig,2097152,524288,120000000\n"
-        profiles = parse_profiles(text)
-        assert profiles["big"].flash_bytes == 2_097_152
-        assert profiles["nano33ble"].clock_hz == 64_000_000
-
-    def test_bad_line(self):
-        with pytest.raises(BudgetError, match="line 1"):
-            parse_profiles("just-a-name 12")
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(BudgetError):
-            DeviceProfile(name="x", flash_bytes=0, sram_bytes=1, clock_hz=1)
-
-    def test_resolve_builtin_and_file(self, tmp_path):
-        assert resolve_profile("nano33ble") == NANO33BLE
-        extra = tmp_path / "boards.profiles"
-        extra.write_text("custom 1000 2000 3000\n")
-        assert resolve_profile("custom", str(extra)).sram_bytes == 2000
-        with pytest.raises(BudgetError, match="unknown"):
-            resolve_profile("missing")

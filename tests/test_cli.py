@@ -1,5 +1,6 @@
 import io
 import re
+import shlex
 import struct
 import tracemalloc
 from pathlib import Path
@@ -11,12 +12,13 @@ from edgesleep import budget as budget_mod
 from edgesleep import cli
 from edgesleep import epochs as ep
 from edgesleep import model as model_mod
+from edgesleep import streaming
 from edgesleep.cli import main
-from edgesleep.edf import UnknownChannelError
+from edgesleep.edf import UnknownChannelError, parse_edf
 from edgesleep.kernels import NonFiniteError
 from edgesleep.metrics import counts_from_csv
 from edgesleep.model import (
-    PREDICT_ROWS, ArchConfig, init_params, load_model, save_model, forward, write_slpm,
+    PREDICT_ROWS, ArchConfig, init_params, load_model, predict, save_model, forward, write_slpm,
 )
 from edgesleep.quant import load_any_model, quantize_model, save_quant_model
 from edgesleep.streaming import StageDecision, decision_line
@@ -48,10 +50,16 @@ def psg_file(tmp_path):
     return path
 
 
+def hypnogram_file(tmp_path, annotations=HYPNOGRAM):
+    """An EDF+ hypnogram of (onset, duration, label) annotations."""
+    path = tmp_path / "hyp.edf"
+    path.write_bytes(hypnogram_edf(annotations))
+    return path
+
+
 class TestConvert:
     def test_with_hypnogram_edf(self, tmp_path, psg_file, capsys):
-        hyp = tmp_path / "hyp.edf"
-        hyp.write_bytes(hypnogram_edf(HYPNOGRAM))
+        hyp = hypnogram_file(tmp_path)
         out = tmp_path / "night.slpe"
         code = main(
             [
@@ -68,13 +76,11 @@ class TestConvert:
         assert [int(e.stage) for e in stored] == [0, 2, 2, 3, 4]  # movement dropped
         assert "wrote 5 epochs" in capsys.readouterr().out
 
-    def test_with_text_sidecar_and_append(self, tmp_path, psg_file):
-        sidecar = tmp_path / "hyp.txt"
-        sidecar.write_text("".join(f"{o:g},{d:g},{t}\n" for o, d, t in HYPNOGRAM))
+    def test_with_hypnogram_edf_and_append(self, tmp_path, psg_file):
         out = tmp_path / "night.slpe"
         args = [
             "convert", str(psg_file),
-            "--hypnogram-txt", str(sidecar),
+            "--hypnogram", str(hypnogram_file(tmp_path)),
             "--subject", "2",
             "--out", str(out),
         ]
@@ -84,12 +90,11 @@ class TestConvert:
         assert len(stored) == 10
 
     def test_unknown_channel_exit_code(self, tmp_path, psg_file):
-        sidecar = tmp_path / "hyp.txt"
-        sidecar.write_text("0,30,Sleep stage W\n")
+        hyp = hypnogram_file(tmp_path, [(0.0, 30.0, "Sleep stage W")])
         code = main(
             [
                 "convert", str(psg_file),
-                "--hypnogram-txt", str(sidecar),
+                "--hypnogram", str(hyp),
                 "--channel", "EEG Pz-Oz",
                 "--subject", "1",
                 "--out", str(tmp_path / "x.slpe"),
@@ -101,10 +106,9 @@ class TestConvert:
         # an unclosed file would fail the test as a ResourceWarning
         psg = tmp_path / "short.edf"
         psg.write_bytes(bytes(108))
-        sidecar = tmp_path / "hyp.txt"
-        sidecar.write_text("0,30,Sleep stage W\n")
+        hyp = hypnogram_file(tmp_path, [(0.0, 30.0, "Sleep stage W")])
         out = tmp_path / "x.slpe"
-        code = main(["convert", str(psg), "--hypnogram-txt", str(sidecar), "--subject", "1",
+        code = main(["convert", str(psg), "--hypnogram", str(hyp), "--subject", "1",
                      "--out", str(out)])
         assert code == 3
         assert "truncated EDF header" in capsys.readouterr().err
@@ -125,10 +129,9 @@ class TestConvert:
         ]
         psg = tmp_path / "psg.edf"
         psg.write_bytes(build_edf(signals, n_records=6, record_duration=30.0, reserved="EDF+C"))
-        sidecar = tmp_path / "hyp.txt"
-        sidecar.write_text("0,180,Sleep stage 2\n")
+        hyp = hypnogram_file(tmp_path, [(0.0, 180.0, "Sleep stage 2")])
         out = tmp_path / "night.slpe"
-        code = main(["convert", str(psg), "--hypnogram-txt", str(sidecar), "--subject", "1",
+        code = main(["convert", str(psg), "--hypnogram", str(hyp), "--subject", "1",
                      "--out", str(out)])
         assert code == 3
         assert capsys.readouterr().err == (
@@ -138,7 +141,7 @@ class TestConvert:
         assert not out.exists()
         signals[0] = SignalSpec(label="EEG Fpz-Cz", samples_per_record=3000, data=data)
         psg.write_bytes(build_edf(signals, n_records=6, record_duration=30.0, reserved="EDF+C"))
-        assert main(["convert", str(psg), "--hypnogram-txt", str(sidecar), "--subject", "1",
+        assert main(["convert", str(psg), "--hypnogram", str(hyp), "--subject", "1",
                      "--out", str(out)]) == 0
 
     def test_channel_not_at_100_hz_rejected(self, tmp_path, capsys):
@@ -153,11 +156,10 @@ class TestConvert:
                 reserved="EDF+C",
             )
         )
-        sidecar = tmp_path / "hyp.txt"
-        sidecar.write_text("0,90,Sleep stage 2\n")
+        hyp = hypnogram_file(tmp_path, [(0.0, 90.0, "Sleep stage 2")])
         out = tmp_path / "night.slpe"
         code = main(
-            ["convert", str(psg), "--hypnogram-txt", str(sidecar), "--subject", "1", "--out", str(out)]
+            ["convert", str(psg), "--hypnogram", str(hyp), "--subject", "1", "--out", str(out)]
         )
         assert code == 4
         assert "200 Hz" in capsys.readouterr().err
@@ -190,8 +192,7 @@ class TestConvertOverrun:
         )
 
         def run(hypnogram, out):
-            hyp = tmp_path / "hyp.edf"
-            hyp.write_bytes(hypnogram_edf(hypnogram))
+            hyp = hypnogram_file(tmp_path, hypnogram)
             return main(["convert", str(psg), "--hypnogram", str(hyp), "--subject", "1",
                          "--out", str(out)])
 
@@ -216,11 +217,10 @@ class TestConvertOverrun:
 class TestConvertAppend:
     @pytest.fixture()
     def convert(self, tmp_path, psg_file):
-        sidecar = tmp_path / "hyp.txt"
-        sidecar.write_text("".join(f"{o:g},{d:g},{t}\n" for o, d, t in HYPNOGRAM))
+        hyp = hypnogram_file(tmp_path)
 
         def run(out, *flags):
-            return main(["convert", str(psg_file), "--hypnogram-txt", str(sidecar),
+            return main(["convert", str(psg_file), "--hypnogram", str(hyp),
                          "--out", str(out), *flags])
 
         return run
@@ -441,7 +441,7 @@ class TestTrainEvalFlow:
         assert "holdout accuracy before" in out
         assert adapted.exists()
 
-    def test_adapt_stratified_scope_flags(self, trained_setup, capsys):
+    def test_adapt_stratified_flag(self, trained_setup, capsys):
         store_path, model_path, _, _ = trained_setup
         code = main(
             [
@@ -451,7 +451,6 @@ class TestTrainEvalFlow:
                 "--subject", "2",
                 "--fraction", "0.2",
                 "--stratified",
-                "--scope", "classifier_only",
                 "--epochs", "1",
             ]
         )
@@ -459,7 +458,7 @@ class TestTrainEvalFlow:
 
     def test_budget_human_output(self, trained_setup, capsys):
         _, _, quant_path, _ = trained_setup
-        assert main(["budget", "--model", str(quant_path), "--profile", "nano33ble"]) == 0
+        assert main(["budget", "--model", str(quant_path)]) == 0
         out = capsys.readouterr().out
         assert "fits: flash yes, ram yes" in out
 
@@ -665,6 +664,59 @@ class TestStreamCommand:
         )
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
+
+    def test_int16_feed_gives_the_stored_epochs_bits(
+        self, trained_setup, tmp_path, psg_file, capsys, monkeypatch
+    ):
+        """The Fpz-Cz digital samples of a PSG, streamed as int16 with the
+        header's scaling, decide each window from the bits `convert` stored
+        for it: the probabilities equal `predict` on that row exactly."""
+        _, model_path, _, _ = trained_setup
+        store = tmp_path / "night.slpe"
+        assert main(["convert", str(psg_file), "--hypnogram", str(hypnogram_file(tmp_path)),
+                     "--subject", "1", "--out", str(store)]) == 0
+        with parse_edf(psg_file) as psg:
+            sig = psg.header.signals[psg.signal_index("EEG Fpz-Cz")]
+            feed = psg.read_digital("EEG Fpz-Cz").astype("<i2").tobytes()
+        decisions = []
+
+        def record(decision):
+            decisions.append(decision)
+            return decision_line(decision)
+
+        monkeypatch.setattr(streaming, "decision_line", record)
+        # the physical bounds in exponent form, each as a separate argument
+        code, _, _ = run_stream(
+            monkeypatch, capsys, model_path, PipeStdin(feed, 401), "--int16",
+            "--dig-min", str(sig.digital_min), "--dig-max", str(sig.digital_max),
+            "--phys-min", f"{sig.physical_min:e}", "--phys-max", f"{sig.physical_max:e}",
+        )
+        assert code == 0
+        stored = ep.read_store(store)
+        params, config = load_model(model_path)
+        want = dict(zip(stored.epoch_index.tolist(),
+                        predict(params, config, stored.samples, np.arange(len(stored)))))
+        # window 4 is movement time, so it has no row
+        assert [d.epoch_index for d in decisions] == list(range(6))
+        assert sorted(want) == [0, 1, 2, 3, 5]
+        for d in decisions:
+            if d.epoch_index in want:
+                assert np.array_equal(d.probs, want[d.epoch_index]), d.epoch_index
+
+    @pytest.mark.parametrize("value, parsed", [("-3.2768e3", -3276.8), ("-inf", None)])
+    def test_negative_bound_as_a_separate_argument(self, capsys, value, parsed):
+        """A negative number, in exponent form too, is the option's value;
+        -inf is not a number by that rule, so it needs the = form."""
+        argv = ["stream", "--model", "m.slpm", "--int16", "--dig-min", "-32768",
+                "--dig-max", "32767", "--phys-min", value, "--phys-max", "3276.7"]
+        if parsed is None:
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert "argument --phys-min: expected one argument" in capsys.readouterr().err
+        else:
+            args = cli.build_parser().parse_args(argv)
+            assert (args.dig_min, args.phys_min) == (-32768, parsed)
 
     def test_rate_is_a_usage_error(self, trained_setup, capsys):
         _, model_path, _, _ = trained_setup
@@ -1000,6 +1052,62 @@ class TestCraftedModelFile:
         assert not (tmp_path / "q.slpm").exists()
 
 
+class TestRemovedFlags:
+    """The text hypnogram, the device-profile flags and the fine-tune scope
+    are gone: each is a usage error that writes nothing."""
+
+    @pytest.mark.parametrize("flag", ["--hypnogram-txt", "--scope", "--profile", "--profiles-file"])
+    def test_is_a_usage_error(self, night_stores, psg_file, tmp_path, capsys, flag):
+        paths, _, model_path = night_stores
+        sidecar = tmp_path / "hyp.txt"
+        sidecar.write_text("0,180,Sleep stage 2\n")
+        profiles = tmp_path / "boards.profiles"
+        profiles.write_text("nano33ble 1048576 262144 64000000\n")
+        out = tmp_path / "out"
+        argv = {
+            "--hypnogram-txt": ["convert", str(psg_file), "--hypnogram",
+                                str(hypnogram_file(tmp_path)), "--hypnogram-txt", str(sidecar),
+                                "--subject", "1", "--out", str(out)],
+            "--scope": adapt_argv(paths, model_path, "--scope", "all", "--out", str(out)),
+            "--profile": ["budget", "--model", str(model_path), "--profile", "nano33ble"],
+            "--profiles-file": ["budget", "--model", str(model_path),
+                                "--profiles-file", str(profiles)],
+        }[flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} " in captured.err
+        assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The arguments of each `edgesleep ...` line of the README's CLI block,
+    `\\` continuations joined and shell redirections dropped."""
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [
+        shlex.split(re.sub(r"\s[<>]+\s*\S+", "", line))[1:]
+        for line in lines
+        if line.startswith("edgesleep ")
+    ]
+
+
+class TestReadmeExamples:
+    def test_every_command_has_an_example(self):
+        assert {argv[0] for argv in readme_cli_examples()} == {
+            "convert", "train", "eval", "adapt", "quantize", "budget", "stream", "report"
+        }
+
+    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=lambda argv: argv[0])
+    def test_example_parses(self, argv):
+        cli.build_parser().parse_args(argv)  # a usage error raises SystemExit
+
+
 EXIT_CASES = [(exc_type("boom"), code) for exc_type, code in cli.EXIT_CODES] + [
     (ep.DegenerateEpochError("boom"), 4),
     (UnknownChannelError("boom"), 3),
@@ -1057,12 +1165,6 @@ class TestErrorSurface:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
-
-    def test_unknown_profile_code(self, tmp_path):
-        config = ArchConfig(width_multiplier=0.25)
-        model_path = tmp_path / "m.slpm"
-        save_model(init_params(config, 0).astype(np.float32), config, model_path)
-        assert main(["budget", "--model", str(model_path), "--profile", "weird"]) == 9
 
     def test_model_length_beyond_file_code(self, tmp_path, capsys):
         config = ArchConfig(width_multiplier=0.25)

@@ -17,7 +17,6 @@ from edgesleep.epochs import (
     StoreError,
     class_distribution,
     map_label,
-    parse_hypnogram_text,
     read_store,
     segment_epochs,
     standardize,
@@ -485,30 +484,6 @@ class TestStore:
         path.write_bytes(bytes(raw))
         with pytest.raises(StoreError, match=error):
             read_store(path)
-
-
-class TestHypnogramSidecar:
-    def test_parse_lines(self):
-        text = "0,1800,Sleep stage W\n1800,600,Sleep stage 1\n\n# comment\n"
-        anns = parse_hypnogram_text(text)
-        assert [(a.onset, a.duration, a.text) for a in anns] == [
-            (0.0, 1800.0, "Sleep stage W"),
-            (1800.0, 600.0, "Sleep stage 1"),
-        ]
-
-    def test_bad_line(self):
-        with pytest.raises(PipelineError, match="line 1"):
-            parse_hypnogram_text("0;30;Sleep stage W")
-
-    def test_bad_number(self):
-        with pytest.raises(PipelineError, match="onset/duration"):
-            parse_hypnogram_text("zero,30,Sleep stage W")
-
-    def test_non_finite_or_negative_rejected(self):
-        with pytest.raises(PipelineError, match="onset/duration"):
-            parse_hypnogram_text("inf,30,Sleep stage W")
-        with pytest.raises(PipelineError, match="onset/duration"):
-            parse_hypnogram_text("0,-30,Sleep stage W")
 
 
 class TestPipelineAgainstReference:
