@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 LAYER_NORM_EPS = 1e-5
 
@@ -54,11 +53,18 @@ def _im2col(x: np.ndarray, K: int, stride: int) -> np.ndarray:
     """Unroll the conv windows of x: [..., L, Cin] -> contiguous [..., Lout, K*Cin].
 
     Window t of each leading row is laid out k-major, so that it lines up
-    with w.reshape(K*Cin, Cout).
+    with w.reshape(K*Cin, Cout).  In a C-ordered x that window is the K*Cin
+    consecutive values from row t*stride on, so the matrix is one strided
+    view over x and one copy of it.  It equals, bit for bit, the copy of
+    sliding_window_view(x, K, axis=-2)[..., ::stride, :, :].swapaxes(-1, -2).
+    The two inner strides come from Cin and the item size, never from
+    x.strides: numpy may give a length-1 axis (x[..., None]) stride 0.
     """
-    windows = sliding_window_view(x, K, axis=-2)[..., ::stride, :, :]  # [..., Lout, Cin, K]
-    cols = np.ascontiguousarray(windows.swapaxes(-1, -2))
-    return cols.reshape(*cols.shape[:-2], K * x.shape[-1])
+    x = np.ascontiguousarray(x)
+    *lead, L, cin = x.shape
+    shape = (*lead, (L - K) // stride + 1, K * cin)
+    strides = (*x.strides[:-2], stride * cin * x.itemsize, x.itemsize)
+    return np.ndarray(shape, x.dtype, x, 0, strides).copy()
 
 
 def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.ndarray:
@@ -145,13 +151,27 @@ def softmax_backward(probs: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Per-position normalization of [..., T, D] over the D axis, then affine."""
+    """Per-position normalization of [..., T, D] over the D axis, then affine.
+
+    Bit for bit (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1,
+    keepdims=True) + LAYER_NORM_EPS) * gain + shift: the mean and variance
+    take numpy's own steps (numpy._core._methods._mean and _var: one
+    add.reduce, then a true_divide by the intp count), but x is centred
+    once and the rest runs in place.
+    """
     if x.ndim < 2 or x.shape[-1] < 2:
         raise KernelError(f"layer_norm expects [..., T, D>=2], got {x.shape}")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + LAYER_NORM_EPS)
-    return _finite(xhat * gain + shift, "layer_norm")
+    count = np.intp(x.shape[-1])
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    np.true_divide(mu, count, out=mu, casting="unsafe")
+    xhat = x - mu
+    var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True)
+    np.true_divide(var, count, out=var, casting="unsafe")
+    var += LAYER_NORM_EPS
+    xhat /= np.sqrt(var, out=var)
+    xhat *= gain
+    xhat += shift
+    return _finite(xhat, "layer_norm")
 
 
 def layer_norm_backward(

@@ -24,6 +24,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,9 @@ class ArchConfig:
 
     conv_table rows are (kernel, stride, out_channels) at multiplier 1.0.
     Scaled channel counts round to a multiple of `heads` so attention always
-    splits evenly.
+    splits evenly.  The derived sizes are computed on first use and kept in
+    the instance, so a forward does not rebuild them; equality and hashing
+    still see only width_multiplier.
     """
 
     conv_table = ((50, 6, 32), (8, 4, 64), (8, 3, 128), (3, 2, 128))
@@ -74,15 +77,15 @@ class ArchConfig:
         scaled = round(channels * self.width_multiplier / self.heads) * self.heads
         return max(self.heads, scaled)
 
-    @property
+    @cached_property
     def scaled_conv_table(self) -> tuple[tuple[int, int, int], ...]:
         return tuple((k, s, self._scale(c)) for k, s, c in self.conv_table)
 
-    @property
+    @cached_property
     def scaled_d_model(self) -> int:
         return self._scale(self.d_model)
 
-    @property
+    @cached_property
     def scaled_ffn_dim(self) -> int:
         return self._scale(self.ffn_dim)
 
@@ -95,11 +98,11 @@ class ArchConfig:
             lengths.append(length)
         return lengths
 
-    @property
+    @cached_property
     def feature_len(self) -> int:
         return self.conv_lengths()[-1]
 
-    @property
+    @cached_property
     def flat_dim(self) -> int:
         return self.feature_len * self.scaled_d_model
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from edgesleep import kernels
 from edgesleep.kernels import (
+    LAYER_NORM_EPS,
     KernelError,
     NonFiniteError,
     conv1d,
@@ -20,6 +22,7 @@ from edgesleep.kernels import (
     softmax,
     softmax_backward,
 )
+from edgesleep.model import ArchConfig
 
 from oracles import conv1d_reference, numeric_gradient, relative_error
 
@@ -84,6 +87,58 @@ class TestConv1d:
         assert relative_error(dx, numeric_gradient(lambda v: loss(conv1d(v, w, b, 2)), x)) < GRAD_TOL
         assert relative_error(dw, numeric_gradient(lambda v: loss(conv1d(x, v, b, 2)), w)) < GRAD_TOL
         assert relative_error(db, numeric_gradient(lambda v: loss(conv1d(x, w, v, 2)), b)) < GRAD_TOL
+
+
+def im2col_oracle(x, K, stride):
+    """The windows as sliding_window_view builds them, copied k-major."""
+    windows = sliding_window_view(x, K, axis=-2)[..., ::stride, :, :]
+    cols = np.ascontiguousarray(windows.swapaxes(-1, -2))
+    return cols.reshape(*cols.shape[:-2], K * x.shape[-1])
+
+
+def conv_input_shapes(width):
+    """(L, Cin, K, stride) of each conv layer of the network at width."""
+    config = ArchConfig(width_multiplier=width)
+    lengths = [3000] + config.conv_lengths()[:-1]
+    channels = [1] + [c for _, _, c in config.scaled_conv_table[:-1]]
+    return [
+        (L, cin, k, s) for L, cin, (k, s, _) in zip(lengths, channels, config.scaled_conv_table)
+    ]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+class TestIm2col:
+    """_im2col is a strided view plus one copy; it must give the bits of
+    the sliding_window_view formula for every input layout."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [1.0, 0.25])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    def test_matches_sliding_window_view(self, dtype, width, lead):
+        rng = np.random.default_rng(21)
+        for L, cin, K, stride in conv_input_shapes(width):
+            x = rng.normal(size=(*lead, L, cin)).astype(dtype)
+            assert_same_bits(kernels._im2col(x, K, stride), im2col_oracle(x, K, stride))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stride_zero_channel_axis(self, dtype):
+        # forward's x[..., None]: numpy may give the length-1 axis stride 0
+        v = np.random.default_rng(22).normal(size=(2, 3000)).astype(dtype)
+        x = v[..., None]
+        for row in (x, x[0]):
+            assert_same_bits(kernels._im2col(row, 50, 6), im2col_oracle(row, 50, 6))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_contiguous_input(self, dtype):
+        big = np.random.default_rng(23).normal(size=(3, 2 * 122, 64)).astype(dtype)
+        for x in (big[:, ::2], big[..., ::2], big[1, 5:200, :3]):
+            assert not x.flags.c_contiguous
+            assert_same_bits(kernels._im2col(x, 8, 3), im2col_oracle(x, 8, 3))
 
 
 class TestDense:
@@ -179,6 +234,25 @@ class TestLayerNorm:
     def test_constant_row_becomes_zero(self):
         out = layer_norm(np.full((2, 4), 7.0), np.ones(4), np.zeros(4))
         np.testing.assert_array_equal(out, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(19, 128), (4, 19, 96)])  # 96: width 0.75
+    def test_matches_numpy_mean_and_var(self, dtype, shape):
+        # bitwise numpy's own formula, so a numpy release that changes how
+        # mean or var sum shows here
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=shape)
+        x[..., 0, :] += 1e4  # a common offset much larger than the spread
+        x[..., 1, :] = 3.0 + 1e-6 * rng.normal(size=shape[-1])  # a tiny spread
+        x = x.astype(dtype)
+        gain = rng.normal(size=shape[-1]).astype(dtype)
+        shift = rng.normal(size=shape[-1]).astype(dtype)
+        want = (x - x.mean(-1, keepdims=True)) / np.sqrt(
+            x.var(-1, keepdims=True) + LAYER_NORM_EPS
+        ) * gain + shift
+        got = layer_norm(x, gain, shift)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
 
     def test_gradients_vs_finite_differences(self):
         rng = np.random.default_rng(6)

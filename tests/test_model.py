@@ -70,6 +70,22 @@ class TestArchConfig:
         with pytest.raises(TypeError):
             ArchConfig(heads=8)
 
+    def test_cached_sizes_keep_equality_and_follow_replace(self):
+        config = ArchConfig()
+        fresh = ArchConfig()
+        names = ("scaled_conv_table", "scaled_d_model", "scaled_ffn_dim", "feature_len", "flat_dim")
+        for name in names:
+            getattr(config, name)
+        assert config == fresh and hash(config) == hash(fresh)
+        assert {config: 1}[fresh] == 1
+        quarter = dataclasses.replace(config, width_multiplier=0.25)
+        assert quarter.scaled_conv_table == ((50, 6, 8), (8, 4, 16), (8, 3, 32), (3, 2, 32))
+        assert quarter.scaled_d_model == 32 and quarter.scaled_ffn_dim == 64
+        assert quarter.flat_dim == 19 * 32
+        assert config.scaled_conv_table == ((50, 6, 32), (8, 4, 64), (8, 3, 128), (3, 2, 128))
+        assert config.flat_dim == 19 * 128
+        assert quarter != config
+
 
 class TestInit:
     def test_deterministic_in_seed(self):
