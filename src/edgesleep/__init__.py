@@ -9,7 +9,6 @@ from .edf import EdfError, EdfFile, EdfHeader, RawAnnotation, parse_edf, parse_t
 from .epochs import (
     EPOCH_SAMPLES,
     SAMPLE_RATE,
-    DISCARD,
     STORE_RECORD,
     SleepStage,
     SubjectNight,
@@ -36,7 +35,6 @@ from .quant import QuantModel, QuantTensor, quantize_model, quantize_tensor
 from .streaming import StageDecision, stream_classify
 from .training import (
     AdamState,
-    FoldPlan,
     TrainConfig,
     adam_step,
     backprop,

@@ -69,20 +69,20 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     subjects = sorted(set(store.subject_id.tolist()))
-    plan = training.make_folds(subjects, k=args.folds, seed=args.seed)
-    if args.fold is not None and not 0 <= args.fold < len(plan.folds):
-        raise training.TrainingError(f"--fold {args.fold} out of range for {len(plan.folds)} folds")
+    folds = training.make_folds(subjects, k=args.folds, seed=args.seed)
+    if args.fold is not None and not 0 <= args.fold < len(folds):
+        raise training.TrainingError(f"--fold {args.fold} out of range for {len(folds)} folds")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "folds.txt").write_text(
         "\n".join(
-            f"fold{i}: {','.join(str(s) for s in fold)}" for i, fold in enumerate(plan.folds)
+            f"fold{i}: {','.join(str(s) for s in fold)}" for i, fold in enumerate(folds)
         )
         + "\n"
     )
-    fold_ids = [args.fold] if args.fold is not None else range(len(plan.folds))
+    fold_ids = [args.fold] if args.fold is not None else range(len(folds))
     for i in fold_ids:
-        params, history = training.train_fold(store, plan.test_subjects(i), arch, tc)
+        params, history = training.train_fold(store, set(folds[i]), arch, tc)
         model.save_model(params, arch, out_dir / f"model_fold{i}.slpm")
         (out_dir / f"history_fold{i}.csv").write_text(training.history_to_csv(history))
         last = history[-1]
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--folds", type=_positive(int), default=5)
     p.add_argument("--fold", type=int, default=None, help="train only this fold index")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
     p.add_argument("--max-epochs", type=_positive(int), default=30)
     p.add_argument("--batch-size", type=_positive(int), default=64)
     p.add_argument("--learning-rate", type=_positive(float), default=1e-3)
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subject", type=int, required=True)
     p.add_argument("--fraction", type=float, default=0.10)
     p.add_argument("--stratified", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
     p.add_argument(
         "--epochs", type=_positive(int, zero_ok=True), default=adapt_mod.ADAPT_DEFAULT_EPOCHS
     )

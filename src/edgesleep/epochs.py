@@ -54,24 +54,16 @@ class SleepStage(IntEnum):
 STAGE_NAMES = ("Wake", "N1", "N2", "N3", "REM")
 
 
-class Discard:
-    """Marker for segments excluded from the dataset."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "DISCARD"
-
-
-DISCARD = Discard()
-
-_LABEL_MAP: dict[str, SleepStage | Discard] = {
+# None marks the labels whose windows are excluded from the dataset.
+_LABEL_MAP: dict[str, SleepStage | None] = {
     "Sleep stage W": SleepStage.WAKE,
     "Sleep stage 1": SleepStage.N1,
     "Sleep stage 2": SleepStage.N2,
     "Sleep stage 3": SleepStage.N3,
     "Sleep stage 4": SleepStage.N3,  # legacy stage 4 folds into N3
     "Sleep stage R": SleepStage.REM,
-    "Movement time": DISCARD,
-    "Sleep stage ?": DISCARD,
+    "Movement time": None,
+    "Sleep stage ?": None,
 }
 
 
@@ -98,8 +90,8 @@ class SubjectNight:
     epochs: np.recarray
 
 
-def map_label(text: str) -> SleepStage | Discard:
-    """Map a raw annotation string onto a stage, or DISCARD for excluded ones."""
+def map_label(text: str) -> SleepStage | None:
+    """Map a raw annotation string onto a stage, or None for excluded ones."""
     try:
         return _LABEL_MAP[text]
     except KeyError:
@@ -148,14 +140,14 @@ def segment_epochs(
     before the end of the signal's last whole window; a stage annotation of
     duration D yields D/30 consecutive epochs.  One that runs past that end
     is cut there, whatever its label: the archive's hypnograms often
-    overrun the recording.  Windows whose label maps to DISCARD produce no
+    overrun the recording.  Windows whose label maps to None produce no
     epoch, leaving a gap in epoch_index.  No window may be covered twice,
     whatever the labels or their order.  subject_id, night and every
     epoch_index must fit their store fields (StoreError otherwise).
     """
     _check_range("subject_id", subject_id, STORE_RECORD["subject_id"])
     _check_range("night", night, STORE_RECORD["night"])
-    stages = np.full(len(samples) // EPOCH_SAMPLES, -1, dtype=np.int8)  # -1: free, -2: DISCARD
+    stages = np.full(len(samples) // EPOCH_SAMPLES, -1, dtype=np.int8)  # -1: free, -2: excluded
     grid_end = len(stages) * EPOCH_SECONDS
     for ann in annotations:
         if ann.onset < 0 or ann.onset % EPOCH_SECONDS != 0:
@@ -180,7 +172,7 @@ def segment_epochs(
             raise PipelineError(
                 f"window {first + covered[0]} covered by more than one annotation"
             )
-        span[:] = -2 if stage is DISCARD else stage
+        span[:] = -2 if stage is None else stage
 
     kept = np.flatnonzero(stages >= 0)
     if len(kept):

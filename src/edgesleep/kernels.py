@@ -134,8 +134,10 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return grad_out * (x > 0)
+def relu_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """grad_out masked to where the ReLU passed its input; y may be the
+    ReLU's output or its input, since relu(z) > 0 exactly where z > 0."""
+    return grad_out * (y > 0)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -202,7 +204,6 @@ class AttentionCache:
     v_h: np.ndarray
     attn: np.ndarray  # [..., h, T, T], rows sum to 1
     ctx: np.ndarray  # [..., T, D], heads re-merged, before output projection
-    heads: int
 
 
 def _split_heads(z: np.ndarray, heads: int) -> np.ndarray:
@@ -240,7 +241,7 @@ def multi_head_attention_with_cache(
     attn = softmax(scores)
     ctx = _merge_heads(attn @ v_h)
     out = _finite(ctx @ wo + bo, "attention")
-    return out, AttentionCache(x=x, q_h=q_h, k_h=k_h, v_h=v_h, attn=attn, ctx=ctx, heads=heads)
+    return out, AttentionCache(x=x, q_h=q_h, k_h=k_h, v_h=v_h, attn=attn, ctx=ctx)
 
 
 def multi_head_attention_backward(
@@ -254,7 +255,7 @@ def multi_head_attention_backward(
     """Returns (dx, grads) with grads keyed wq/bq/wk/bk/wv/bv/wo/bo; the
     parameter gradients sum over every leading axis of x."""
     x, attn = cache.x, cache.attn
-    dh = x.shape[-1] // cache.heads
+    heads, _, dh = cache.q_h.shape[-3:]
     scale = 1.0 / np.sqrt(np.asarray(dh, dtype=x.dtype))
 
     d_ctx = grad_out @ wo.T
@@ -262,7 +263,7 @@ def multi_head_attention_backward(
     dwo = _rows(cache.ctx).T @ g
     dbo = g.sum(axis=0)
 
-    d_ctx_h = _split_heads(d_ctx, cache.heads)
+    d_ctx_h = _split_heads(d_ctx, heads)
     d_attn = d_ctx_h @ cache.v_h.swapaxes(-1, -2)
     d_v_h = attn.swapaxes(-1, -2) @ d_ctx_h
     d_scores = softmax_backward(attn, d_attn)

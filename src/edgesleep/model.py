@@ -182,17 +182,18 @@ def init_params(config: ArchConfig, seed: int) -> ModelParams:
 class ForwardCache:
     """Per-layer activations retained by a training-mode forward pass.
 
-    Every array keeps the leading batch axes of the forward input.
+    Each activation is kept once.  acts[0] is the input view [..., 3000, 1]
+    and acts[i] is the ReLU output of conv i, so conv i reads acts[i-1] and
+    acts[-1] is the feature map [..., T, D].  No ReLU input is kept:
+    backprop takes each ReLU's mask from its output (kernels.relu_backward).
+    attn.x is the output of ln1.  Every array keeps the leading batch axes
+    of the forward input.
     """
 
-    conv_inputs: list[np.ndarray] = field(default_factory=list)
-    conv_preacts: list[np.ndarray] = field(default_factory=list)
-    features: np.ndarray | None = None  # conv stack output [..., T, D]
-    normed1: np.ndarray | None = None
+    acts: list[np.ndarray] = field(default_factory=list)
     attn: kernels.AttentionCache | None = None
     resid1: np.ndarray | None = None
     normed2: np.ndarray | None = None
-    ffn_preact: np.ndarray | None = None
     ffn_hidden: np.ndarray | None = None
     resid2: np.ndarray | None = None
     flat: np.ndarray | None = None
@@ -221,14 +222,12 @@ def forward(
             f"input must be [{EPOCH_SAMPLES}] or [N, {EPOCH_SAMPLES}], got {x.shape}"
         )
     h = x[..., None]  # [..., 3000, 1]
-    cache = ForwardCache() if mode == "train" else None
+    cache = ForwardCache(acts=[h]) if mode == "train" else None
 
     for i, (_, stride, _) in enumerate(config.scaled_conv_table, start=1):
-        z = kernels.conv1d(h, params[f"conv{i}_w"], params[f"conv{i}_b"], stride)
+        h = kernels.relu(kernels.conv1d(h, params[f"conv{i}_w"], params[f"conv{i}_b"], stride))
         if cache is not None:
-            cache.conv_inputs.append(h)
-            cache.conv_preacts.append(z)
-        h = kernels.relu(z)
+            cache.acts.append(h)
 
     features = h  # [..., feature_len, d_model]
     expected = (config.feature_len, config.scaled_d_model)
@@ -246,8 +245,7 @@ def forward(
     resid1 = features + attn_out
 
     normed2 = kernels.layer_norm(resid1, params["ln2_gain"], params["ln2_shift"])
-    ffn_preact = kernels.dense(normed2, params["ffn1_w"], params["ffn1_b"])
-    ffn_hidden = kernels.relu(ffn_preact)
+    ffn_hidden = kernels.relu(kernels.dense(normed2, params["ffn1_w"], params["ffn1_b"]))
     ffn_out = kernels.dense(ffn_hidden, params["ffn2_w"], params["ffn2_b"])
     resid2 = resid1 + ffn_out
 
@@ -257,12 +255,9 @@ def forward(
     probs = kernels.softmax(logits)
 
     if cache is not None:
-        cache.features = features
-        cache.normed1 = normed1
         cache.attn = attn_cache
         cache.resid1 = resid1
         cache.normed2 = normed2
-        cache.ffn_preact = ffn_preact
         cache.ffn_hidden = ffn_hidden
         cache.resid2 = resid2
         cache.flat = flat

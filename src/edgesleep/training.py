@@ -72,14 +72,6 @@ class AdamState:
 
 
 @dataclass(frozen=True)
-class FoldPlan:
-    folds: tuple[tuple[int, ...], ...]
-
-    def test_subjects(self, fold_index: int) -> set[int]:
-        return set(self.folds[fold_index])
-
-
-@dataclass(frozen=True)
 class EpochStats:
     epoch: int
     train_loss: float
@@ -116,7 +108,7 @@ def backprop(
     dhidden, grads["ffn2_w"], grads["ffn2_b"] = kernels.dense_backward(
         cache.ffn_hidden, params["ffn2_w"], dresid2
     )
-    dpreact = kernels.relu_backward(cache.ffn_preact, dhidden)
+    dpreact = kernels.relu_backward(cache.ffn_hidden, dhidden)
     dnormed2, grads["ffn1_w"], grads["ffn1_b"] = kernels.dense_backward(
         cache.normed2, params["ffn1_w"], dpreact
     )
@@ -134,17 +126,17 @@ def backprop(
     for short, grad in attn_grads.items():
         grads[f"attn_{short}"] = grad
     dfeatures_ln, grads["ln1_gain"], grads["ln1_shift"] = kernels.layer_norm_backward(
-        cache.features, params["ln1_gain"], dnormed1
+        cache.acts[-1], params["ln1_gain"], dnormed1
     )
     dfeatures = dresid1 + dfeatures_ln
 
     g = dfeatures
     strides = [s for _, s, _ in config.scaled_conv_table]
     for i in range(len(strides), 0, -1):
-        dz = kernels.relu_backward(cache.conv_preacts[i - 1], g)
+        dz = kernels.relu_backward(cache.acts[i], g)
         # the network input needs no gradient, so conv1 skips dx
         g, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = kernels.conv1d_backward(
-            cache.conv_inputs[i - 1], params[f"conv{i}_w"], strides[i - 1], dz, need_dx=i > 1
+            cache.acts[i - 1], params[f"conv{i}_w"], strides[i - 1], dz, need_dx=i > 1
         )
     return grads
 
@@ -172,8 +164,9 @@ def adam_step(
     return ModelParams(new_tensors), AdamState(m=new_m, v=new_v, t=t)
 
 
-def make_folds(subject_ids: list[int], k: int = 5, seed: int = 0) -> FoldPlan:
-    """Shuffle subjects, then split into k contiguous chunks of ceil(n/k).
+def make_folds(subject_ids: list[int], k: int = 5, seed: int = 0) -> tuple[tuple[int, ...], ...]:
+    """Shuffle subjects, then split into k contiguous chunks of ceil(n/k);
+    returns the folds, each a tuple of subject ids.
 
     The ceil chunking puts the shortfall entirely in the last fold (77
     subjects at k=5 gives 16/16/16/16/13); when that would leave a fold
@@ -187,10 +180,8 @@ def make_folds(subject_ids: list[int], k: int = 5, seed: int = 0) -> FoldPlan:
     chunk = math.ceil(n / k)
     if (k - 1) * chunk >= n:
         parts = np.array_split(np.asarray(order), k)
-        folds = tuple(tuple(int(s) for s in part) for part in parts)
-    else:
-        folds = tuple(tuple(order[i * chunk : (i + 1) * chunk]) for i in range(k))
-    return FoldPlan(folds=folds)
+        return tuple(tuple(int(s) for s in part) for part in parts)
+    return tuple(tuple(order[i * chunk : (i + 1) * chunk]) for i in range(k))
 
 
 def evaluate_epochs(

@@ -53,7 +53,7 @@ class TestCriterion1GradientCorrectness:
 
         def loss_and_masks():
             probs, c = forward(params, x, config, mode="train")
-            masks = [z > 0 for z in c.conv_preacts] + [c.ffn_preact > 0]
+            masks = [a > 0 for a in c.acts[1:]] + [c.ffn_hidden > 0]
             return cross_entropy(probs, label), masks
 
         checked = 0
@@ -99,7 +99,7 @@ class TestCriterion2ArchitectureFidelity:
         params = init_params(config, 103)
         x = ep.standardize(np.random.default_rng(104).normal(size=3000))
         probs, cache = forward(params, x, config, mode="train")
-        chain = [cache.conv_inputs[0].shape] + [z.shape for z in cache.conv_preacts]
+        chain = [a.shape for a in cache.acts]
         assert chain == [(3000, 1), (492, 32), (122, 64), (39, 128), (19, 128)]
         assert probs.shape == (5,)
         assert param_count(params) == 277_669

@@ -528,6 +528,23 @@ def adapt_argv(stores, model_path, *flags):
             "--subject", "2", "--fraction", "0.25", "--epochs", "2", "--seed", "3", *flags]
 
 
+@pytest.mark.parametrize("command", ["train", "adapt"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    """--seed -1 exits 2 naming the flag, before the store is read (it does
+    not exist here) and before anything is written."""
+    store, out = tmp_path / "absent.slpe", tmp_path / "out"
+    argv = {
+        "train": ["train", "--store", str(store), "--out-dir", str(out)],
+        "adapt": ["adapt", "--store", str(store), "--model", str(tmp_path / "absent.slpm"),
+                  "--subject", "1", "--out", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative number, got '-1'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestAdaptArguments:
     def test_negative_epochs_is_a_usage_error(self, night_stores, tmp_path, capsys):
         """--epochs -3 exits 2 and writes nothing; --epochs 0 writes the

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from edgesleep.edf import RawAnnotation
 from edgesleep.epochs import (
-    DISCARD,
     EPOCH_SAMPLES,
     DegenerateEpochError,
     PipelineError,
@@ -54,7 +53,7 @@ class TestMapLabel:
 
     @pytest.mark.parametrize("text", ["Movement time", "Sleep stage ?"])
     def test_discards(self, text):
-        assert map_label(text) is DISCARD
+        assert map_label(text) is None
 
     def test_unrecognized_is_hard_error(self):
         with pytest.raises(PipelineError, match="Sleep stage X"):

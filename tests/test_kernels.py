@@ -194,6 +194,19 @@ class TestRelu:
         dx = relu_backward(x, g)
         assert relative_error(dx, numeric_gradient(lambda v: float((relu(v) * g).sum()), x)) < GRAD_TOL
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mask_from_output_equals_mask_from_input(self, dtype):
+        """The train cache keeps only ReLU outputs: relu(z) > 0 exactly where
+        z > 0, so the gradient is the same bits, at the kink too."""
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(4, 64)).astype(dtype)
+        z[0, :6] = [0.0, -0.0, 1e-38, -1e-38, 0.0, -0.0]
+        g = rng.normal(size=z.shape).astype(dtype)
+        got = relu_backward(relu(z), g)
+        want = relu_backward(z, g)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
 
 class TestSoftmax:
     def test_uniform(self):

@@ -138,9 +138,9 @@ class TestForward:
         params = init_params(config, 8)
         x = standardize(np.random.default_rng(9).normal(size=EPOCH_SAMPLES))
         _, cache = forward(params, x, config, mode="train")
-        shapes = [z.shape for z in cache.conv_preacts]
+        shapes = [a.shape for a in cache.acts[1:]]
         assert shapes == [(492, 32), (122, 64), (39, 128), (19, 128)]
-        assert cache.features.shape == (19, 128)
+        assert cache.acts[-1].shape == (19, 128)
 
     def test_wrong_length_rejected(self, small_setup):
         config, params, _ = small_setup
@@ -164,7 +164,7 @@ class TestForward:
         for name in ("ln1_shift", "ln2_shift"):
             neutered.tensors[name] = np.zeros_like(neutered[name])
         _, cache = forward(neutered, x, config, mode="train")
-        np.testing.assert_allclose(cache.resid2, cache.features, atol=1e-9)
+        np.testing.assert_allclose(cache.resid2, cache.acts[-1], atol=1e-9)
 
 
     def test_batch_equals_stacked_single_epochs(self, small_setup):
@@ -173,8 +173,33 @@ class TestForward:
         probs, cache = forward(params, xs, config, mode="train")
         want = np.stack([forward(params, row, config)[0] for row in xs])
         np.testing.assert_allclose(probs, want, atol=1e-12)
-        assert cache.conv_inputs[0].shape == (3, EPOCH_SAMPLES, 1)
-        assert cache.features.shape == (3, config.feature_len, config.scaled_d_model)
+        assert cache.acts[0].shape == (3, EPOCH_SAMPLES, 1)
+        assert cache.acts[-1].shape == (3, config.feature_len, config.scaled_d_model)
+
+    def test_train_cache_keeps_each_activation_once(self):
+        """An 8-row float32 chunk at full width, as batch_gradients runs it,
+        holds each buffer once: no ReLU input beside its output, no layer
+        norm output twice."""
+        config = ArchConfig()
+        params = init_params(config, 12).astype(np.float32)
+        x = np.random.default_rng(13).normal(size=(8, EPOCH_SAMPLES)).astype(np.float32)
+        _, cache = forward(params, x, config, mode="train")
+        buffers = {}
+
+        def walk(obj):
+            if isinstance(obj, np.ndarray):
+                while obj.base is not None:
+                    obj = obj.base
+                buffers[id(obj)] = obj.nbytes
+            elif isinstance(obj, list):
+                for item in obj:
+                    walk(item)
+            elif dataclasses.is_dataclass(obj):
+                for f in dataclasses.fields(obj):
+                    walk(getattr(obj, f.name))
+
+        walk(cache)
+        assert sum(buffers.values()) <= 2.0 * 2**20
 
     @pytest.mark.parametrize("shape", [(2, 2999), (1, 1, EPOCH_SAMPLES), (EPOCH_SAMPLES, 1)])
     def test_bad_batch_shape_rejected(self, small_setup, shape):

@@ -236,13 +236,13 @@ class TestFitAgainstPerEpochLoops:
 
 class TestFolds:
     def test_77_subjects_chunk_into_16s_and_a_13(self):
-        plan = make_folds(list(range(77)), k=5, seed=1)
-        assert sorted(len(f) for f in plan.folds) == [13, 16, 16, 16, 16]
-        assert [len(f) for f in plan.folds][:4] == [16, 16, 16, 16]
+        folds = make_folds(list(range(77)), k=5, seed=1)
+        assert sorted(len(f) for f in folds) == [13, 16, 16, 16, 16]
+        assert [len(f) for f in folds][:4] == [16, 16, 16, 16]
 
     def test_even_split(self):
-        plan = make_folds(list(range(10)), k=5, seed=2)
-        assert [len(f) for f in plan.folds] == [2, 2, 2, 2, 2]
+        folds = make_folds(list(range(10)), k=5, seed=2)
+        assert [len(f) for f in folds] == [2, 2, 2, 2, 2]
 
     def test_too_many_folds(self):
         with pytest.raises(TrainingError):
@@ -254,11 +254,11 @@ class TestFolds:
         if k > n:
             return
         ids = list(range(100, 100 + n))
-        plan = make_folds(ids, k=k, seed=seed)
-        combined = [s for fold in plan.folds for s in fold]
+        folds = make_folds(ids, k=k, seed=seed)
+        combined = [s for fold in folds for s in fold]
         assert sorted(combined) == sorted(ids)
-        assert len(plan.folds) == k
-        assert all(fold for fold in plan.folds)
+        assert len(folds) == k
+        assert all(fold for fold in folds)
 
 
 class TestSplitAndFit:
