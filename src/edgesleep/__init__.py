@@ -4,7 +4,7 @@ training, subject-specific adaptation, int8 quantization, and flash/SRAM
 budget verification, plus a real-time streaming classifier."""
 
 from .adapt import fine_tune, split_adapt
-from .budget import DeviceProfile, NANO33BLE, check_fit, mac_count, peak_ram
+from .budget import check_fit, mac_count, peak_ram
 from .edf import EdfError, EdfFile, EdfHeader, RawAnnotation, parse_edf, parse_tal, read_signal
 from .epochs import (
     EPOCH_SAMPLES,

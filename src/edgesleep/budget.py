@@ -1,5 +1,5 @@
 """Static flash/RAM/compute accounting against the target device, the
-Arduino Nano 33 BLE (NANO33BLE).
+Arduino Nano 33 BLE.
 
 The RAM model bounds activations only, under a sequential executor: one
 layer runs at a time with its input and output live simultaneously and
@@ -23,18 +23,11 @@ EPOCH_DEADLINE_SECONDS = 30.0
 ACTIVATION_BYTES = 4  # float32 activations
 
 
-@dataclass(frozen=True)
-class DeviceProfile:
-    name: str
-    flash_bytes: int
-    sram_bytes: int
-    clock_hz: int
-
-
 # Target board: 64 MHz 32-bit ARM MCU with 1 MB flash and 256 KB SRAM.
-NANO33BLE = DeviceProfile(
-    name="nano33ble", flash_bytes=1_048_576, sram_bytes=262_144, clock_hz=64_000_000
-)
+DEVICE_NAME = "nano33ble"
+FLASH_BYTES = 1_048_576
+SRAM_BYTES = 262_144
+CLOCK_HZ = 64_000_000
 
 
 @dataclass(frozen=True)
@@ -51,7 +44,6 @@ class LayerLiveness:
 
 @dataclass(frozen=True)
 class BudgetReport:
-    profile: DeviceProfile
     flash_used: int
     peak_ram: int
     macs: int
@@ -59,19 +51,19 @@ class BudgetReport:
 
     @property
     def fits_flash(self) -> bool:
-        return self.flash_used <= self.profile.flash_bytes
+        return self.flash_used <= FLASH_BYTES
 
     @property
     def fits_ram(self) -> bool:
-        return self.peak_ram <= self.profile.sram_bytes
+        return self.peak_ram <= SRAM_BYTES
 
     @property
     def flash_headroom(self) -> float:
-        return 1.0 - self.flash_used / self.profile.flash_bytes
+        return 1.0 - self.flash_used / FLASH_BYTES
 
     @property
     def ram_headroom(self) -> float:
-        return 1.0 - self.peak_ram / self.profile.sram_bytes
+        return 1.0 - self.peak_ram / SRAM_BYTES
 
     @property
     def realtime_ok(self) -> bool:
@@ -145,28 +137,26 @@ def mac_count(config: ArchConfig) -> int:
     return sum(macs for _, macs in mac_table(config))
 
 
-def check_fit(model_file: str | Path, config: ArchConfig, profile: DeviceProfile) -> BudgetReport:
+def check_fit(model_file: str | Path, config: ArchConfig) -> BudgetReport:
     """Combine flash, peak activation RAM, and a naive 1-MAC-per-cycle latency
-    bound into one feasibility report against the profile.
+    bound into one feasibility report against the board.
 
     config is the model file's, as its caller read it with model.read_slpm,
     which checked the file; flash is the file's byte size, so the file is
     not read again."""
     macs = mac_count(config)
     return BudgetReport(
-        profile=profile,
         flash_used=os.path.getsize(model_file),
         peak_ram=peak_ram(config),
         macs=macs,
-        latency_bound_s=macs / profile.clock_hz,
+        latency_bound_s=macs / CLOCK_HZ,
     )
 
 
 def render_report_text(report: BudgetReport) -> str:
-    p = report.profile
     lines = [
-        f"device profile     {p.name} (flash {p.flash_bytes} B, sram {p.sram_bytes} B, "
-        f"clock {p.clock_hz} Hz)",
+        f"device profile     {DEVICE_NAME} (flash {FLASH_BYTES} B, sram {SRAM_BYTES} B, "
+        f"clock {CLOCK_HZ} Hz)",
         f"model flash        {report.flash_used} B "
         f"-> {'fits' if report.fits_flash else 'DOES NOT FIT'} "
         f"(headroom {report.flash_headroom:+.1%})",
@@ -183,10 +173,10 @@ def render_report_text(report: BudgetReport) -> str:
 
 def render_report_kv(report: BudgetReport) -> str:
     pairs = [
-        ("profile", report.profile.name),
-        ("flash_capacity_bytes", report.profile.flash_bytes),
-        ("sram_capacity_bytes", report.profile.sram_bytes),
-        ("clock_hz", report.profile.clock_hz),
+        ("profile", DEVICE_NAME),
+        ("flash_capacity_bytes", FLASH_BYTES),
+        ("sram_capacity_bytes", SRAM_BYTES),
+        ("clock_hz", CLOCK_HZ),
         ("flash_used_bytes", report.flash_used),
         ("peak_activation_bytes", report.peak_ram),
         ("macs", report.macs),

@@ -166,7 +166,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_budget(args) -> int:
     config, _ = model.read_slpm(args.model)
-    report = budget_mod.check_fit(args.model, config, budget_mod.NANO33BLE)
+    report = budget_mod.check_fit(args.model, config)
     if args.kv:
         print(budget_mod.render_report_kv(report), end="")
     else:

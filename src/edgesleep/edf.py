@@ -38,7 +38,6 @@ class EdfSignalHeader:
     """Per-signal slice of the EDF header."""
 
     label: str
-    physical_dimension: str
     physical_min: float
     physical_max: float
     digital_min: int
@@ -217,7 +216,6 @@ def _read_header(stream: BinaryIO) -> EdfHeader:
     signals = []
     for i in range(n_signals):
         label = _ascii(column(0, 16, i))
-        dimension = _ascii(column(96, 8, i))
         phys_min = _numeric(column(104, 8, i), float, "physical-min")
         phys_max = _numeric(column(112, 8, i), float, "physical-max")
         dig_min = _numeric(column(120, 8, i), int, "digital-min")
@@ -232,7 +230,6 @@ def _read_header(stream: BinaryIO) -> EdfHeader:
         signals.append(
             EdfSignalHeader(
                 label=label,
-                physical_dimension=dimension,
                 physical_min=phys_min,
                 physical_max=phys_max,
                 digital_min=dig_min,

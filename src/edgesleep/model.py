@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -38,11 +38,23 @@ FLAG_QUANTIZED = 0x0001
 
 DTYPE_F32 = 0
 DTYPE_I8 = 1
+# The largest int8 scale at which every int8 value, -128 included,
+# dequantizes to a finite float32.
+INT8_SCALE_MAX = float(np.finfo(np.float32).max) / 128
 
-# Rows per forward in predict: bounds its working memory by the chunk
-# (a 10 MB tracemalloc peak at float32 and full width), not by the number
-# of epochs scored.
-PREDICT_ROWS = 32
+# Rows per batched forward, in predict (and so eval, adapt and fit's
+# validation) and in training.batch_gradients, which reads it when it runs.
+# predict's bits do not depend on it (the row contract in kernels); the order
+# in which batch_gradients adds chunk gradients does.  The chunk, not the
+# number of epochs, bounds the working memory.  Measured on a 2-core x86 VM
+# (float32, width 1.0, one BLAS thread):
+# - train benchmark (batch 64, median of 4 runs): 8 rows trained 558
+#   samples/s at 58.9 MB peak RSS, 4 rows 473/s at 54.9 MB;
+# - predict (640 epochs, 6 alternated runs): a median 280 us/epoch at 8 rows
+#   and 278 us at 32, with bitwise-equal probabilities, and a tracemalloc
+#   peak of 1.9 MB at 8 rows against 7.4 MB at 32.
+# A constant, so that results never depend on the caller.
+CHUNK_ROWS = 8
 
 
 class ModelFormatError(ValueError):
@@ -190,14 +202,14 @@ class ForwardCache:
     of the forward input.
     """
 
-    acts: list[np.ndarray] = field(default_factory=list)
-    attn: kernels.AttentionCache | None = None
-    resid1: np.ndarray | None = None
-    normed2: np.ndarray | None = None
-    ffn_hidden: np.ndarray | None = None
-    resid2: np.ndarray | None = None
-    flat: np.ndarray | None = None
-    probs: np.ndarray | None = None
+    acts: list[np.ndarray]
+    attn: kernels.AttentionCache
+    resid1: np.ndarray
+    normed2: np.ndarray
+    ffn_hidden: np.ndarray
+    resid2: np.ndarray
+    flat: np.ndarray
+    probs: np.ndarray
 
 
 def forward(
@@ -222,12 +234,12 @@ def forward(
             f"input must be [{EPOCH_SAMPLES}] or [N, {EPOCH_SAMPLES}], got {x.shape}"
         )
     h = x[..., None]  # [..., 3000, 1]
-    cache = ForwardCache(acts=[h]) if mode == "train" else None
+    acts = [h]
 
     for i, (_, stride, _) in enumerate(config.scaled_conv_table, start=1):
         h = kernels.relu(kernels.conv1d(h, params[f"conv{i}_w"], params[f"conv{i}_b"], stride))
-        if cache is not None:
-            cache.acts.append(h)
+        if mode == "train":
+            acts.append(h)
 
     features = h  # [..., feature_len, d_model]
     expected = (config.feature_len, config.scaled_d_model)
@@ -254,22 +266,16 @@ def forward(
     logits = kernels.dense(flat[..., None, :], params["cls_w"], params["cls_b"])[..., 0, :]
     probs = kernels.softmax(logits)
 
-    if cache is not None:
-        cache.attn = attn_cache
-        cache.resid1 = resid1
-        cache.normed2 = normed2
-        cache.ffn_hidden = ffn_hidden
-        cache.resid2 = resid2
-        cache.flat = flat
-        cache.probs = probs
-    return probs, cache
+    if mode == "infer":
+        return probs, None
+    return probs, ForwardCache(acts, attn_cache, resid1, normed2, ffn_hidden, resid2, flat, probs)
 
 
 def predict(
     params: ModelParams, config: ArchConfig, X: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
     """Stage probabilities [len(rows), 5] of the epochs X[rows] of an
-    [N, 3000] array, one forward per PREDICT_ROWS rows.
+    [N, 3000] array, one forward per CHUNK_ROWS rows.
 
     Each chunk of rows is gathered from X and standardized row by row
     (epochs.standardize; a flat or non-finite epoch raises
@@ -278,8 +284,8 @@ def predict(
     bit, whatever the rows.
     """
     probs = np.empty((len(rows), config.n_classes), dtype=params["conv1_w"].dtype)
-    for start in range(0, len(rows), PREDICT_ROWS):
-        chunk = slice(start, start + PREDICT_ROWS)
+    for start in range(0, len(rows), CHUNK_ROWS):
+        chunk = slice(start, start + CHUNK_ROWS)
         probs[chunk] = forward(params, standardize(X[rows[chunk]]), config)[0]
     return probs
 
@@ -384,7 +390,8 @@ def read_slpm(
     checked against the architecture before any payload is read, and an
     unexpected, duplicated, missing or wrong-shaped tensor, or a
     FLAG_QUANTIZED bit that disagrees with the tensor dtypes, raises
-    ModelFormatError; so does a non-finite float32 value or int8 scale.
+    ModelFormatError; so does a non-finite float32 value, or an int8 scale
+    that is not positive or would dequantize some value to infinity.
     """
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
@@ -408,6 +415,10 @@ def read_slpm(
                 (scale,) = struct.unpack("<f", _take(f, 4))
                 if not (math.isfinite(scale) and scale > 0):
                     raise ModelFormatError(f"tensor {name}: int8 scale {scale} is not positive")
+                if scale > INT8_SCALE_MAX:
+                    raise ModelFormatError(
+                        f"tensor {name}: int8 scale {scale} overflows float32 when dequantized"
+                    )
             elif dtype_code != DTYPE_F32:
                 raise ModelFormatError(f"unknown dtype code {dtype_code} for {name}")
             if name not in shapes:

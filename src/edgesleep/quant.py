@@ -17,10 +17,6 @@ import numpy as np
 from .model import ArchConfig, ModelParams, expected_shapes, read_slpm, write_slpm
 
 
-def _is_weight(name: str) -> bool:
-    return name.endswith("_w") or (name.startswith("attn_w"))
-
-
 @dataclass(frozen=True)
 class QuantTensor:
     """int8 payload with its dequantization scale (zero point fixed at 0)."""
@@ -73,7 +69,7 @@ def quantize_model(params: ModelParams, config: ArchConfig) -> QuantModel:
     quantized: dict[str, QuantTensor] = {}
     retained: dict[str, np.ndarray] = {}
     for name, arr in params.tensors.items():
-        if _is_weight(name):
+        if arr.ndim > 1:  # a weight matrix or conv kernel, as in init_params
             quantized[name] = quantize_tensor(arr)
         else:
             retained[name] = np.asarray(arr, dtype=np.float32)

@@ -12,20 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, model
 from .epochs import standardize
 from .model import ArchConfig, ForwardCache, ModelParams, forward, init_params, predict
 
 PROB_FLOOR = 1e-12
-
-# Rows per batched train-mode forward/backward (validation scores through
-# model.predict and its PREDICT_ROWS).  Each chunk keeps its activations alive
-# until its backprop ends, so the size trades per-call overhead against peak
-# memory.  On the `train` benchmark (float32, width 1.0, batch 64, one BLAS
-# thread on a 2-core x86 VM; median of 4 runs), 8 rows trained 558 samples/s
-# at 58.9 MB peak RSS, 4 rows 473/s at 54.9 MB.  A constant, so that results
-# never depend on the caller.
-CHUNK_ROWS = 8
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults),
 # and the share of train_fold's non-test epochs held out for validation.
@@ -93,7 +84,7 @@ def backprop(
     the gradient of the summed cross-entropy.  Softmax and cross-entropy
     fuse to (probs - onehot) at the logits.
     """
-    if cache is None or cache.probs is None:
+    if cache is None:
         raise TrainingError("backprop needs the cache from a train-mode forward")
     probs = cache.probs
     dlogits = probs - np.eye(probs.shape[-1], dtype=probs.dtype)[label]
@@ -204,16 +195,17 @@ def batch_gradients(
     """Mean gradient and mean loss over the mini-batch of records
     epochs[rows].
 
-    Rows run through one batched forward and backprop per CHUNK_ROWS, each
-    chunk gathered from epochs["samples"] and standardized row by row just
-    before its forward; the chunk gradients add up in place in chunk order
+    Rows run through one batched forward and backprop per model.CHUNK_ROWS,
+    each chunk gathered from epochs["samples"] and standardized row by row
+    just before its forward; the chunk gradients add up in place in chunk order
     and are scaled once.
     """
     samples, stages = epochs["samples"], epochs["stage"]
     total: dict[str, np.ndarray] | None = None
     loss = 0.0
-    for start in range(0, len(rows), CHUNK_ROWS):
-        chunk = rows[start : start + CHUNK_ROWS]
+    chunk_rows = model.CHUNK_ROWS
+    for start in range(0, len(rows), chunk_rows):
+        chunk = rows[start : start + chunk_rows]
         ys = stages[chunk]
         probs, cache = forward(params, standardize(samples[chunk]), config, mode="train")
         loss += sum(map(cross_entropy, probs, ys))
@@ -272,11 +264,9 @@ def fit(
                 val_acc=val_acc,
             )
         )
-        if len(val_rows) and val_acc > best_acc:
+        if not len(val_rows) or val_acc > best_acc:
             best_acc = val_acc
-            best_params = params.copy()
-    if not len(val_rows):
-        best_params = params
+            best_params = params
     return best_params, history
 
 

@@ -17,7 +17,7 @@ from edgesleep.metrics import class_metrics
 from edgesleep.model import ArchConfig, forward, init_params, param_count, save_model
 from edgesleep.quant import quantize_model, save_quant_model
 from edgesleep.streaming import make_predictor, stream_classify
-from edgesleep.budget import NANO33BLE, check_fit, mac_table, peak_ram, activation_table
+from edgesleep.budget import check_fit, mac_table, peak_ram, activation_table
 from edgesleep.training import TrainConfig, backprop, cross_entropy, fit
 
 from conftest import OVERFIT_SEED
@@ -253,8 +253,8 @@ class TestCriterion8Budget:
         save_quant_model(
             quantize_model(params, config), quant_path
         )
-        float_report = check_fit(float_path, config, NANO33BLE)
-        quant_report = check_fit(quant_path, config, NANO33BLE)
+        float_report = check_fit(float_path, config)
+        quant_report = check_fit(quant_path, config)
         assert not float_report.fits_flash and float_report.fits_ram
         assert quant_report.fits_flash and quant_report.fits_ram
         assert quant_report.latency_bound_s < 30.0

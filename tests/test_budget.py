@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from edgesleep.budget import (
-    NANO33BLE,
-    DeviceProfile,
+    SRAM_BYTES,
     activation_table,
     check_fit,
     mac_count,
@@ -53,7 +52,7 @@ class TestPeakRam:
 
     def test_peak_is_conv2(self):
         assert peak_ram(ArchConfig()) == 94_208
-        assert peak_ram(ArchConfig()) <= NANO33BLE.sram_bytes
+        assert peak_ram(ArchConfig()) <= SRAM_BYTES
 
     def test_half_width_halves_peak(self):
         assert peak_ram(ArchConfig(width_multiplier=0.5)) == 94_208 // 2
@@ -97,7 +96,7 @@ def model_files(tmp_path_factory):
 class TestCheckFit:
     def test_float_model_fails_flash_passes_ram(self, model_files):
         config, float_path, _ = model_files
-        report = check_fit(float_path, config, NANO33BLE)
+        report = check_fit(float_path, config)
         assert report.flash_used == float_path.stat().st_size > 1_048_576
         assert not report.fits_flash
         assert report.fits_ram
@@ -106,15 +105,10 @@ class TestCheckFit:
 
     def test_quant_model_fits_everything(self, model_files):
         config, _, quant_path = model_files
-        report = check_fit(quant_path, config, NANO33BLE)
+        report = check_fit(quant_path, config)
         assert report.fits_flash and report.fits_ram and report.realtime_ok
         assert report.latency_bound_s < 30.0
         assert report.flash_headroom > 0.5
-
-    def test_tiny_flash_profile_fails(self, model_files):
-        config, _, quant_path = model_files
-        tiny = DeviceProfile(name="tiny", flash_bytes=10, sram_bytes=262_144, clock_hz=64_000_000)
-        assert not check_fit(quant_path, config, tiny).fits_flash
 
     def test_flash_usage_monotone_in_width(self, tmp_path):
         sizes = []
@@ -122,7 +116,7 @@ class TestCheckFit:
             config = ArchConfig(width_multiplier=m)
             path = tmp_path / f"w{m}.slpm"
             save_model(init_params(config, 62).astype(np.float32), config, path)
-            sizes.append(check_fit(path, read_slpm(path)[0], NANO33BLE).flash_used)
+            sizes.append(check_fit(path, read_slpm(path)[0]).flash_used)
         assert sizes == sorted(sizes)
 
     def test_invalid_file_rejected(self, tmp_path):
@@ -133,7 +127,7 @@ class TestCheckFit:
 
     def test_renderings(self, model_files):
         config, _, quant_path = model_files
-        report = check_fit(quant_path, config, NANO33BLE)
+        report = check_fit(quant_path, config)
         text = render_report_text(report)
         assert "fits" in text and "activations only" in text
         kv = dict(

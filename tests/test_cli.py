@@ -18,7 +18,7 @@ from edgesleep.edf import UnknownChannelError, parse_edf
 from edgesleep.kernels import NonFiniteError
 from edgesleep.metrics import counts_from_csv
 from edgesleep.model import (
-    PREDICT_ROWS, ArchConfig, init_params, load_model, predict, save_model, forward, write_slpm,
+    CHUNK_ROWS, ArchConfig, init_params, load_model, predict, save_model, forward, write_slpm,
 )
 from edgesleep.quant import load_any_model, quantize_model, save_quant_model
 from edgesleep.streaming import StageDecision, decision_line
@@ -331,7 +331,7 @@ class TestTrainEvalFlow:
         else:
             params, config = load_model(model_path)
         stored = ep.read_store(store_path)
-        assert len(stored) % PREDICT_ROWS != 0
+        assert len(stored) % CHUNK_ROWS != 0
         want = np.zeros((5, 5), dtype=np.int64)
         for e in stored:
             probs, _ = forward(params, ep.standardize(e.samples), config)
@@ -1001,11 +1001,13 @@ def _float_inf_weight(config, path):
     save_model(params, config, path)
 
 
-def _int8_nan_scale(config, path):
-    qm = quantize_model(init_params(config, 0), config)
-    entries = [(n, qt.values, float("nan") if n == "conv1_w" else qt.scale)
-               for n, qt in qm.quantized.items()]
-    write_slpm(path, config, entries + [(n, a, None) for n, a in qm.retained.items()])
+def _int8_conv1_scale(scale):
+    def build(config, path):
+        qm = quantize_model(init_params(config, 0), config)
+        entries = [(n, qt.values, scale if n == "conv1_w" else qt.scale)
+                   for n, qt in qm.quantized.items()]
+        write_slpm(path, config, entries + [(n, a, None) for n, a in qm.retained.items()])
+    return build
 
 
 def _heads_8(config, path):
@@ -1035,7 +1037,12 @@ CRAFTED_MODELS = {
     ),
     "float-flag-set": (_patch_flags(save_model, 1), "header flag says int8, but no tensor is int8"),
     "float-inf-weight": (_float_inf_weight, "tensor conv2_w holds non-finite values"),
-    "int8-nan-scale": (_int8_nan_scale, "tensor conv1_w: int8 scale nan is not positive"),
+    "int8-nan-scale": (_int8_conv1_scale(float("nan")), "tensor conv1_w: int8 scale nan is not positive"),
+    # 127 * 1e37 is past float32's largest value
+    "int8-huge-scale": (
+        _int8_conv1_scale(1e37),
+        r"tensor conv1_w: int8 scale 9\.99\d*e\+36 overflows float32 when dequantized",
+    ),
 }
 
 

@@ -7,7 +7,6 @@ import pytest
 from edgesleep import model as model_mod
 from edgesleep.epochs import EPOCH_SAMPLES, DegenerateEpochError, standardize
 from edgesleep.model import (
-    PREDICT_ROWS,
     ArchConfig,
     ModelFormatError,
     expected_shapes,
@@ -253,25 +252,25 @@ class TestPredict:
     def scored(self):
         config = ArchConfig(width_multiplier=0.25)
         params = init_params(config, 14).astype(np.float32)
-        epochs = make_synth_epochs(2 * PREDICT_ROWS + 7, seed=15)
+        epochs = make_synth_epochs(71, seed=15)
         return params, config, epochs, reference_predictions(params, config, epochs)
 
     def test_equals_per_epoch_loop_bitwise(self, scored):
         params, config, epochs, want = scored
-        assert len(epochs) % PREDICT_ROWS != 0
+        assert len(epochs) % model_mod.CHUNK_ROWS != 0
         probs = predict(params, config, epochs.samples, np.arange(len(epochs)))
         assert probs.shape == (len(epochs), 5) and probs.dtype == np.float32
         assert np.array_equal(probs, want)
 
     def test_rows_select_and_order_the_epochs(self, scored):
         params, config, epochs, want = scored
-        rows = np.random.default_rng(16).permutation(len(epochs))[: PREDICT_ROWS + 5]
+        rows = np.random.default_rng(16).permutation(len(epochs))[:37]
         assert np.array_equal(predict(params, config, epochs.samples, rows), want[rows])
 
-    @pytest.mark.parametrize("rows", [1, 5, 3 * PREDICT_ROWS])
+    @pytest.mark.parametrize("rows", [1, 5, 96])
     def test_chunk_size_does_not_change_bits(self, scored, monkeypatch, rows):
         params, config, epochs, want = scored
-        monkeypatch.setattr(model_mod, "PREDICT_ROWS", rows)
+        monkeypatch.setattr(model_mod, "CHUNK_ROWS", rows)
         assert np.array_equal(predict(params, config, epochs.samples, np.arange(len(epochs))), want)
 
     def test_no_epochs(self, scored):
@@ -281,7 +280,7 @@ class TestPredict:
     def test_flat_epoch_raises(self, scored):
         params, config, epochs, _ = scored
         samples = epochs.samples.copy()
-        samples[PREDICT_ROWS + 3] = 5.0
+        samples[35] = 5.0
         with pytest.raises(DegenerateEpochError):
             predict(params, config, samples, np.arange(len(samples)))
 

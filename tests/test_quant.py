@@ -8,9 +8,11 @@ from edgesleep import model as model_mod
 from edgesleep.model import (
     ArchConfig,
     ModelFormatError,
+    expected_shapes,
     forward,
     init_params,
     load_model,
+    read_slpm,
     save_model,
     write_slpm,
 )
@@ -142,7 +144,7 @@ class TestQuantizeModel:
     def test_loaders_share_tensor_checks(self, small_quant, tmp_path, tamper, message, quantized):
         config, params, qm = small_quant
         if quantized:
-            entries = [(n, qt.values.reshape(qt.shape), qt.scale) for n, qt in qm.quantized.items()]
+            entries = [(n, qt.values, qt.scale) for n, qt in qm.quantized.items()]
             entries += [(n, a, None) for n, a in qm.retained.items()]
             load = load_any_model
         else:
@@ -254,3 +256,60 @@ class TestQuantForward:
             qp = dequantized_forward(qm, x)
             agree += int(np.argmax(fp) == np.argmax(qp))
         assert agree / len(overfit_run["data"]) >= 0.95
+
+
+@pytest.fixture(scope="module")
+def model_bytes(small_quant, tmp_path_factory):
+    """{kind: (file bytes, bytes before the first payload)} of a valid float
+    and a valid int8 model file."""
+    config, params, qm = small_quant
+    tmp = tmp_path_factory.mktemp("mutated_models")
+    out = {}
+    for kind, save in (("float", lambda p: save_model(params, config, p)),
+                       ("int8", lambda p: save_quant_model(qm, p))):
+        path = tmp / f"{kind}.slpm"
+        save(path)
+        raw = path.read_bytes()
+        payload = sum(arr.nbytes for arr, _ in read_slpm(path)[1].values())
+        out[kind] = (raw, len(raw) - payload)
+    return out, tmp / "mutant.slpm"
+
+
+class TestMutatedModelFiles:
+    """Truncated, bit-flipped and spliced model files: each either raises
+    ModelFormatError or loads finite float32 tensors of the shapes its
+    architecture block implies."""
+
+    @staticmethod
+    def position(data, raw, head):
+        # half the draws land in the header and tensor directory
+        return data.draw(st.one_of(st.integers(0, head - 1), st.integers(0, len(raw) - 1)))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rejected_or_loads_finite_tensors(self, model_bytes, data):
+        files, path = model_bytes
+        raw, head = files[data.draw(st.sampled_from(sorted(files)))]
+        mutation = data.draw(st.sampled_from(["truncate", "flip", "splice"]))
+        if mutation == "truncate":
+            mutant = raw[: self.position(data, raw, head)]
+        elif mutation == "flip":
+            mutant = bytearray(raw)
+            for _ in range(data.draw(st.integers(1, 4))):
+                mutant[self.position(data, raw, head)] ^= 1 << data.draw(st.integers(0, 7))
+        else:
+            other, other_head = files[data.draw(st.sampled_from(sorted(files)))]
+            mutant = raw[: self.position(data, raw, head)] + other[
+                self.position(data, other, other_head) :
+            ]
+        path.write_bytes(bytes(mutant))
+        try:
+            kind, loaded, config = load_any_model(path)
+        except ModelFormatError:
+            return
+        params = loaded.dequantize() if kind == "quant" else loaded
+        shapes = expected_shapes(config)
+        assert params.names() == list(shapes)
+        for name, shape in shapes.items():
+            assert params[name].shape == shape and params[name].dtype == np.float32, name
+            assert np.isfinite(params[name]).all(), name

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesleep.epochs import EPOCH_SAMPLES, SleepStage, standardize
-from edgesleep.model import PREDICT_ROWS, ArchConfig, forward, init_params, predict
+from edgesleep.model import ArchConfig, forward, init_params, predict
 from edgesleep.streaming import (
     StageDecision,
     decision_line,
@@ -187,7 +187,7 @@ class TestBatchEquivalence:
 
     def test_streamed_probs_equal_chunked_predict_bitwise(self, predictor):
         predict_window, params, config = predictor
-        epochs = make_synth_epochs(PREDICT_ROWS + 3, seed=82)
+        epochs = make_synth_epochs(35, seed=82)
         replay = np.concatenate([e.samples for e in epochs])
         decisions, _ = collect([replay], predict_window)
         batch = predict(params, config, epochs.samples, np.arange(len(epochs)))

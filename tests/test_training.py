@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesleep import training
+from edgesleep import model, training
 from edgesleep.epochs import standardize
-from edgesleep.model import PREDICT_ROWS, ArchConfig, init_params, forward
+from edgesleep.model import ArchConfig, init_params, forward
 from edgesleep.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -159,11 +159,31 @@ class TestBackprop:
         epochs = make_synth_epochs(7, seed=27)
         rows = np.arange(len(epochs))
         want, want_loss = batch_gradients(self.params, self.config, epochs, rows)
-        monkeypatch.setattr(training, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(model, "CHUNK_ROWS", chunk)
         got, got_loss = batch_gradients(self.params, self.config, epochs, rows)
         assert got_loss == pytest.approx(want_loss, abs=1e-12)
         for name in want:
             np.testing.assert_allclose(got[name], want[name], atol=1e-12)
+
+    @pytest.mark.parametrize("chunk", [3, 4])
+    def test_one_chunk_size_for_predict_and_batch_gradients(self, chunk, monkeypatch):
+        """One setting of model.CHUNK_ROWS sets the rows of every batched
+        forward: ceil(n / chunk) calls in predict and in batch_gradients."""
+        epochs = make_synth_epochs(10, seed=32)
+        rows = np.arange(len(epochs))
+        want = [min(chunk, len(rows) - start) for start in range(0, len(rows), chunk)]
+        monkeypatch.setattr(model, "CHUNK_ROWS", chunk)
+        for module, run in (
+            (model, lambda: model.predict(self.params, self.config, epochs.samples, rows)),
+            (training, lambda: batch_gradients(self.params, self.config, epochs, rows)),
+        ):
+            sizes = []
+            real = module.forward
+            monkeypatch.setattr(
+                module, "forward", lambda p, x, *a, **k: sizes.append(len(x)) or real(p, x, *a, **k)
+            )
+            run()
+            assert sizes == want, module.__name__
 
     def test_evaluate_matches_per_epoch_forward(self):
         epochs = make_synth_epochs(5, seed=28)
@@ -218,7 +238,7 @@ class TestFitAgainstPerEpochLoops:
     def test_val_acc_equals_per_epoch_forward(self):
         train = make_synth_epochs(6, seed=30)
         val = make_synth_epochs(37, seed=31)
-        assert len(val) > PREDICT_ROWS
+        assert len(val) > model.CHUNK_ROWS
         tc = TrainConfig(max_epochs=1, batch_size=6, seed=10)
         rows = np.arange(len(train) + len(val))
         params, history = fit(
@@ -354,7 +374,7 @@ class TestFloat32Training:
         epochs = make_synth_epochs(7, seed=27)
         rows = np.arange(len(epochs))
         want, want_loss = batch_gradients(params, config, epochs, rows)
-        monkeypatch.setattr(training, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(model, "CHUNK_ROWS", chunk)
         got, got_loss = batch_gradients(params, config, epochs, rows)
         # each row's probabilities are the same bits in any chunk; only the
         # float64 sum of the per-row losses changes order
