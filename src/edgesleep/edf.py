@@ -49,7 +49,6 @@ class EdfSignalHeader:
 class EdfHeader:
     """Decoded fixed-width EDF header (256 bytes + 256 per signal)."""
 
-    version: str
     n_records: int
     record_duration: float
     signals: tuple[EdfSignalHeader, ...]
@@ -191,7 +190,6 @@ def parse_edf(source: str | Path | bytes | BinaryIO) -> EdfFile:
 def _read_header(stream: BinaryIO) -> EdfHeader:
     """Decode and check the header; leaves the stream at the data area."""
     fixed = _read_exact(stream, 256, "EDF header")
-    version = fixed[0:8].decode("ascii", errors="replace").rstrip()
     reserved = _ascii(fixed[192:236])
     if reserved.startswith("EDF+D"):
         raise EdfError("discontinuous (EDF+D) recordings are not supported")
@@ -239,7 +237,6 @@ def _read_header(stream: BinaryIO) -> EdfHeader:
         )
 
     header = EdfHeader(
-        version=version,
         n_records=n_records,
         record_duration=record_duration,
         signals=tuple(signals),

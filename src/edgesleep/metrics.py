@@ -142,16 +142,29 @@ def counts_to_csv(cm: np.ndarray) -> str:
 
 
 def counts_from_csv(text: str) -> np.ndarray:
-    """Parse the counts_to_csv format back into a matrix."""
+    """Parse the counts_to_csv format back into a matrix.
+
+    Every count must be a non-negative integer, and their total must fit
+    int64, so that no sum taken over the matrix can wrap (MetricsError).
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("actual,"):
         raise MetricsError("confusion counts CSV must start with an 'actual,...' header")
     if len(lines) != N_CLASSES + 1:
         raise MetricsError(f"expected {N_CLASSES} data rows")
-    cm = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
+    rows = []
     for c, line in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != N_CLASSES + 1 or parts[0] != STAGE_NAMES[c]:
             raise MetricsError(f"bad confusion row {line!r}")
-        cm[c] = [int(p) for p in parts[1:]]
-    return cm
+        try:
+            counts = [int(p) for p in parts[1:]]
+        except ValueError:
+            raise MetricsError(f"non-integer count in confusion row {line!r}") from None
+        if min(counts) < 0:
+            raise MetricsError(f"negative count in confusion row {line!r}")
+        rows.append(counts)
+    total = sum(map(sum, rows))
+    if total > np.iinfo(np.int64).max:
+        raise MetricsError(f"confusion counts total {total} does not fit int64")
+    return np.array(rows, dtype=np.int64)

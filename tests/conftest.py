@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from edgesleep.epochs import EPOCH_SAMPLES, STORE_RECORD, write_store
 from edgesleep.model import ArchConfig, init_params
@@ -60,6 +61,27 @@ def claim_tensor_length(raw: bytes, name: str, length: int) -> bytes:
     length_pos = pos + 1 + 4 * rank + 1 + 8  # skip rank, dims, dtype, offset
     raw[length_pos : length_pos + 8] = length.to_bytes(8, "little")
     return bytes(raw)
+
+
+def mutate(data, files: dict[str, tuple[bytes, int]]) -> bytes:
+    """Truncate, bit-flip or splice one of `files` ({name: (bytes, header
+    length)}), with positions drawn by hypothesis's `data`; half of the
+    positions fall in the header."""
+
+    def position(raw, head):
+        return data.draw(st.one_of(st.integers(0, head - 1), st.integers(0, len(raw) - 1)))
+
+    raw, head = files[data.draw(st.sampled_from(sorted(files)))]
+    mutation = data.draw(st.sampled_from(["truncate", "flip", "splice"]))
+    if mutation == "truncate":
+        return raw[: position(raw, head)]
+    if mutation == "flip":
+        mutant = bytearray(raw)
+        for _ in range(data.draw(st.integers(1, 4))):
+            mutant[position(raw, head)] ^= 1 << data.draw(st.integers(0, 7))
+        return bytes(mutant)
+    other, other_head = files[data.draw(st.sampled_from(sorted(files)))]
+    return raw[: position(raw, head)] + other[position(other, other_head) :]
 
 
 OVERFIT_SEED = 3

@@ -1,7 +1,12 @@
+import importlib
 import io
+import json
+import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -498,6 +503,26 @@ class TestTrainEvalFlow:
         code = main(["report", "--counts", f"{prefix}_counts.csv", "--style", "csv"])
         assert code == 0
         assert capsys.readouterr().out.startswith("confusion_row,")
+
+    @pytest.mark.parametrize(
+        "wake_row, message",
+        [
+            ("5,-3,0,0,0", "negative count"),
+            (f"{2**63 - 1},{2**63 - 1},0,0,0", "does not fit int64"),
+            ("x,0,0,0,0", "non-integer count"),
+            ("99999999999999999999999,0,0,0,0", "does not fit int64"),
+        ],
+        ids=["negative", "int64-total-overflow", "not-a-number", "cell-past-int64"],
+    )
+    def test_report_rejects_bad_counts(self, tmp_path, capsys, wake_row, message):
+        path = tmp_path / "counts.csv"
+        path.write_text(
+            "actual,Wake,N1,N2,N3,REM\n"
+            f"Wake,{wake_row}\nN1,0,1,0,0,0\nN2,0,0,1,0,0\nN3,0,0,0,1,0\nREM,0,0,0,0,1\n"
+        )
+        assert main(["report", "--counts", str(path)]) == 11
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
 
 @pytest.fixture(scope="module")
@@ -1130,6 +1155,51 @@ class TestReadmeExamples:
     @pytest.mark.parametrize("argv", readme_cli_examples(), ids=lambda argv: argv[0])
     def test_example_parses(self, argv):
         cli.build_parser().parse_args(argv)  # a usage error raises SystemExit
+
+    def test_every_python_api_name_resolves(self):
+        paragraph = README.read_text().split("## Python API", 1)[1].split("\n## ", 1)[0]
+        names = set(re.findall(r"\bedgesleep\.\w+(?:\.\w+)*", paragraph))
+        assert "edgesleep.model.predict" in names
+        for name in sorted(names):
+            _, module, *attrs = name.split(".")
+            value = importlib.import_module(f"edgesleep.{module}")
+            for attr in attrs:
+                value = getattr(value, attr)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestPackageRoot:
+    def test_root_loads_its_modules_and_binds_no_function(self):
+        result = run_python("-c", (
+            "import json, sys, types, edgesleep\n"
+            "print(json.dumps({\n"
+            "    'loaded': sorted(n for n in sys.modules if n.startswith('edgesleep.')),\n"
+            "    'bound': sorted(n for n, v in vars(edgesleep).items()\n"
+            "                    if not n.startswith('__') and not isinstance(v, types.ModuleType)),\n"
+            "}))"
+        ))
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        got = json.loads(result.stdout)
+        traced = {"kernels", "model", "training", "streaming", "edf", "epochs", "quant", "metrics"}
+        assert {f"edgesleep.{m}" for m in traced} <= set(got["loaded"])
+        # loading cli here would make `python -m edgesleep.cli` warn on every run
+        assert "edgesleep.cli" not in got["loaded"]
+        assert got["bound"] == []
+
+    def test_module_entry_point_runs_without_a_warning(self):
+        result = run_python("-m", "edgesleep.cli", "--help")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith("usage:")
 
 
 EXIT_CASES = [(exc_type("boom"), code) for exc_type, code in cli.EXIT_CODES] + [

