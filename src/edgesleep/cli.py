@@ -34,15 +34,19 @@ EXIT_CODES = [
 
 
 def cmd_convert(args) -> int:
+    # the night is labeled and trimmed from the hypnogram first, so only the
+    # records from the first kept window to the last are read and mapped
     with edf.parse_edf(args.psg) as psg:
-        epochs.check_sample_rate(psg, args.channel)
-        signal = edf.read_signal(psg, args.channel)
-    with edf.parse_edf(args.hypnogram) as hyp:
-        annotations = hyp.annotations()
-    night = epochs.segment_epochs(
-        signal, annotations, subject_id=args.subject, night=args.night
-    )
-    new = epochs.trim_wake(night).epochs
+        n_windows = epochs.window_count(psg, args.channel)
+        with edf.parse_edf(args.hypnogram) as hyp:
+            epochs.check_same_start(psg, hyp)
+            stages = epochs.label_windows(hyp.annotations(), n_windows)
+        windows = epochs.kept_windows(stages)
+        first, stop = int(windows[0]), int(windows[-1]) + 1
+        span = edf.read_signal(
+            psg, args.channel, first * epochs.EPOCH_SAMPLES, stop * epochs.EPOCH_SAMPLES
+        )
+    new = epochs.night_records(span, first, windows, stages, args.subject, args.night)
     append = args.append and Path(args.out).exists()
     # an append reads the whole store first, so that a corrupt one fails
     # before any write and the class counts cover every epoch in it

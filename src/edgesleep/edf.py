@@ -6,7 +6,8 @@ fixed-width ASCII headers, 16-bit little-endian integer samples, continuous
 "EDF Annotations" channels.  Discontinuous (EDF+D) files are rejected.
 
 Signal data is read record by record, never buffered whole, so 20-hour
-recordings parse in bounded memory.
+recordings parse in bounded memory.  A channel read may ask for a sample
+range, and then only the records that hold that range are read.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ class EdfHeader:
     n_records: int
     record_duration: float
     signals: tuple[EdfSignalHeader, ...]
+    start_date: str  # dd.mm.yy, as written
+    start_time: str  # hh.mm.ss, as written
 
     @property
     def signal_count(self) -> int:
@@ -131,27 +134,38 @@ class EdfFile:
             raise UnknownChannelError(f"duplicate channel label {label!r}")
         return matches[0]
 
-    def record_chunks(self, index: int) -> Iterator[bytes]:
-        """Yield the raw bytes of one signal, one data record at a time."""
-        sig = self.header.signals[index]
-        n = sig.samples_per_record * 2
-        for rec in range(self.header.n_records):
-            self._stream.seek(
-                self._data_offset
-                + rec * self.header.record_bytes
-                + self._signal_offsets[index]
-            )
+    def record_chunks(
+        self, index: int, first: int = 0, stop: int | None = None
+    ) -> Iterator[bytes]:
+        """Yield the raw bytes of one signal, one data record at a time, from
+        record `first` up to `stop` (the last record by default)."""
+        n = self.header.signals[index].samples_per_record * 2
+        stop = self.header.n_records if stop is None else stop
+        record_bytes = self.header.record_bytes
+        for rec in range(first, stop):
+            self._stream.seek(self._data_offset + rec * record_bytes + self._signal_offsets[index])
             yield _read_exact(self._stream, n, f"data record {rec}")
 
-    def read_digital(self, label: str) -> np.ndarray:
-        """All digital samples of a channel, concatenated across records."""
+    def read_digital(self, label: str, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Digital samples [start, stop) of a channel, concatenated across
+        records; the whole channel by default.  Only the records that hold
+        the range are read.  The range must satisfy 0 <= start <= stop <=
+        the channel's sample count (EdfError otherwise); start == stop gives
+        an empty array."""
         index = self.signal_index(label)
-        sig = self.header.signals[index]
-        n = sig.samples_per_record
-        out = np.empty(self.header.n_records * n, dtype=np.int16)
-        for rec, chunk in enumerate(self.record_chunks(index)):
-            out[rec * n : (rec + 1) * n] = np.frombuffer(chunk, dtype="<i2")
-        return out
+        n = self.header.signals[index].samples_per_record
+        total = self.header.n_records * n
+        stop = total if stop is None else stop
+        if not 0 <= start <= stop <= total:
+            raise EdfError(
+                f"sample range [{start}, {stop}) outside channel {label!r} of {total} samples"
+            )
+        first = start // n
+        end = -(-stop // n) if stop > start else first
+        out = np.empty((end - first) * n, dtype=np.int16)
+        for k, chunk in enumerate(self.record_chunks(index, first, end)):
+            out[k * n : (k + 1) * n] = np.frombuffer(chunk, dtype="<i2")
+        return out[start - first * n : stop - first * n]
 
     def annotations(self) -> list[RawAnnotation]:
         """Decode every TAL in the file's annotation channels, in file order."""
@@ -240,6 +254,8 @@ def _read_header(stream: BinaryIO) -> EdfHeader:
         n_records=n_records,
         record_duration=record_duration,
         signals=tuple(signals),
+        start_date=_ascii(fixed[168:176]),
+        start_time=_ascii(fixed[176:184]),
     )
     if declared_header_bytes != header.header_bytes:
         raise EdfError(
@@ -269,22 +285,38 @@ def physical_map(
 
     dig_max must differ from dig_min.  A physical range that is empty or not
     finite, so that the gain is zero or not finite (an overflowing width
-    included), raises EdfError naming `what`.
+    included), raises EdfError naming `what`.  A digital value outside
+    [dig_min, dig_max] can still map past float64's range; it comes out
+    infinite, without a warning, for the caller's finiteness check.
     """
     gain = (phys_max - phys_min) / (dig_max - dig_min)
     if gain == 0 or not math.isfinite(gain):
         raise EdfError(f"{what}: physical range {phys_min}..{phys_max} is empty or not finite")
-    return lambda digital: (digital.astype(np.float64) - dig_min) * gain + phys_min
+
+    def to_physical(digital: np.ndarray) -> np.ndarray:
+        # one float64 array, updated in place: the formula's bits, without
+        # a temporary per operation
+        phys = np.subtract(digital, dig_min, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            phys *= gain
+            phys += phys_min
+        return phys
+
+    return to_physical
 
 
-def read_signal(edf: EdfFile, channel_label: str) -> np.ndarray:
-    """Return one channel in physical units as float64 (physical_map)."""
+def read_signal(
+    edf: EdfFile, channel_label: str, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Samples [start, stop) of one channel in physical units as float64
+    (physical_map); the whole channel by default.  The range is checked as
+    EdfFile.read_digital checks it, after the physical range."""
     sig = edf.header.signals[edf.signal_index(channel_label)]
     to_physical = physical_map(
         sig.digital_min, sig.digital_max, sig.physical_min, sig.physical_max,
         f"signal {channel_label!r}",
     )
-    return to_physical(edf.read_digital(channel_label))
+    return to_physical(edf.read_digital(channel_label, start, stop))
 
 
 def parse_tal(annotation_bytes: bytes) -> list[RawAnnotation]:

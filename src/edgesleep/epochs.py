@@ -2,9 +2,13 @@
 
 The preprocessing rules applied here: unknown/movement segments are dropped,
 legacy stage 4 is merged into N3, and leading/trailing wake beyond 30 minutes
-around the sleep period is trimmed.  Epochs are stored raw (physical units);
-every consumer standardizes per epoch at the point of use, which keeps batch
-and streaming classification on the identical code path.
+around the sleep period is trimmed.  The rules run on the hypnogram alone,
+before any sample is read: label_windows gives each window of the signal its
+stage, kept_windows applies the discard and wake-trim rules, and
+night_records cuts only the kept windows out of the samples read for them.
+Epochs are stored raw (physical units); every consumer standardizes per
+epoch at the point of use, which keeps batch and streaming classification on
+the identical code path.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -81,15 +85,6 @@ STORE_RECORD = np.dtype(
 )
 
 
-@dataclass(frozen=True)
-class SubjectNight:
-    """Ordered epochs of one recording night, as STORE_RECORD records."""
-
-    subject_id: int
-    night: int
-    epochs: np.recarray
-
-
 def map_label(text: str) -> SleepStage | None:
     """Map a raw annotation string onto a stage, or None for excluded ones."""
     try:
@@ -98,12 +93,12 @@ def map_label(text: str) -> SleepStage | None:
         raise PipelineError(f"unrecognized stage label: {text!r}") from None
 
 
-def check_sample_rate(psg: EdfFile, label: str) -> None:
-    """Reject a channel that is not sampled at SAMPLE_RATE.
+def window_count(psg: EdfFile, label: str) -> int:
+    """The whole 30-second windows of channel `label`, from its header.
 
-    Epochs are cut every EPOCH_SAMPLES samples, so a channel at any other
-    rate would give epochs of the wrong duration under the hypnogram's
-    30 s labels.
+    Epochs are cut every EPOCH_SAMPLES samples, so a channel at any rate
+    but SAMPLE_RATE would give epochs of the wrong duration under the
+    hypnogram's 30 s labels (PipelineError).
     """
     spr = psg.header.signals[psg.signal_index(label)].samples_per_record
     duration = psg.header.record_duration
@@ -111,6 +106,18 @@ def check_sample_rate(psg: EdfFile, label: str) -> None:
     if not math.isclose(rate, SAMPLE_RATE):
         raise PipelineError(
             f"channel {label!r} is sampled at {rate:g} Hz; epochs need {SAMPLE_RATE} Hz"
+        )
+    return psg.header.n_records * spr // EPOCH_SAMPLES
+
+
+def check_same_start(psg: EdfFile, hypnogram: EdfFile) -> None:
+    """Reject a hypnogram whose start date or time differs from the
+    recording's: its onsets would label another stretch of the signal."""
+    ours, theirs = psg.header, hypnogram.header
+    if (ours.start_date, ours.start_time) != (theirs.start_date, theirs.start_time):
+        raise PipelineError(
+            f"hypnogram starts {theirs.start_date} {theirs.start_time}, "
+            f"the recording {ours.start_date} {ours.start_time}"
         )
 
 
@@ -128,27 +135,20 @@ def _all_finite(x: np.ndarray) -> bool:
     return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
 
 
-def segment_epochs(
-    samples: np.ndarray,
-    annotations: list[RawAnnotation],
-    subject_id: int = 0,
-    night: int = 0,
-) -> SubjectNight:
-    """Cut an annotated 100 Hz signal into labeled 30-second epochs.
+def label_windows(annotations: list[RawAnnotation], n_windows: int) -> np.ndarray:
+    """The stage of each of a signal's n_windows 30-second windows, as int8:
+    a SleepStage value, -1 where no annotation falls, -2 where the label
+    is excluded (map_label gives None).
 
     Each annotation must start and end on the 30-second grid and start
-    before the end of the signal's last whole window; a stage annotation of
-    duration D yields D/30 consecutive epochs.  One that runs past that end
-    is cut there, whatever its label: the archive's hypnograms often
-    overrun the recording.  Windows whose label maps to None produce no
-    epoch, leaving a gap in epoch_index.  No window may be covered twice,
-    whatever the labels or their order.  subject_id, night and every
-    epoch_index must fit their store fields (StoreError otherwise).
+    before the end of the last window; a stage annotation of duration D
+    labels D/30 consecutive windows.  One that runs past that end is cut
+    there, whatever its label: the archive's hypnograms often overrun the
+    recording.  No window may be covered twice, whatever the labels or
+    their order.
     """
-    _check_range("subject_id", subject_id, STORE_RECORD["subject_id"])
-    _check_range("night", night, STORE_RECORD["night"])
-    stages = np.full(len(samples) // EPOCH_SAMPLES, -1, dtype=np.int8)  # -1: free, -2: excluded
-    grid_end = len(stages) * EPOCH_SECONDS
+    stages = np.full(n_windows, -1, dtype=np.int8)
+    grid_end = n_windows * EPOCH_SECONDS
     for ann in annotations:
         if ann.onset < 0 or ann.onset % EPOCH_SECONDS != 0:
             raise PipelineError(
@@ -173,37 +173,64 @@ def segment_epochs(
                 f"window {first + covered[0]} covered by more than one annotation"
             )
         span[:] = -2 if stage is None else stage
-
-    kept = np.flatnonzero(stages >= 0)
-    if len(kept):
-        _check_range("epoch_index", int(kept[-1]), STORE_RECORD["epoch_index"])
-    epochs = np.recarray(len(kept), dtype=STORE_RECORD)
-    epochs.subject_id = subject_id
-    epochs.night = night
-    epochs.stage = stages[kept]
-    epochs.epoch_index = kept
-    epochs.samples = samples[: len(stages) * EPOCH_SAMPLES].reshape(-1, EPOCH_SAMPLES)[kept]
-    if not _all_finite(epochs.samples):
-        raise PipelineError("epoch contains non-finite samples")
-    return SubjectNight(subject_id=subject_id, night=night, epochs=epochs)
+    return stages
 
 
-def trim_wake(night: SubjectNight) -> SubjectNight:
-    """Drop wake epochs beyond 30 minutes before/after the sleep period.
+def kept_windows(stages: np.ndarray) -> np.ndarray:
+    """The windows that become epochs, in order: every window with a stage
+    (label_windows), less the wake beyond 30 minutes (WAKE_TRIM_EPOCHS
+    epochs) before the first and after the last non-wake epoch.
 
-    Everything between the first and last non-wake epoch is kept.  A night of
-    pure wake keeps its first 30 minutes.
+    Everything between the first and last non-wake epoch is kept.  A night
+    of pure wake keeps its first 30 minutes; a night with no staged window
+    is empty (PipelineError).
     """
-    epochs = night.epochs
-    if not len(epochs):
+    staged = np.flatnonzero(stages >= 0)
+    if not len(staged):
         raise PipelineError("cannot trim an empty night")
-    non_wake = np.flatnonzero(epochs["stage"] != SleepStage.WAKE)
+    non_wake = np.flatnonzero(stages[staged] != SleepStage.WAKE)
     if not len(non_wake):
-        kept = epochs[:WAKE_TRIM_EPOCHS]
-    else:
-        a, b = non_wake[0], non_wake[-1]
-        kept = epochs[max(0, a - WAKE_TRIM_EPOCHS) : b + 1 + WAKE_TRIM_EPOCHS]
-    return replace(night, epochs=kept)
+        return staged[:WAKE_TRIM_EPOCHS]
+    a, b = non_wake[0], non_wake[-1]
+    return staged[max(0, a - WAKE_TRIM_EPOCHS) : b + 1 + WAKE_TRIM_EPOCHS]
+
+
+def night_records(
+    span: np.ndarray,
+    first: int,
+    windows: np.ndarray,
+    stages: np.ndarray,
+    subject_id: int = 0,
+    night: int = 0,
+) -> np.recarray:
+    """STORE_RECORD records of `windows` (window indices, in order), cut
+    from `span`, the samples that start at window `first` and run at least
+    to the end of the last of them.  stages is label_windows' array.
+
+    Each sample is rounded to float32 as the store holds it; a window that
+    then holds a NaN or an infinity raises PipelineError.  Only these
+    windows are read, so the rest of `span` may hold anything.
+    subject_id, night and every epoch_index must fit their store fields
+    (StoreError otherwise).
+    """
+    _check_range("subject_id", subject_id, STORE_RECORD["subject_id"])
+    _check_range("night", night, STORE_RECORD["night"])
+    if len(windows):
+        _check_range("epoch_index", int(windows[-1]), STORE_RECORD["epoch_index"])
+    records = np.recarray(len(windows), dtype=STORE_RECORD)
+    records.subject_id = subject_id
+    records.night = night
+    records.stage = stages[windows]
+    records.epoch_index = windows
+    samples = records["samples"]
+    # window by window, so no float64 copy of the gathered windows is made;
+    # an overflow to infinity is reported below, as any non-finite sample
+    with np.errstate(over="ignore"):
+        for i, start in enumerate((windows - first) * EPOCH_SAMPLES):
+            samples[i] = span[start : start + EPOCH_SAMPLES]
+    if not _all_finite(samples):
+        raise PipelineError("epoch contains non-finite samples")
+    return records
 
 
 def standardize(samples: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ Everything here is written the dumbest correct way, sharing no code with
 the package: plain loops, dict scans, and direct formula transcription.
 """
 
+import struct
+
 import numpy as np
 
 RAW_LABELS = (
@@ -55,6 +57,24 @@ def reference_pipeline(annotations):
         elif i > last and i - last <= 60:
             keep.append(item)
     return keep
+
+
+def store_reference(annotations, digital, scaling, subject, night):
+    """The SLPE v1 bytes `convert` should write for one night, built from
+    the whole channel: every digital sample mapped to physical units, then
+    the windows reference_pipeline keeps packed record by record.
+
+    scaling: (dig_min, dig_max, phys_min, phys_max) of the channel.
+    """
+    dig_min, dig_max, phys_min, phys_max = scaling
+    gain = (phys_max - phys_min) / (dig_max - dig_min)
+    physical = (np.asarray(digital).astype(np.float64) - dig_min) * gain + phys_min
+    kept = reference_pipeline(annotations)
+    out = struct.pack("<4sHHII", b"SLPE", 1, 100, 3000, len(kept))
+    for window, stage in kept:
+        samples = physical[window * 3000 : (window + 1) * 3000]
+        out += struct.pack("<HBBI", subject, night, stage, window) + samples.astype("<f4").tobytes()
+    return out
 
 
 def random_annotation_sequence(rng, max_annotations=12):

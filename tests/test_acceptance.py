@@ -160,10 +160,11 @@ class TestCriterion5PreprocessingOracle:
                 size=total_seconds * 100
             )
             annotations = [RawAnnotation(o, d, t) for o, d, t in triples]
-            night = ep.segment_epochs(samples, annotations)
-            if len(night.epochs):
-                night = ep.trim_wake(night)
-            got = [(e.epoch_index, int(e.stage)) for e in night.epochs]
+            stages = ep.label_windows(annotations, len(samples) // ep.EPOCH_SAMPLES)
+            staged = np.flatnonzero(stages >= 0)
+            windows = ep.kept_windows(stages) if len(staged) else staged
+            records = ep.night_records(samples, 0, windows, stages)
+            got = [(e.epoch_index, int(e.stage)) for e in records]
             assert got == reference_pipeline(triples)
         report(5, "50 random annotation sequences match the brute-force filter")
 

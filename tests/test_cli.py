@@ -15,6 +15,7 @@ import pytest
 
 from edgesleep import budget as budget_mod
 from edgesleep import cli
+from edgesleep import edf as edf_mod
 from edgesleep import epochs as ep
 from edgesleep import model as model_mod
 from edgesleep import streaming
@@ -30,6 +31,7 @@ from edgesleep.streaming import StageDecision, decision_line
 
 from conftest import claim_tensor_length, join_epochs, make_synth_epochs
 from edf_fixtures import SignalSpec, build_edf, hypnogram_edf
+from oracles import store_reference
 
 HYPNOGRAM = [
     (0.0, 30.0, "Sleep stage W"),
@@ -267,6 +269,156 @@ class TestConvertAppend:
         whole = tmp_path / "whole.slpe"
         ep.write_store(join_epochs(ep.read_store(first), ep.read_store(second)), whole)
         assert appended.read_bytes() == whole.read_bytes()
+
+
+class TestConvertStartTime:
+    """A hypnogram must start when its recording does (EDF header bytes
+    168-175 hold the start date, 176-183 the start time)."""
+
+    @pytest.mark.parametrize(
+        "offset, value", [(168, b"02.01.01"), (176, b"00.00.30")], ids=["date", "time"]
+    )
+    def test_mismatch_exits_4_and_leaves_the_output_unchanged(
+        self, tmp_path, psg_file, capsys, offset, value
+    ):
+        store = tmp_path / "night.slpe"
+        hyp = hypnogram_file(tmp_path)
+        argv = ["convert", str(psg_file), "--hypnogram", str(hyp), "--subject", "1",
+                "--out", str(store)]
+        assert main(argv) == 0
+        before = store.read_bytes()
+        raw = bytearray(hyp.read_bytes())
+        raw[offset : offset + 8] = value
+        hyp.write_bytes(bytes(raw))
+        capsys.readouterr()
+        for flags in ([], ["--append"]):
+            assert main(argv + flags) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: hypnogram starts ") and value.decode() in err
+            assert store.read_bytes() == before
+
+
+def night_files(tmp_path, runs, spr, digital=None, phys=(-200.0, 200.0), seed=97):
+    """A one-channel PSG in records of spr samples (spr / 100 seconds), whose
+    hypnogram tiles its windows with runs of (window count, label), and
+    the annotations; the signal ends mid-window when spr does not divide
+    the night.  Returns (psg path, hypnogram path, annotations, digital)."""
+    annotations, onset = [], 0.0
+    for count, label in runs:
+        annotations.append((onset, 30.0 * count, label))
+        onset += 30.0 * count
+    n_records = -(-int(onset) * 100 // spr)
+    if digital is None:
+        rng = np.random.default_rng(seed)
+        digital = rng.integers(-2048, 2048, size=n_records * spr, dtype=np.int16)
+    psg = tmp_path / "psg.edf"
+    psg.write_bytes(build_edf(
+        [SignalSpec(label="EEG Fpz-Cz", samples_per_record=spr, data=digital,
+                    phys_min=phys[0], phys_max=phys[1])],
+        n_records=n_records, record_duration=spr / 100, reserved="EDF+C",
+    ))
+    return psg, hypnogram_file(tmp_path, annotations), annotations, digital
+
+
+# 150 wake windows lead and 170 trail the sleep period, so the trim keeps
+# windows 110 to 324; the discarded windows inside it are read but not stored
+LONG_WAKE_NIGHT = [
+    (150, "Sleep stage W"), (3, "Movement time"), (20, "Sleep stage W"), (40, "Sleep stage 2"),
+    (2, "Sleep stage ?"), (30, "Sleep stage R"), (20, "Sleep stage 1"), (170, "Sleep stage W"),
+    (5, "Sleep stage ?"),
+]
+
+
+class TestConvertReadsTheKeptSpan:
+    """convert labels and trims the night from the hypnogram, then reads
+    only the records from the first kept window to the last."""
+
+    @pytest.mark.parametrize("spr", [100, 700, 3000])
+    def test_store_equals_the_reference_from_the_whole_channel(self, tmp_path, spr):
+        # 1 s and 30 s records start a window on a record boundary; 7 s
+        # records put the span's first and last samples mid-record
+        psg, hyp, annotations, digital = night_files(tmp_path, LONG_WAKE_NIGHT, spr)
+        store = tmp_path / "night.slpe"
+        assert main(["convert", str(psg), "--hypnogram", str(hyp), "--subject", "3",
+                     "--night", "2", "--out", str(store)]) == 0
+        want = store_reference(annotations, digital, (-2048, 2047, -200.0, 200.0), 3, 2)
+        assert store.read_bytes() == want
+        kept = ep.read_store(store).epoch_index
+        assert (kept[0], kept[-1]) == (110, 324)
+        if spr == 700:
+            assert (110 * 3000) % spr and (325 * 3000) % spr
+
+    @pytest.mark.parametrize("window, code", [(5, 0), (200, 4)], ids=["trimmed", "kept"])
+    def test_non_finite_value_fails_only_in_a_kept_window(self, tmp_path, capsys, window, code):
+        # phys +-1e38 keeps the digital range finite in float32, but the
+        # out-of-range digital value 32767 maps past float32's largest
+        rng = np.random.default_rng(98)
+        digital = rng.integers(-2048, 2048, size=440 * 3000, dtype=np.int16)
+        digital[window * 3000 + 17] = 32767
+        psg, hyp, annotations, _ = night_files(
+            tmp_path, LONG_WAKE_NIGHT, 3000, digital=digital, phys=(-1e38, 1e38)
+        )
+        store = tmp_path / "night.slpe"
+        assert main(["convert", str(psg), "--hypnogram", str(hyp), "--subject", "1",
+                     "--out", str(store)]) == code
+        if code:
+            assert capsys.readouterr().err == "error: epoch contains non-finite samples\n"
+            assert not store.exists()
+        else:
+            want = store_reference(annotations, digital, (-2048, 2047, -1e38, 1e38), 1, 1)
+            assert store.read_bytes() == want
+
+    def test_peak_memory_follows_the_kept_span(self, tmp_path, capsys):
+        # 180 of 1,060 windows are kept; the whole channel as float64 is 25 MB
+        runs = [(500, "Sleep stage W"), (60, "Sleep stage 2"), (500, "Sleep stage W")]
+        psg, hyp, _, digital = night_files(tmp_path, runs, 3000)
+        store = tmp_path / "night.slpe"
+        argv = ["convert", str(psg), "--hypnogram", str(hyp), "--subject", "1",
+                "--out", str(store)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ep.read_store(store)) == 180
+        assert peak < digital.size * 8 / 2, peak
+
+    def test_one_channel_read_and_one_store_write_per_night(self, tmp_path, psg_file):
+        """The benchmark's tracer wraps edf.read_signal and
+        epochs.write_store at every binding in the package, counts one call
+        of each per night, and reads the size of read_signal's result as a
+        1-D array."""
+        calls = {"read_signal": [], "write_store": 0}
+        real_read, real_write = edf_mod.read_signal, ep.write_store
+
+        def read_signal(*args, **kwargs):
+            result = real_read(*args, **kwargs)
+            calls["read_signal"].append(result)
+            return result
+
+        def write_store(*args, **kwargs):
+            calls["write_store"] += 1
+            return real_write(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] != "edgesleep":
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if value is real_read:
+                        mp.setattr(module, attr, read_signal)
+                    elif value is real_write:
+                        mp.setattr(module, attr, write_store)
+            argv = ["convert", str(psg_file), "--hypnogram", str(hypnogram_file(tmp_path)),
+                    "--subject", "1", "--out", str(tmp_path / "night.slpe")]
+            assert main(argv) == 0
+            assert main(argv + ["--append"]) == 0
+        assert calls["write_store"] == 2
+        assert len(calls["read_signal"]) == 2
+        for result in calls["read_signal"]:
+            assert isinstance(result, np.ndarray) and result.ndim == 1
+            assert result.size == 6 * 3000
 
 
 @pytest.fixture(scope="module")

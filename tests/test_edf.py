@@ -1,4 +1,6 @@
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +34,12 @@ class TestHeader:
         assert edf.header.n_records == 2
         assert edf.header.signals[0].samples_per_record == 10
         assert np.array_equal(edf.read_digital("EEG Fpz-Cz"), data)
+
+    def test_start_date_and_time_kept(self):
+        raw = build_edf([simple_signal(np.zeros(10))], n_records=1)
+        assert raw[168:184] == b"01.01.0100.00.00"
+        header = parse_edf(raw).header
+        assert (header.start_date, header.start_time) == ("01.01.01", "00.00.00")
 
     def test_version_field_accepted(self):
         raw = build_edf([simple_signal(np.zeros(10))], n_records=1)
@@ -110,6 +118,24 @@ class TestReadSignal:
             got = physical_map(dig_min, dig_max, phys_min, phys_max, "x")(digital)
             assert got.dtype == np.float64 and np.array_equal(got, expected)
 
+    def test_physical_map_allocates_one_float64_array(self):
+        digital = np.arange(-32768, 32768, dtype=np.int16).repeat(8)
+        to_physical = physical_map(-2048, 2047, -200.0, 200.0, "x")
+        tracemalloc.start()
+        try:
+            got = to_physical(digital)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # three temporaries would peak at about twice the result
+        assert peak < 1.25 * got.nbytes, peak
+
+    def test_value_past_float64_range_is_infinite_without_a_warning(self):
+        # a gain of 1.6e308 takes the out-of-range digital value 2 past
+        # float64's largest; warnings are errors under pytest
+        got = physical_map(0, 1, -8e307, 8e307, "x")(np.array([0, 1, 2], dtype=np.int16))
+        assert got.tolist() == [-8e307, 8e307, np.inf]
+
     @pytest.mark.parametrize(
         "phys_min, phys_max", [(5.0, 5.0), (np.nan, 1.0), (0.0, -np.inf), (-1e308, 1e308)]
     )
@@ -134,6 +160,72 @@ class TestReadSignal:
         phys = read_signal(parse_edf(raw), "EEG Fpz-Cz")
         # phys_max > phys_min, so digital ordering must be preserved
         assert np.array_equal(np.argsort(data, kind="stable"), np.argsort(phys, kind="stable"))
+
+
+class CountingStream(io.BytesIO):
+    """A file that counts the bytes read from it."""
+
+    def __init__(self, raw: bytes):
+        super().__init__(raw)
+        self.bytes_read = 0
+
+    def read(self, n=-1):
+        data = super().read(n)
+        self.bytes_read += len(data)
+        return data
+
+
+class TestRangeRead:
+    """read_signal and read_digital over a sample range [start, stop)."""
+
+    # 3 records of 10 samples, a second signal between them in each record
+    DATA = np.arange(30, dtype=np.int16) * 7 - 100
+
+    def edf(self):
+        """(the parsed file, its CountingStream)"""
+        other = SignalSpec(label="EMG", samples_per_record=4, data=np.zeros(12, np.int16))
+        stream = CountingStream(build_edf([simple_signal(self.DATA), other], n_records=3))
+        return parse_edf(stream), stream
+
+    def test_every_range_equals_the_slice_of_the_whole_read(self):
+        edf, _ = self.edf()
+        whole = read_signal(edf, "EEG Fpz-Cz")
+        for start in range(31):
+            for stop in range(start, 31):
+                assert np.array_equal(edf.read_digital("EEG Fpz-Cz", start, stop),
+                                      self.DATA[start:stop])
+                assert np.array_equal(read_signal(edf, "EEG Fpz-Cz", start, stop),
+                                      whole[start:stop])
+
+    def test_full_range_equals_the_whole_read(self):
+        edf, _ = self.edf()
+        whole = read_signal(edf, "EEG Fpz-Cz")
+        gain = 400.0 / 4095
+        assert np.array_equal(whole, (self.DATA.astype(np.float64) + 2048) * gain - 200.0)
+        assert np.array_equal(read_signal(edf, "EEG Fpz-Cz", 0, 30), whole)
+        assert np.array_equal(read_signal(edf, "EEG Fpz-Cz", 0, None), whole)
+
+    @pytest.mark.parametrize("at", [0, 15, 20, 30])
+    def test_empty_range_is_an_empty_array_and_reads_nothing(self, at):
+        edf, stream = self.edf()
+        before = stream.bytes_read
+        got = read_signal(edf, "EEG Fpz-Cz", at, at)
+        assert got.shape == (0,) and got.dtype == np.float64
+        assert stream.bytes_read == before
+
+    @pytest.mark.parametrize("start, stop", [(-1, 5), (5, 4), (0, 31), (31, 31), (31, 40)])
+    def test_out_of_range_raises(self, start, stop):
+        edf, _ = self.edf()
+        with pytest.raises(EdfError, match=rf"sample range \[{start}, {stop}\) outside channel "
+                                           r"'EEG Fpz-Cz' of 30 samples"):
+            read_signal(edf, "EEG Fpz-Cz", start, stop)
+
+    @pytest.mark.parametrize("start, stop, records", [(12, 18, 1), (9, 21, 3), (10, 20, 1)])
+    def test_reads_only_the_records_that_hold_the_range(self, start, stop, records):
+        edf, stream = self.edf()
+        before = stream.bytes_read
+        edf.read_digital("EEG Fpz-Cz", start, stop)
+        assert stream.bytes_read - before == records * 10 * 2
 
 
 class TestRoundTripProperty:

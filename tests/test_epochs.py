@@ -16,11 +16,12 @@ from edgesleep.epochs import (
     STORE_HEADER_BYTES,
     StoreError,
     class_distribution,
+    kept_windows,
+    label_windows,
     map_label,
+    night_records,
     read_store,
-    segment_epochs,
     standardize,
-    trim_wake,
     write_store,
 )
 
@@ -35,6 +36,12 @@ def ann(onset, duration, text):
 def noise(seconds, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=seconds * 100).astype(np.float32)
+
+
+def segment(samples, annotations, **fields):
+    """Records of every staged window of samples, before the wake trim."""
+    stages = label_windows(annotations, len(samples) // EPOCH_SAMPLES)
+    return night_records(samples, 0, np.flatnonzero(stages >= 0), stages, **fields)
 
 
 class TestMapLabel:
@@ -63,55 +70,55 @@ class TestMapLabel:
 
 class TestSegment:
     def test_uniform_tiling(self):
-        night = segment_epochs(noise(90), [ann(0, 90, "Sleep stage 2")])
-        assert [e.stage for e in night.epochs] == [SleepStage.N2] * 3
-        assert [e.epoch_index for e in night.epochs] == [0, 1, 2]
+        records = segment(noise(90), [ann(0, 90, "Sleep stage 2")])
+        assert [e.stage for e in records] == [SleepStage.N2] * 3
+        assert [e.epoch_index for e in records] == [0, 1, 2]
 
     def test_discard_window_dropped(self):
-        night = segment_epochs(
+        records = segment(
             noise(60), [ann(0, 30, "Sleep stage W"), ann(30, 30, "Movement time")]
         )
-        assert [(e.epoch_index, e.stage) for e in night.epochs] == [(0, SleepStage.WAKE)]
+        assert [(e.epoch_index, e.stage) for e in records] == [(0, SleepStage.WAKE)]
 
     def test_duration_not_multiple(self):
         with pytest.raises(PipelineError, match="not a multiple"):
-            segment_epochs(noise(90), [ann(0, 45, "Sleep stage 2")])
+            segment(noise(90), [ann(0, 45, "Sleep stage 2")])
 
     def test_onset_off_grid(self):
         with pytest.raises(PipelineError, match="grid"):
-            segment_epochs(noise(90), [ann(15, 30, "Sleep stage 2")])
+            segment(noise(90), [ann(15, 30, "Sleep stage 2")])
 
     def test_overrun_cut_at_signal_end(self):
-        night = segment_epochs(noise(60), [ann(0, 90, "Sleep stage 2")])
-        assert [e.stage for e in night.epochs] == [SleepStage.N2] * 2
-        assert [e.epoch_index for e in night.epochs] == [0, 1]
+        records = segment(noise(60), [ann(0, 90, "Sleep stage 2")])
+        assert [e.stage for e in records] == [SleepStage.N2] * 2
+        assert [e.epoch_index for e in records] == [0, 1]
 
     def test_overrun_cut_at_last_whole_window(self):
         samples = noise(75)  # two whole windows and a 15 s tail
-        night = segment_epochs(
+        records = segment(
             samples, [ann(0, 30, "Sleep stage W"), ann(30, 60, "Sleep stage R")]
         )
-        assert [(e.epoch_index, e.stage) for e in night.epochs] == [
+        assert [(e.epoch_index, e.stage) for e in records] == [
             (0, SleepStage.WAKE), (1, SleepStage.REM)
         ]
-        assert np.array_equal(night.epochs[1].samples, samples[EPOCH_SAMPLES : 2 * EPOCH_SAMPLES])
+        assert np.array_equal(records[1].samples, samples[EPOCH_SAMPLES : 2 * EPOCH_SAMPLES])
 
     @pytest.mark.parametrize("seconds, onset", [(60, 60), (75, 60), (60, 90)])
     def test_onset_at_or_past_last_whole_window_rejected(self, seconds, onset):
         with pytest.raises(PipelineError, match="starts past the signal's last whole window"):
-            segment_epochs(
+            segment(
                 noise(seconds), [ann(0, 30, "Sleep stage 2"), ann(onset, 30, "Sleep stage ?")]
             )
 
     def test_overrun_and_a_second_annotation_on_the_last_window_rejected(self):
         with pytest.raises(PipelineError, match="window 1 covered by more than one"):
-            segment_epochs(
+            segment(
                 noise(60), [ann(0, 90, "Sleep stage 2"), ann(30, 30, "Sleep stage W")]
             )
 
     def test_overlap_rejected(self):
         with pytest.raises(PipelineError, match="more than one"):
-            segment_epochs(
+            segment(
                 noise(60), [ann(0, 60, "Sleep stage 2"), ann(30, 30, "Sleep stage W")]
             )
 
@@ -125,7 +132,7 @@ class TestSegment:
     )
     def test_discarded_window_covered_twice_rejected(self, first, second):
         with pytest.raises(PipelineError, match="window 1 covered by more than one"):
-            segment_epochs(noise(90), [ann(30, 30, first), ann(30, 60, second)])
+            segment(noise(90), [ann(30, 30, first), ann(30, 60, second)])
 
     @pytest.mark.parametrize(
         "fields, error",
@@ -138,72 +145,72 @@ class TestSegment:
     def test_fields_must_fit_the_store(self, fields, error):
         # a numpy cast would wrap 70000 to 4464 without a word
         with pytest.raises(StoreError, match=error):
-            segment_epochs(noise(30), [ann(0, 30, "Sleep stage 2")], **fields)
+            segment(noise(30), [ann(0, 30, "Sleep stage 2")], **fields)
 
     def test_largest_fields_kept(self):
-        night = segment_epochs(
+        records = segment(
             noise(30), [ann(0, 30, "Sleep stage 2")], subject_id=65535, night=255
         )
-        assert (night.epochs[0].subject_id, night.epochs[0].night) == (65535, 255)
+        assert (records[0].subject_id, records[0].night) == (65535, 255)
 
     def test_non_finite_sample_rejected(self):
         samples = noise(90).astype(np.float64)
         samples[3100] = 1e300  # finite in float64, infinite as a stored float32
-        with np.errstate(over="ignore"), pytest.raises(PipelineError, match="non-finite"):
-            segment_epochs(samples, [ann(0, 90, "Sleep stage 2")])
+        with pytest.raises(PipelineError, match="non-finite"):
+            segment(samples, [ann(0, 90, "Sleep stage 2")])
         samples[3100] = np.nan
         with pytest.raises(PipelineError, match="non-finite"):
-            segment_epochs(samples, [ann(0, 90, "Sleep stage 2")])
+            segment(samples, [ann(0, 90, "Sleep stage 2")])
         # a discarded window never becomes an epoch, so its samples go unread
-        night = segment_epochs(
+        records = segment(
             samples,
             [ann(0, 30, "Sleep stage 2"), ann(30, 30, "Movement time"), ann(60, 30, "Sleep stage 2")],
         )
-        assert [e.epoch_index for e in night.epochs] == [0, 2]
+        assert [e.epoch_index for e in records] == [0, 2]
 
     def test_samples_sliced_per_window(self):
         samples = noise(60, seed=5)
-        night = segment_epochs(samples, [ann(0, 60, "Sleep stage R")])
-        assert np.array_equal(night.epochs[1].samples, samples[EPOCH_SAMPLES:])
+        records = segment(samples, [ann(0, 60, "Sleep stage R")])
+        assert np.array_equal(records[1].samples, samples[EPOCH_SAMPLES:])
 
 
 def wake_night(pattern):
-    """pattern: list of (count, stage) runs -> SubjectNight via segmentation."""
+    """pattern: list of (count, stage) runs -> label_windows' stage array."""
     annotations = []
     onset = 0
     for count, label in pattern:
         annotations.append(ann(onset, 30 * count, label))
         onset += 30 * count
-    return segment_epochs(noise(onset), annotations)
+    return label_windows(annotations, onset // 30)
 
 
 class TestTrimWake:
     def test_long_tails_trimmed(self):
-        night = wake_night(
+        stages = wake_night(
             [(200, "Sleep stage W"), (100, "Sleep stage 2"), (200, "Sleep stage W")]
         )
-        trimmed = trim_wake(night)
-        assert len(trimmed.epochs) == 60 + 100 + 60
-        stages = [e.stage for e in trimmed.epochs]
-        assert stages[:60] == [SleepStage.WAKE] * 60
-        assert stages[60:160] == [SleepStage.N2] * 100
+        trimmed = kept_windows(stages)
+        assert len(trimmed) == 60 + 100 + 60
+        kept = stages[trimmed].tolist()
+        assert kept[:60] == [SleepStage.WAKE] * 60
+        assert kept[60:160] == [SleepStage.N2] * 100
 
     def test_within_budget_unchanged(self):
-        night = wake_night(
+        stages = wake_night(
             [(10, "Sleep stage W"), (50, "Sleep stage 2"), (10, "Sleep stage W")]
         )
-        assert np.array_equal(trim_wake(night).epochs, night.epochs)
+        assert np.array_equal(kept_windows(stages), np.flatnonzero(stages >= 0))
 
     def test_pure_wake_keeps_first_hour_half(self):
-        night = wake_night([(100, "Sleep stage W")])
-        trimmed = trim_wake(night)
-        assert len(trimmed.epochs) == 60
-        assert np.array_equal(trimmed.epochs, night.epochs[:60])
+        stages = wake_night([(100, "Sleep stage W")])
+        trimmed = kept_windows(stages)
+        assert len(trimmed) == 60
+        assert np.array_equal(trimmed, np.flatnonzero(stages >= 0)[:60])
 
     def test_empty_night_rejected(self):
-        night = wake_night([(1, "Sleep stage W")])
-        with pytest.raises(PipelineError):
-            trim_wake(type(night)(subject_id=0, night=0, epochs=()))
+        for pattern in ([(1, "Movement time")], []):
+            with pytest.raises(PipelineError, match="empty night"):
+                kept_windows(wake_night(pattern))
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
@@ -213,13 +220,15 @@ class TestTrimWake:
             (int(rng.integers(1, 90)), RAW_LABELS[rng.integers(0, 6)])
             for _ in range(rng.integers(1, 6))
         ]
-        night = wake_night(pattern)
-        trimmed = trim_wake(night)
-        kept = {e.epoch_index for e in trimmed.epochs}
-        non_wake = [i for i, e in enumerate(night.epochs) if e.stage != SleepStage.WAKE]
+        stages = wake_night(pattern)
+        staged = np.flatnonzero(stages >= 0)
+        if not len(staged):
+            return
+        kept = set(kept_windows(stages).tolist())
+        non_wake = [i for i, w in enumerate(staged) if stages[w] != SleepStage.WAKE]
         if non_wake:
             for pos in range(non_wake[0], non_wake[-1] + 1):
-                assert night.epochs[pos].epoch_index in kept
+                assert staged[pos] in kept
 
 
 class TestStandardize:
@@ -525,8 +534,9 @@ class TestPipelineAgainstReference:
         triples, total_seconds = random_annotation_sequence(rng)
         samples = np.random.default_rng(seed ^ 0xFF).normal(size=total_seconds * 100)
         annotations = [ann(o, d, t) for o, d, t in triples]
-        night = segment_epochs(samples, annotations)
-        if len(night.epochs):  # trim requires a nonempty night
-            night = trim_wake(night)
-        got = [(e.epoch_index, int(e.stage)) for e in night.epochs]
+        stages = label_windows(annotations, len(samples) // EPOCH_SAMPLES)
+        staged = np.flatnonzero(stages >= 0)
+        windows = kept_windows(stages) if len(staged) else staged  # trim requires a staged window
+        records = night_records(samples, 0, windows, stages)
+        got = [(e.epoch_index, int(e.stage)) for e in records]
         assert got == reference_pipeline(triples)
