@@ -3,6 +3,6 @@ microcontroller deployment.  The package root only loads its modules; each
 name is imported from its module, e.g. ``edgesleep.model.predict``.  The
 command line is ``edgesleep.cli``, which the root does not load."""
 
-from . import adapt, budget, edf, epochs, kernels, metrics, model, quant, streaming, training
+from . import budget, edf, epochs, kernels, metrics, model, quant, streaming, training
 
 __version__ = "0.1.0"

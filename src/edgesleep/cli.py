@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adapt as adapt_mod
 from . import budget as budget_mod
 from . import edf, epochs, kernels, metrics, model, quant, streaming, training
 
@@ -134,7 +133,7 @@ def cmd_adapt(args) -> int:
     if not len(subject):
         raise training.TrainingError(f"store has no epochs for subject {args.subject}")
     params, config = model.load_model(args.model)
-    adapt_rows, holdout = adapt_mod.split_adapt(
+    adapt_rows, holdout = training.split_adapt(
         store, subject, fraction=args.fraction, stratified=args.stratified, seed=args.seed
     )
     print(
@@ -143,7 +142,7 @@ def cmd_adapt(args) -> int:
     )
     before = _evaluate_store(params, config, store, holdout)
     tc = training.TrainConfig(max_epochs=args.epochs, seed=args.seed)
-    tuned = adapt_mod.fine_tune(params, config, store, adapt_rows, tc)
+    tuned, _ = training.fit(params, config, store, adapt_rows, [], tc)
     after = _evaluate_store(tuned, config, store, holdout)
     print(f"holdout accuracy before {before.accuracy:.3f} -> after {after.accuracy:.3f}")
     print(metrics.render_report(after, "text"), end="")
@@ -320,9 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, default=0.10)
     p.add_argument("--stratified", action="store_true")
     p.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
-    p.add_argument(
-        "--epochs", type=_positive(int, zero_ok=True), default=adapt_mod.ADAPT_DEFAULT_EPOCHS
-    )
+    p.add_argument("--epochs", type=_positive(int, zero_ok=True), default=20)
     p.add_argument("--out", default=None, help="write the adapted model here")
     p.add_argument(
         "--out-prefix", default=None, help="write P_before_counts.csv and P_after_counts.csv"

@@ -5,15 +5,18 @@ fixed-width ASCII headers, 16-bit little-endian integer samples, continuous
 (EDF+C) recordings, and time-stamped annotation lists (TALs) carried in
 "EDF Annotations" channels.  Discontinuous (EDF+D) files are rejected.
 
-Signal data is read record by record, never buffered whole, so 20-hour
-recordings parse in bounded memory.  A channel read may ask for a sample
-range, and then only the records that hold that range are read.
+`parse_edf` takes a path and keeps the file open for the signal reads.
+Every size the header declares is checked against the file's size before it
+sizes a read or an array.  Signal data is read record by record, never
+buffered whole, so 20-hour recordings parse in bounded memory.  A channel
+read may ask for a sample range, and then only the records that hold that
+range are read.
 """
 
 from __future__ import annotations
 
-import io
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
@@ -178,31 +181,26 @@ class EdfFile:
         return out
 
 
-def parse_edf(source: str | Path | bytes | BinaryIO) -> EdfFile:
-    """Parse an EDF/EDF+C file and return its header with a signal accessor.
+def parse_edf(path: str | Path) -> EdfFile:
+    """Open the EDF/EDF+C file at path and return its header with a signal
+    accessor, which holds the file open until closed.
 
-    ``source`` may be a path, raw bytes, or a seekable binary stream.  The
-    declared sizes are validated against the actual stream length; EDF+D
-    (discontinuous) recordings are rejected.  A file opened from a path is
-    closed again when the header is bad.
+    The declared sizes are validated against the file's size before
+    anything they size is read; EDF+D (discontinuous) recordings are
+    rejected.  The file is closed again when the header is bad.
     """
-    if isinstance(source, (str, Path)):
-        stream: BinaryIO = open(source, "rb")
-    elif isinstance(source, bytes):
-        stream = io.BytesIO(source)
-    else:
-        stream = source
+    stream = open(path, "rb")
     try:
         header = _read_header(stream)
     except BaseException:
-        if stream is not source:
-            stream.close()
+        stream.close()
         raise
     return EdfFile(header, stream, header.header_bytes)
 
 
 def _read_header(stream: BinaryIO) -> EdfHeader:
-    """Decode and check the header; leaves the stream at the data area."""
+    """Decode and check the header of the file open at its start."""
+    size = os.fstat(stream.fileno()).st_size
     fixed = _read_exact(stream, 256, "EDF header")
     reserved = _ascii(fixed[192:236])
     if reserved.startswith("EDF+D"):
@@ -215,7 +213,12 @@ def _read_header(stream: BinaryIO) -> EdfHeader:
         raise EdfError(f"signal count must be positive, got {n_signals}")
     if n_records < 0:
         raise EdfError(f"record count must be non-negative, got {n_records}")
-
+    # a buffered read of n bytes allocates n up front, so the signal count
+    # is checked against the file before it sizes a read
+    if 256 + 256 * n_signals > size:
+        raise EdfError(
+            f"truncated signal headers: wanted {256 * n_signals} bytes, got {size - 256}"
+        )
     per_signal = _read_exact(stream, 256 * n_signals, "signal headers")
 
     # Column start (in bytes per signal) inside the signal header block:
@@ -264,10 +267,7 @@ def _read_header(stream: BinaryIO) -> EdfHeader:
         )
 
     # The data area must hold exactly the declared records.
-    pos = stream.tell()
-    end = stream.seek(0, io.SEEK_END)
-    stream.seek(pos)
-    actual = end - header.header_bytes
+    actual = size - header.header_bytes
     expected = header.n_records * header.record_bytes
     if actual != expected:
         raise EdfError(

@@ -156,9 +156,6 @@ class ModelParams:
     def names(self) -> list[str]:
         return list(self.tensors)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams({n: t.copy() for n, t in self.tensors.items()})
-
     def astype(self, dtype) -> "ModelParams":
         return ModelParams({n: t.astype(dtype) for n, t in self.tensors.items()})
 

@@ -1,8 +1,11 @@
-"""From-scratch training: cross-entropy, full backprop, Adam, subject folds.
+"""Training: cross-entropy, full backprop, Adam, subject folds, and the
+per-subject adaptation split.
 
 Everything is deterministic given (seed, data): batches are drawn from a
 seeded generator, gradients reduce in fixed order, and the optimizer is
-purely functional (params in, params out).
+purely functional (params in, params out).  Subject-specific fine-tuning is
+`fit` itself, run from the loaded model on the rows `split_adapt` carves off
+one subject, with no validation rows.
 """
 
 from __future__ import annotations
@@ -277,6 +280,41 @@ def split_train_val(pool: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray
     order = rng.permutation(len(pool))
     n_val = round(VALIDATION_FRACTION * len(pool))
     return pool[order[n_val:]], pool[order[:n_val]]
+
+
+def split_adapt(
+    epochs: np.ndarray,
+    rows: np.ndarray,
+    fraction: float = 0.10,
+    stratified: bool = False,
+    seed: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Partition one subject's records epochs[rows] into (adapt_rows,
+    holdout_rows).
+
+    Uniform mode samples round(fraction * n) rows; stratified mode samples
+    round(fraction * n_c) from each class present, visiting the classes in
+    order of first appearance.  Ties round half-to-even.  The two parts are
+    disjoint and exhaustive subsets of rows, each in the order given.
+    """
+    if not 0 < fraction < 1:
+        raise TrainingError(f"fraction must lie in (0, 1), got {fraction}")
+    n = len(rows)
+    if not n:
+        raise TrainingError("no epochs to split")
+    rng = np.random.default_rng(seed)
+    picked = np.zeros(n, dtype=bool)
+    if stratified:
+        stages = epochs["stage"][rows]
+        for stage in dict.fromkeys(stages.tolist()):  # in order of first appearance
+            indices = np.flatnonzero(stages == stage)
+            take = round(fraction * len(indices))
+            picked[indices[rng.permutation(len(indices))[:take]]] = True
+    else:
+        picked[rng.permutation(n)[: round(fraction * n)]] = True
+    if not picked.any():
+        raise TrainingError(f"fraction {fraction} selects no adaptation epochs from {n}")
+    return rows[picked], rows[~picked]
 
 
 def train_fold(

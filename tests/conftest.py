@@ -1,3 +1,6 @@
+import tracemalloc
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -61,6 +64,19 @@ def claim_tensor_length(raw: bytes, name: str, length: int) -> bytes:
     length_pos = pos + 1 + 4 * rank + 1 + 8  # skip rank, dims, dtype, offset
     raw[length_pos : length_pos + 8] = length.to_bytes(8, "little")
     return bytes(raw)
+
+
+@contextmanager
+def allocation_peak():
+    """Trace the block with tracemalloc; the yielded list receives the peak
+    bytes allocated in it once the block ends."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
 
 
 def mutate(data, files: dict[str, tuple[bytes, int]]) -> bytes:

@@ -77,6 +77,40 @@ def store_reference(annotations, digital, scaling, subject, night):
     return out
 
 
+def edf_channel_reference(raw: bytes, label: str):
+    """(digital samples, (dig_min, dig_max, phys_min, phys_max)) of the
+    signal whose 16-byte label field is `label` padded with spaces, decoded
+    straight from an EDF file's bytes by the layout of the EDF spec: a
+    256-byte fixed header, then each per-signal field for all signals in
+    turn, then records holding each signal's samples in signal order.
+    Raises ValueError when the header does not decode or names no such
+    signal."""
+    ns = int(raw[252:256].decode("ascii"))
+    n_records = int(raw[236:244].decode("ascii"))
+
+    def field(start, width, i):
+        at = 256 + start * ns + width * i
+        return raw[at : at + width]
+
+    labels = [field(0, 16, i) for i in range(ns)]
+    i = labels.index(label.encode("ascii").ljust(16))
+    scaling = (
+        int(field(120, 8, i).decode("ascii")),
+        int(field(128, 8, i).decode("ascii")),
+        float(field(104, 8, i).decode("ascii")),
+        float(field(112, 8, i).decode("ascii")),
+    )
+    spr = [int(field(216, 8, k).decode("ascii")) for k in range(ns)]
+    data_start = 256 * (ns + 1)
+    record_bytes = 2 * sum(spr)
+    skip = 2 * sum(spr[:i])
+    digital = []
+    for r in range(n_records):
+        at = data_start + r * record_bytes + skip
+        digital.extend(struct.unpack(f"<{spr[i]}h", raw[at : at + 2 * spr[i]]))
+    return np.array(digital, dtype=np.int16), scaling
+
+
 def random_annotation_sequence(rng, max_annotations=12):
     """A contiguous 30 s-gridded annotation tiling starting at onset 0."""
     onset = 0

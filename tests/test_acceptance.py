@@ -170,7 +170,7 @@ class TestCriterion5PreprocessingOracle:
 
 
 class TestCriterion6ParserRoundTrip:
-    def test_edf_round_trip_and_tal_decoding(self):
+    def test_edf_round_trip_and_tal_decoding(self, tmp_path):
         rng = np.random.default_rng(107)
         for signals, records in (((1, 16), 2), ((2, 64), 3), ((3, 7), 5)):
             n_signals, spr = signals
@@ -182,9 +182,11 @@ class TestCriterion6ParserRoundTrip:
                 specs.append(
                     SignalSpec(label=f"chan {i}", samples_per_record=spr, data=data)
                 )
-            edf = parse_edf(build_edf(specs, n_records=records))
-            for i in range(n_signals):
-                assert np.array_equal(edf.read_digital(f"chan {i}"), payload[i])
+            path = tmp_path / f"{n_signals}.edf"
+            path.write_bytes(build_edf(specs, n_records=records))
+            with parse_edf(path) as edf:
+                for i in range(n_signals):
+                    assert np.array_equal(edf.read_digital(f"chan {i}"), payload[i])
 
         decoded = parse_tal(
             bookkeeping_tal(0)

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesleep.adapt import fine_tune, split_adapt
 from edgesleep.epochs import SleepStage
-from edgesleep.training import TrainConfig, TrainingError, evaluate_epochs
+from edgesleep.training import TrainConfig, TrainingError, evaluate_epochs, fit, split_adapt
 
 from conftest import SYNTH_FREQS, join_epochs, make_synth_epochs
 
@@ -87,24 +86,24 @@ class TestSplitAdapt:
 class TestFineTune:
     def test_zero_epochs_is_identity(self, overfit_run):
         params, config = overfit_run["params"], overfit_run["config"]
-        tuned = fine_tune(
-            params, config, overfit_run["data"], np.arange(10), TrainConfig(max_epochs=0)
-        )
+        tuned = fit(
+            params, config, overfit_run["data"], np.arange(10), [], TrainConfig(max_epochs=0)
+        )[0]
         assert all(np.array_equal(tuned[n], params[n]) for n in params.names())
 
     def test_deterministic(self, overfit_run):
         params, config = overfit_run["params"], overfit_run["config"]
         data, rows = overfit_run["data"], np.arange(16)
         tc = TrainConfig(max_epochs=2, batch_size=8, seed=10)
-        a = fine_tune(params, config, data, rows, tc)
-        b = fine_tune(params, config, data, rows, tc)
+        a = fit(params, config, data, rows, [], tc)[0]
+        b = fit(params, config, data, rows, [], tc)[0]
         assert all(np.array_equal(a[n], b[n]) for n in a.names())
 
     def test_empty_adapt_set_rejected(self, overfit_run):
         with pytest.raises(TrainingError, match="empty"):
-            fine_tune(
+            fit(
                 overfit_run["params"], overfit_run["config"], overfit_run["data"], np.arange(0),
-                TrainConfig(),
+                [], TrainConfig(),
             )
 
     def test_adaptation_helps_on_shifted_subject(self, overfit_run):
@@ -116,7 +115,7 @@ class TestFineTune:
         subject = make_synth_epochs(100, seed=40, subject_id=9, freqs=permuted)
         adapt_rows, holdout = split_adapt(subject, np.arange(100), fraction=0.10, seed=11)
         _, acc_before = evaluate_epochs(params, config, subject, holdout)
-        tuned = fine_tune(params, config, subject, adapt_rows, TrainConfig(max_epochs=20, seed=11))
+        tuned = fit(params, config, subject, adapt_rows, [], TrainConfig(max_epochs=20, seed=11))[0]
         _, acc_after = evaluate_epochs(tuned, config, subject, holdout)
         assert acc_before < 0.3  # the permutation breaks the base model
         assert acc_after > acc_before

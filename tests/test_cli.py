@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import io
 import json
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesleep import budget as budget_mod
 from edgesleep import cli
@@ -31,7 +34,7 @@ from edgesleep.streaming import StageDecision, decision_line
 
 from conftest import claim_tensor_length, join_epochs, make_synth_epochs
 from edf_fixtures import SignalSpec, build_edf, hypnogram_edf
-from oracles import store_reference
+from oracles import edf_channel_reference, store_reference
 
 HYPNOGRAM = [
     (0.0, 30.0, "Sleep stage W"),
@@ -419,6 +422,76 @@ class TestConvertReadsTheKeptSpan:
         for result in calls["read_signal"]:
             assert isinstance(result, np.ndarray) and result.ndim == 1
             assert result.size == 6 * 3000
+
+
+# The fixed header's version, patient and recording fields, and each
+# signal's transducer, physical dimension, prefiltering and reserved field,
+# for two signals: the header bytes `convert` never reads.
+UNREAD_HEADER_BYTES = frozenset(
+    [*range(0, 168), *range(256 + 16 * 2, 256 + 104 * 2), *range(256 + 136 * 2, 256 + 216 * 2),
+     *range(256 + 224 * 2, 256 + 256 * 2)]
+)
+HEADER_EDIT = st.tuples(
+    st.integers(0, 256 * 3 - 1),
+    st.one_of(st.integers(0, 7).map(lambda bit: ("flip", bit)),
+              st.sampled_from(b"0123456789 +-.eE").map(lambda byte: ("set", byte))),
+)
+
+
+@pytest.fixture(scope="module")
+def mutable_night(tmp_path_factory):
+    """(PSG path, hypnogram path, annotations, mutant PSG path, store path):
+    eight windows of an EEG channel in 10 s records beside a 1 Hz EMG
+    channel, all of them kept."""
+    tmp = tmp_path_factory.mktemp("mutated_header")
+    rng = np.random.default_rng(99)
+    psg = tmp / "psg.edf"
+    psg.write_bytes(build_edf(
+        [SignalSpec(label="EEG Fpz-Cz", samples_per_record=1000,
+                    data=rng.integers(-2048, 2048, 24_000, dtype=np.int16)),
+         SignalSpec(label="EMG submental", samples_per_record=10, phys_min=-5.0, phys_max=5.0,
+                    data=rng.integers(-2048, 2048, 240, dtype=np.int16))],
+        n_records=24, record_duration=10.0, reserved="EDF+C",
+    ))
+    annotations = [(0.0, 60.0, "Sleep stage W"), (60.0, 90.0, "Sleep stage 2"),
+                   (150.0, 30.0, "Sleep stage 3"), (180.0, 60.0, "Sleep stage R")]
+    hyp = tmp / "hyp.edf"
+    hyp.write_bytes(hypnogram_edf(annotations))
+    return psg, hyp, annotations, tmp / "mutant.edf", tmp / "night.slpe"
+
+
+class TestConvertMutatedHeader:
+    """A PSG whose header bytes are edited converts only as its header
+    states: on exit 0 the store holds float32 of the digital values that an
+    independent decoding of the edited header locates and scales, or the
+    edits lie in fields `convert` does not read."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_header_gives_its_own_scaling_and_layout(self, mutable_night, data):
+        psg_path, hyp, annotations, path, store = mutable_night
+        psg = psg_path.read_bytes()
+        mutant = bytearray(psg)
+        for at, (kind, value) in data.draw(st.lists(HEADER_EDIT, min_size=1, max_size=4)):
+            mutant[at] = mutant[at] ^ (1 << value) if kind == "flip" else value
+        path.write_bytes(bytes(mutant))
+        store.unlink(missing_ok=True)
+        argv = ["convert", str(path), "--hypnogram", str(hyp), "--subject", "4", "--night", "2",
+                "--out", str(store)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if main(argv) != 0:
+                return
+        try:
+            digital, scaling = edf_channel_reference(bytes(mutant), "EEG Fpz-Cz")
+        except ValueError:
+            want = None
+        else:
+            end = len(digital) // ep.EPOCH_SAMPLES * 30.0
+            cut = [(onset, min(onset + length, end) - onset, label)
+                   for onset, length, label in annotations]
+            want = store_reference(cut, digital, scaling, 4, 2)
+        changed = {i for i, (a, b) in enumerate(zip(psg, mutant)) if a != b}
+        assert store.read_bytes() == want or changed <= UNREAD_HEADER_BYTES, sorted(changed)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,3 @@
-import io
 import math
 import tracemalloc
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgesleep import edf as edf_mod
 from edgesleep.edf import (
     EdfError,
     UnknownChannelError,
@@ -16,7 +16,7 @@ from edgesleep.edf import (
     read_signal,
 )
 
-from conftest import mutate
+from conftest import allocation_peak, mutate
 from edf_fixtures import SignalSpec, bookkeeping_tal, build_edf, hypnogram_edf, tal
 from oracles import tal_text_field_count
 
@@ -25,89 +25,115 @@ def simple_signal(data, label="EEG Fpz-Cz", spr=10):
     return SignalSpec(label=label, samples_per_record=spr, data=np.asarray(data, dtype=np.int16))
 
 
+@pytest.fixture(scope="module")
+def edf_path(tmp_path_factory):
+    """A path each test writes its file to before parsing it; module-scoped,
+    so hypothesis examples may share it."""
+    return tmp_path_factory.mktemp("edf") / "file.edf"
+
+
+def parse(path, raw: bytes):
+    """parse_edf of raw, written to path first."""
+    path.write_bytes(raw)
+    return parse_edf(path)
+
+
 class TestHeader:
-    def test_round_trip_small_file(self):
+    def test_round_trip_small_file(self, edf_path):
         data = np.arange(20, dtype=np.int16) - 10
         raw = build_edf([simple_signal(data)], n_records=2)
-        edf = parse_edf(raw)
-        assert edf.header.signal_count == 1
-        assert edf.header.n_records == 2
-        assert edf.header.signals[0].samples_per_record == 10
-        assert np.array_equal(edf.read_digital("EEG Fpz-Cz"), data)
+        with parse(edf_path, raw) as edf:
+            assert edf.header.signal_count == 1
+            assert edf.header.n_records == 2
+            assert edf.header.signals[0].samples_per_record == 10
+            assert np.array_equal(edf.read_digital("EEG Fpz-Cz"), data)
 
-    def test_start_date_and_time_kept(self):
+    def test_start_date_and_time_kept(self, edf_path):
         raw = build_edf([simple_signal(np.zeros(10))], n_records=1)
         assert raw[168:184] == b"01.01.0100.00.00"
-        header = parse_edf(raw).header
+        with parse(edf_path, raw) as edf:
+            header = edf.header
         assert (header.start_date, header.start_time) == ("01.01.01", "00.00.00")
 
-    def test_version_field_accepted(self):
+    def test_version_field_accepted(self, edf_path):
         raw = build_edf([simple_signal(np.zeros(10))], n_records=1)
         assert raw[0:8] == b"0       "
-        assert parse_edf(raw).header.n_records == 1
+        with parse(edf_path, raw) as edf:
+            assert edf.header.n_records == 1
 
-    def test_truncated_signal_headers(self):
+    def test_truncated_signal_headers(self, edf_path):
         # Claims two signals but carries header bytes for one.
         raw = build_edf([simple_signal(np.zeros(10))], n_records=1)
         doctored = raw[:252] + b"2   " + raw[256 : 256 + 256]
         with pytest.raises(EdfError, match="truncated"):
-            parse_edf(doctored)
+            parse(edf_path, doctored)
 
-    def test_truncated_fixed_header(self):
+    def test_truncated_fixed_header(self, edf_path):
         with pytest.raises(EdfError, match="truncated"):
-            parse_edf(b"0       " + b" " * 100)
+            parse(edf_path, b"0       " + b" " * 100)
 
-    def test_non_numeric_field(self):
+    def test_non_numeric_field(self, edf_path):
         raw = bytearray(build_edf([simple_signal(np.zeros(10))], n_records=1))
         raw[236:244] = b"notanum "
         with pytest.raises(EdfError, match="non-numeric"):
-            parse_edf(bytes(raw))
+            parse(edf_path, bytes(raw))
 
-    def test_record_size_inconsistent(self):
+    def test_record_size_inconsistent(self, edf_path):
         raw = build_edf([simple_signal(np.zeros(10))], n_records=1)
         with pytest.raises(EdfError, match="data area"):
-            parse_edf(raw + b"\x00\x00")
+            parse(edf_path, raw + b"\x00\x00")
 
-    def test_rejects_discontinuous(self):
+    def test_rejects_discontinuous(self, edf_path):
         raw = build_edf([simple_signal(np.zeros(10))], n_records=1, reserved="EDF+D")
         with pytest.raises(EdfError, match="EDF\\+D"):
-            parse_edf(raw)
+            parse(edf_path, raw)
 
-    def test_declared_header_bytes_must_match(self):
+    def test_declared_header_bytes_must_match(self, edf_path):
         raw = build_edf([simple_signal(np.zeros(10))], n_records=1, header_bytes=768)
         with pytest.raises(EdfError, match="header size"):
-            parse_edf(raw)
+            parse(edf_path, raw)
 
-    def test_digital_range_invariant(self):
+    def test_digital_range_invariant(self, edf_path):
         bad = SignalSpec(label="X", samples_per_record=10, dig_min=5, dig_max=5,
                          data=np.zeros(10, dtype=np.int16))
         with pytest.raises(EdfError, match="digital_min"):
-            parse_edf(build_edf([bad], n_records=1))
+            parse(edf_path, build_edf([bad], n_records=1))
+
+    def test_signal_count_past_the_file_sizes_no_read(self, edf_path):
+        """A buffered read allocates the bytes it asks for before it reads,
+        so 9999 declared signals must be rejected before 2.5 MB of signal
+        headers are asked of a 512-byte file."""
+        raw = build_edf([simple_signal(np.zeros(10))], n_records=1)
+        edf_path.write_bytes(raw[:252] + b"9999" + raw[256:512])
+        with allocation_peak() as peak, pytest.raises(EdfError, match="truncated signal headers"):
+            parse_edf(edf_path)
+        assert peak[0] < 64 * 1024, peak
 
 
 class TestReadSignal:
-    def fixture_edf(self, data):
-        return parse_edf(build_edf([simple_signal(data)], n_records=2))
+    def fixture_edf(self, path, data):
+        return parse(path, build_edf([simple_signal(data)], n_records=2))
 
-    def test_affine_endpoint(self):
-        edf = self.fixture_edf(np.full(20, -2048))
-        assert read_signal(edf, "EEG Fpz-Cz")[0] == -200.0
+    def test_affine_endpoint(self, edf_path):
+        with self.fixture_edf(edf_path, np.full(20, -2048)) as edf:
+            assert read_signal(edf, "EEG Fpz-Cz")[0] == -200.0
 
-    def test_affine_midpoint(self):
-        edf = self.fixture_edf(np.zeros(20))
+    def test_affine_midpoint(self, edf_path):
         expected = (0 + 2048) * 400.0 / 4095.0 - 200.0  # ~0.04884
-        assert read_signal(edf, "EEG Fpz-Cz")[0] == pytest.approx(expected, abs=1e-12)
+        with self.fixture_edf(edf_path, np.zeros(20)) as edf:
+            assert read_signal(edf, "EEG Fpz-Cz")[0] == pytest.approx(expected, abs=1e-12)
 
-    def test_unknown_channel(self):
-        edf = self.fixture_edf(np.zeros(20))
-        with pytest.raises(UnknownChannelError, match="EEG Pz-Oz"):
-            read_signal(edf, "EEG Pz-Oz")
+    def test_unknown_channel(self, edf_path):
+        with self.fixture_edf(edf_path, np.zeros(20)) as edf:
+            with pytest.raises(UnknownChannelError, match="EEG Pz-Oz"):
+                read_signal(edf, "EEG Pz-Oz")
 
-    def test_duplicate_channel(self):
+    def test_duplicate_channel(self, edf_path):
         sig = simple_signal(np.zeros(10))
         raw = build_edf([sig, simple_signal(np.ones(10))], n_records=1)
-        with pytest.raises(UnknownChannelError, match="duplicate"):
-            read_signal(parse_edf(raw), "EEG Fpz-Cz")
+        with parse(edf_path, raw) as edf:
+            with pytest.raises(UnknownChannelError, match="duplicate"):
+                read_signal(edf, "EEG Fpz-Cz")
 
     def test_physical_map_is_the_affine_formula_bitwise(self):
         digital = np.arange(-32768, 32768, dtype=np.int16)
@@ -143,9 +169,9 @@ class TestReadSignal:
         with pytest.raises(EdfError, match="'EEG Fpz-Cz': physical range .* empty or not finite"):
             physical_map(-2048, 2047, phys_min, phys_max, "signal 'EEG Fpz-Cz'")
 
-    def test_label_trailing_space_trimmed(self):
-        edf = self.fixture_edf(np.zeros(20))
-        assert edf.header.signals[0].label == "EEG Fpz-Cz"
+    def test_label_trailing_space_trimmed(self, edf_path):
+        with self.fixture_edf(edf_path, np.zeros(20)) as edf:
+            assert edf.header.signals[0].label == "EEG Fpz-Cz"
 
     @given(
         digital=st.lists(st.integers(-2048, 2047), min_size=4, max_size=40).filter(
@@ -153,26 +179,14 @@ class TestReadSignal:
         )
     )
     @settings(max_examples=30, deadline=None)
-    def test_monotone_affine(self, digital):
+    def test_monotone_affine(self, edf_path, digital):
         data = np.asarray(digital, dtype=np.int16)
         spr = len(data) // 4
         raw = build_edf([simple_signal(data, spr=spr)], n_records=4)
-        phys = read_signal(parse_edf(raw), "EEG Fpz-Cz")
+        with parse(edf_path, raw) as edf:
+            phys = read_signal(edf, "EEG Fpz-Cz")
         # phys_max > phys_min, so digital ordering must be preserved
         assert np.array_equal(np.argsort(data, kind="stable"), np.argsort(phys, kind="stable"))
-
-
-class CountingStream(io.BytesIO):
-    """A file that counts the bytes read from it."""
-
-    def __init__(self, raw: bytes):
-        super().__init__(raw)
-        self.bytes_read = 0
-
-    def read(self, n=-1):
-        data = super().read(n)
-        self.bytes_read += len(data)
-        return data
 
 
 class TestRangeRead:
@@ -181,14 +195,24 @@ class TestRangeRead:
     # 3 records of 10 samples, a second signal between them in each record
     DATA = np.arange(30, dtype=np.int16) * 7 - 100
 
-    def edf(self):
-        """(the parsed file, its CountingStream)"""
-        other = SignalSpec(label="EMG", samples_per_record=4, data=np.zeros(12, np.int16))
-        stream = CountingStream(build_edf([simple_signal(self.DATA), other], n_records=3))
-        return parse_edf(stream), stream
+    @pytest.fixture
+    def opened(self, edf_path, monkeypatch):
+        """(the parsed file, a one-item list counting the bytes read from it)"""
+        bytes_read = [0]
+        read_exact = edf_mod._read_exact
 
-    def test_every_range_equals_the_slice_of_the_whole_read(self):
-        edf, _ = self.edf()
+        def counting(stream, n, what):
+            data = read_exact(stream, n, what)
+            bytes_read[0] += len(data)
+            return data
+
+        monkeypatch.setattr(edf_mod, "_read_exact", counting)
+        other = SignalSpec(label="EMG", samples_per_record=4, data=np.zeros(12, np.int16))
+        with parse(edf_path, build_edf([simple_signal(self.DATA), other], n_records=3)) as edf:
+            yield edf, bytes_read
+
+    def test_every_range_equals_the_slice_of_the_whole_read(self, opened):
+        edf, _ = opened
         whole = read_signal(edf, "EEG Fpz-Cz")
         for start in range(31):
             for stop in range(start, 31):
@@ -197,8 +221,8 @@ class TestRangeRead:
                 assert np.array_equal(read_signal(edf, "EEG Fpz-Cz", start, stop),
                                       whole[start:stop])
 
-    def test_full_range_equals_the_whole_read(self):
-        edf, _ = self.edf()
+    def test_full_range_equals_the_whole_read(self, opened):
+        edf, _ = opened
         whole = read_signal(edf, "EEG Fpz-Cz")
         gain = 400.0 / 4095
         assert np.array_equal(whole, (self.DATA.astype(np.float64) + 2048) * gain - 200.0)
@@ -206,26 +230,26 @@ class TestRangeRead:
         assert np.array_equal(read_signal(edf, "EEG Fpz-Cz", 0, None), whole)
 
     @pytest.mark.parametrize("at", [0, 15, 20, 30])
-    def test_empty_range_is_an_empty_array_and_reads_nothing(self, at):
-        edf, stream = self.edf()
-        before = stream.bytes_read
+    def test_empty_range_is_an_empty_array_and_reads_nothing(self, opened, at):
+        edf, bytes_read = opened
+        before = bytes_read[0]
         got = read_signal(edf, "EEG Fpz-Cz", at, at)
         assert got.shape == (0,) and got.dtype == np.float64
-        assert stream.bytes_read == before
+        assert bytes_read[0] == before
 
     @pytest.mark.parametrize("start, stop", [(-1, 5), (5, 4), (0, 31), (31, 31), (31, 40)])
-    def test_out_of_range_raises(self, start, stop):
-        edf, _ = self.edf()
+    def test_out_of_range_raises(self, opened, start, stop):
+        edf, _ = opened
         with pytest.raises(EdfError, match=rf"sample range \[{start}, {stop}\) outside channel "
                                            r"'EEG Fpz-Cz' of 30 samples"):
             read_signal(edf, "EEG Fpz-Cz", start, stop)
 
     @pytest.mark.parametrize("start, stop, records", [(12, 18, 1), (9, 21, 3), (10, 20, 1)])
-    def test_reads_only_the_records_that_hold_the_range(self, start, stop, records):
-        edf, stream = self.edf()
-        before = stream.bytes_read
+    def test_reads_only_the_records_that_hold_the_range(self, opened, start, stop, records):
+        edf, bytes_read = opened
+        before = bytes_read[0]
         edf.read_digital("EEG Fpz-Cz", start, stop)
-        assert stream.bytes_read - before == records * 10 * 2
+        assert bytes_read[0] - before == records * 10 * 2
 
 
 class TestRoundTripProperty:
@@ -235,13 +259,13 @@ class TestRoundTripProperty:
         seed=st.integers(0, 2**31),
     )
     @settings(max_examples=40, deadline=None)
-    def test_bit_exact_digital_recovery(self, n_records, spr, seed):
+    def test_bit_exact_digital_recovery(self, edf_path, n_records, spr, seed):
         rng = np.random.default_rng(seed)
         data = rng.integers(-2048, 2048, size=n_records * spr, dtype=np.int16)
         raw = build_edf([simple_signal(data, spr=spr)], n_records=n_records)
-        edf = parse_edf(raw)
-        assert np.array_equal(edf.read_digital("EEG Fpz-Cz"), data)
-        chunks = list(edf.record_chunks(0))
+        with parse(edf_path, raw) as edf:
+            assert np.array_equal(edf.read_digital("EEG Fpz-Cz"), data)
+            chunks = list(edf.record_chunks(0))
         assert len(chunks) == n_records
         assert all(len(c) == 2 * spr for c in chunks)
 
@@ -306,7 +330,7 @@ class TestTal:
 
 
 class TestAnnotationsChannel:
-    def test_annotations_across_records(self):
+    def test_annotations_across_records(self, edf_path):
         payloads = [
             bookkeeping_tal(0) + tal(0, 30, "Sleep stage W"),
             bookkeeping_tal(30) + tal(30, 60, "Sleep stage 2"),
@@ -318,8 +342,8 @@ class TestAnnotationsChannel:
             dig_max=32767,
             record_payloads=payloads,
         )
-        edf = parse_edf(build_edf([sig], n_records=2, reserved="EDF+C"))
-        anns = edf.annotations()
+        with parse(edf_path, build_edf([sig], n_records=2, reserved="EDF+C")) as edf:
+            anns = edf.annotations()
         assert [(a.onset, a.duration, a.text) for a in anns] == [
             (0.0, 30.0, "Sleep stage W"),
             (30.0, 60.0, "Sleep stage 2"),
@@ -349,29 +373,47 @@ def edf_files():
 class TestMutatedFiles:
     """Truncated, bit-flipped and spliced EDF files: each either raises
     EdfError or reads as the header states, with finite samples and
-    annotations."""
+    annotations, and no allocation is sized by a header field alone."""
+
+    # Reading a channel holds its int16 samples (at most the file's size)
+    # and their float64 map, 4x those bytes; the check's finiteness mask
+    # adds 1/8 of the float64.  Every other array a read makes is one
+    # record, so a mutant's allocations stay within 6x its file's size.
+    PEAK_PER_FILE_BYTE = 6
+    # The open file's 8 KiB read buffer, the decoded header and the few
+    # annotation objects of the fixture hypnogram, with room to spare.
+    PEAK_ALLOWANCE = 64 * 1024
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_rejected_or_reads_finite_values(self, edf_files, data):
+    def test_rejected_or_reads_finite_values(self, edf_files, edf_path, data):
+        edf_path.write_bytes(mutate(data, edf_files))
+        with allocation_peak() as peak:
+            self.read_back(edf_path)
+        size = edf_path.stat().st_size
+        assert peak[0] <= self.PEAK_PER_FILE_BYTE * size + self.PEAK_ALLOWANCE, (peak, size)
+
+    @staticmethod
+    def read_back(path):
         try:
-            edf = parse_edf(mutate(data, edf_files))
+            edf = parse_edf(path)
         except EdfError:
             return
-        n_records = edf.header.n_records
-        for sig in edf.header.signals:
-            if sig.label == "EDF Annotations":
-                continue
+        with edf:
+            n_records = edf.header.n_records
+            for sig in edf.header.signals:
+                if sig.label == "EDF Annotations":
+                    continue
+                try:
+                    x = read_signal(edf, sig.label)
+                except EdfError:
+                    continue
+                assert x.shape == (n_records * sig.samples_per_record,) and x.dtype == np.float64
+                assert np.isfinite(x).all(), sig.label
             try:
-                x = read_signal(edf, sig.label)
+                annotations = edf.annotations()
             except EdfError:
-                continue
-            assert x.shape == (n_records * sig.samples_per_record,) and x.dtype == np.float64
-            assert np.isfinite(x).all(), sig.label
-        try:
-            annotations = edf.annotations()
-        except EdfError:
-            return
+                return
         for a in annotations:
             assert math.isfinite(a.onset) and a.onset >= 0, a
             assert math.isfinite(a.duration) and a.duration >= 0, a

@@ -25,7 +25,7 @@ from edgesleep.epochs import (
     write_store,
 )
 
-from conftest import join_epochs, make_synth_epochs, mutate
+from conftest import allocation_peak, join_epochs, make_synth_epochs, mutate
 from oracles import RAW_LABELS, random_annotation_sequence, reference_pipeline
 
 
@@ -511,16 +511,28 @@ def store_files(tmp_path_factory):
 class TestMutatedStores:
     """Truncated, bit-flipped and spliced stores: each either raises
     StoreError or PipelineError, or reads as valid stages and finite
-    samples."""
+    samples, and no allocation is sized by a header field alone."""
+
+    # read_store holds one array of the records, the file's bytes less its
+    # header, and its checks build at most a byte per record besides: 2x
+    # the file's size covers both.
+    PEAK_PER_FILE_BYTE = 2
+    # The open file's read buffer and the exception of a rejected mutant.
+    PEAK_ALLOWANCE = 64 * 1024
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_rejected_or_reads_valid_records(self, store_files, data):
         files, path = store_files
         path.write_bytes(mutate(data, files))
-        try:
-            records = read_store(path)
-        except (StoreError, PipelineError):
+        with allocation_peak() as peak:
+            try:
+                records = read_store(path)
+            except (StoreError, PipelineError):
+                records = None
+        size = path.stat().st_size
+        assert peak[0] <= self.PEAK_PER_FILE_BYTE * size + self.PEAK_ALLOWANCE, (peak, size)
+        if records is None:
             return
         assert (records.stage < len(SleepStage)).all()
         assert np.isfinite(records.samples).all()

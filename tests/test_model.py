@@ -9,6 +9,7 @@ from edgesleep.epochs import EPOCH_SAMPLES, DegenerateEpochError, standardize
 from edgesleep.model import (
     ArchConfig,
     ModelFormatError,
+    ModelParams,
     expected_shapes,
     forward,
     init_params,
@@ -155,7 +156,7 @@ class TestForward:
 
     def test_residual_identity_when_branches_zeroed(self, small_setup):
         config, params, x = small_setup
-        neutered = params.copy()
+        neutered = ModelParams({n: t.copy() for n, t in params.tensors.items()})
         for name in ("attn_wo", "attn_bo", "ffn2_w", "ffn2_b"):
             neutered.tensors[name] = np.zeros_like(neutered[name])
         for name in ("ln1_gain", "ln2_gain"):

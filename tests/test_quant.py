@@ -26,7 +26,7 @@ from edgesleep.quant import (
 )
 from edgesleep.streaming import make_predictor
 
-from conftest import mutate
+from conftest import allocation_peak, mutate
 
 
 def dequantized_forward(qm, x):
@@ -280,7 +280,18 @@ def model_bytes(small_quant, tmp_path_factory):
 class TestMutatedModelFiles:
     """Truncated, bit-flipped and spliced model files: each either raises
     ModelFormatError or loads finite float32 tensors of the shapes its
-    architecture block implies."""
+    architecture block implies, and no allocation is sized by a header
+    field alone."""
+
+    # read_slpm reads each payload (at most the file's size in all), copies
+    # it into its tensor, and checks a float32 one with a mask of a byte per
+    # value; dequantizing then makes a float32 of each int8 weight, 4x its
+    # bytes, and copies each float32 tensor.  7x the file's size covers
+    # the tensors, their dequantized copies and one payload in flight.
+    PEAK_PER_FILE_BYTE = 7
+    # The open file's read buffer, the decoded directory and the exception
+    # of a rejected mutant.
+    PEAK_ALLOWANCE = 64 * 1024
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -288,11 +299,16 @@ class TestMutatedModelFiles:
         files, path = model_bytes
         mutant = mutate(data, files)
         path.write_bytes(mutant)
-        try:
-            kind, loaded, config = load_any_model(path)
-        except ModelFormatError:
+        with allocation_peak() as peak:
+            try:
+                kind, loaded, config = load_any_model(path)
+            except ModelFormatError:
+                params = None
+            else:
+                params = loaded.dequantize() if kind == "quant" else loaded
+        assert peak[0] <= self.PEAK_PER_FILE_BYTE * len(mutant) + self.PEAK_ALLOWANCE, peak
+        if params is None:
             return
-        params = loaded.dequantize() if kind == "quant" else loaded
         shapes = expected_shapes(config)
         assert params.names() == list(shapes)
         for name, shape in shapes.items():

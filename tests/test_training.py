@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from edgesleep import model, training
 from edgesleep.epochs import standardize
-from edgesleep.model import ArchConfig, init_params, forward
+from edgesleep.model import ArchConfig, ModelParams, init_params, forward
 from edgesleep.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -43,8 +43,6 @@ class TestCrossEntropy:
 
 
 def tiny_params(value_map):
-    from edgesleep.model import ModelParams
-
     return ModelParams({k: np.array(v, dtype=np.float64) for k, v in value_map.items()})
 
 
@@ -119,7 +117,7 @@ class TestBackprop:
             assert grads[name].shape == self.params[name].shape
 
     def test_confident_correct_prediction_has_tiny_gradient(self):
-        params = self.params.copy()
+        params = ModelParams({n: t.copy() for n, t in self.params.tensors.items()})
         params.tensors["cls_b"] = np.array([50.0, 0.0, 0.0, 0.0, 0.0])
         probs, cache = forward(params, self.x, self.config, mode="train")
         assert probs[0] > 1 - 1e-12
