@@ -66,10 +66,7 @@ def cmd_train(args) -> int:
         raise training.TrainingError("store holds no epochs")
     arch = model.ArchConfig(width_multiplier=args.width_multiplier)
     tc = training.TrainConfig(
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        seed=args.seed,
+        batch_size=args.batch_size, max_epochs=args.max_epochs, seed=args.seed
     )
     subjects = sorted(set(store.subject_id.tolist()))
     folds = training.make_folds(subjects, k=args.folds, seed=args.seed)
@@ -204,7 +201,9 @@ def _stdin_samples(raw, args):
         except edf.EdfError as exc:
             raise streaming.StreamGapError(str(exc)) from None
         dtype = np.dtype("<i2")
-        convert = lambda arr: to_physical(arr).astype(np.float32)
+        # a sample past float32's range becomes an infinity, and standardize
+        # marks its window unscorable
+        convert = np.errstate(over="ignore")(lambda arr: to_physical(arr).astype(np.float32))
     else:
         dtype = np.dtype("<f4")
         convert = lambda arr: arr
@@ -299,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
     p.add_argument("--max-epochs", type=_positive(int), default=30)
     p.add_argument("--batch-size", type=_positive(int), default=64)
-    p.add_argument("--learning-rate", type=_positive(float), default=1e-3)
     p.add_argument("--width-multiplier", type=_positive(float), default=1.0)
     p.set_defaults(func=cmd_train)
 

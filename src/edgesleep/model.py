@@ -195,7 +195,8 @@ class ForwardCache:
     and acts[i] is the ReLU output of conv i, so conv i reads acts[i-1] and
     acts[-1] is the feature map [..., T, D].  No ReLU input is kept:
     backprop takes each ReLU's mask from its output (kernels.relu_backward).
-    attn.x is the output of ln1.  Every array keeps the leading batch axes
+    attn.x is the output of ln1, and flat is the block's output [..., T*D],
+    the classifier's input.  Every array keeps the leading batch axes
     of the forward input.
     """
 
@@ -204,7 +205,6 @@ class ForwardCache:
     resid1: np.ndarray
     normed2: np.ndarray
     ffn_hidden: np.ndarray
-    resid2: np.ndarray
     flat: np.ndarray
     probs: np.ndarray
 
@@ -233,39 +233,38 @@ def forward(
     h = x[..., None]  # [..., 3000, 1]
     acts = [h]
 
-    for i, (_, stride, _) in enumerate(config.scaled_conv_table, start=1):
-        h = kernels.relu(kernels.conv1d(h, params[f"conv{i}_w"], params[f"conv{i}_b"], stride))
-        if mode == "train":
-            acts.append(h)
+    # a non-finite value ends in a kernel's NonFiniteError, not in a numpy warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, (_, stride, _) in enumerate(config.scaled_conv_table, start=1):
+            h = kernels.relu(kernels.conv1d(h, params[f"conv{i}_w"], params[f"conv{i}_b"], stride))
+            if mode == "train":
+                acts.append(h)
 
-    features = h  # [..., feature_len, d_model]
-    expected = (config.feature_len, config.scaled_d_model)
-    if features.shape[-2:] != expected:
-        raise ValueError(f"conv stack produced {features.shape}, config says {expected}")
-    normed1 = kernels.layer_norm(features, params["ln1_gain"], params["ln1_shift"])
-    attn_out, attn_cache = kernels.multi_head_attention_with_cache(
-        normed1,
-        params["attn_wq"], params["attn_bq"],
-        params["attn_wk"], params["attn_bk"],
-        params["attn_wv"], params["attn_bv"],
-        params["attn_wo"], params["attn_bo"],
-        config.heads,
-    )
-    resid1 = features + attn_out
+        features = h  # [..., feature_len, d_model]
+        normed1 = kernels.layer_norm(features, params["ln1_gain"], params["ln1_shift"])
+        attn_out, attn_cache = kernels.multi_head_attention_with_cache(
+            normed1,
+            params["attn_wq"], params["attn_bq"],
+            params["attn_wk"], params["attn_bk"],
+            params["attn_wv"], params["attn_bv"],
+            params["attn_wo"], params["attn_bo"],
+            config.heads,
+        )
+        resid1 = features + attn_out
 
-    normed2 = kernels.layer_norm(resid1, params["ln2_gain"], params["ln2_shift"])
-    ffn_hidden = kernels.relu(kernels.dense(normed2, params["ffn1_w"], params["ffn1_b"]))
-    ffn_out = kernels.dense(ffn_hidden, params["ffn2_w"], params["ffn2_b"])
-    resid2 = resid1 + ffn_out
+        normed2 = kernels.layer_norm(resid1, params["ln2_gain"], params["ln2_shift"])
+        ffn_hidden = kernels.relu(kernels.dense(normed2, params["ffn1_w"], params["ffn1_b"]))
+        ffn_out = kernels.dense(ffn_hidden, params["ffn2_w"], params["ffn2_b"])
+        resid2 = resid1 + ffn_out
 
-    flat = resid2.reshape(*x.shape[:-1], -1)
-    # one [1, flat_dim] product per row, so a row's logits do not depend on N
-    logits = kernels.dense(flat[..., None, :], params["cls_w"], params["cls_b"])[..., 0, :]
-    probs = kernels.softmax(logits)
+        flat = resid2.reshape(*x.shape[:-1], -1)
+        # one [1, flat_dim] product per row, so a row's logits do not depend on N
+        logits = kernels.dense(flat[..., None, :], params["cls_w"], params["cls_b"])[..., 0, :]
+        probs = kernels.softmax(logits)
 
     if mode == "infer":
         return probs, None
-    return probs, ForwardCache(acts, attn_cache, resid1, normed2, ffn_hidden, resid2, flat, probs)
+    return probs, ForwardCache(acts, attn_cache, resid1, normed2, ffn_hidden, flat, probs)
 
 
 def predict(

@@ -3,9 +3,9 @@ per-subject adaptation split.
 
 Everything is deterministic given (seed, data): batches are drawn from a
 seeded generator, gradients reduce in fixed order, and the optimizer is
-purely functional (params in, params out).  Subject-specific fine-tuning is
-`fit` itself, run from the loaded model on the rows `split_adapt` carves off
-one subject, with no validation rows.
+purely functional (params in, params out) at the fixed ADAM_LEARNING_RATE.
+Subject-specific fine-tuning is `fit` itself, run from the loaded model on
+the rows `split_adapt` carves off one subject, with no validation rows.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from .model import ArchConfig, ForwardCache, ModelParams, forward, init_params, 
 
 PROB_FLOOR = 1e-12
 
-# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults),
+# Adam's step size, moment decay rates and floor (Kingma & Ba's defaults),
 # and the share of train_fold's non-test epochs held out for validation.
+ADAM_LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
@@ -35,14 +36,11 @@ class TrainingError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-3
     batch_size: int = 64
     max_epochs: int = 30
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate {self.learning_rate} is not finite and positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 0:
@@ -96,7 +94,7 @@ def backprop(
     dflat, grads["cls_w"], grads["cls_b"] = kernels.dense_backward(
         cache.flat, params["cls_w"], dlogits
     )
-    dresid2 = dflat.reshape(cache.resid2.shape)
+    dresid2 = dflat.reshape(cache.resid1.shape)
 
     # feed-forward sublayer: resid2 = resid1 + ffn(norm2(resid1))
     dhidden, grads["ffn2_w"], grads["ffn2_b"] = kernels.dense_backward(
@@ -139,7 +137,6 @@ def adam_step(
     params: ModelParams,
     grads: dict[str, np.ndarray],
     state: AdamState,
-    config: TrainConfig,
 ) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update of every tensor."""
     t = state.t + 1
@@ -152,7 +149,7 @@ def adam_step(
         v = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
         m_hat = m / (1 - ADAM_BETA1**t)
         v_hat = v / (1 - ADAM_BETA2**t)
-        new_tensors[name] = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        new_tensors[name] = theta - ADAM_LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         new_m[name] = m
         new_v[name] = v
     return ModelParams(new_tensors), AdamState(m=new_m, v=new_v, t=t)
@@ -257,7 +254,7 @@ def fit(
             batch = train_rows[order[start : start + tc.batch_size]]
             grads, batch_loss = batch_gradients(params, config, epochs, batch)
             running += batch_loss * len(batch)
-            params, state = adam_step(params, grads, state, tc)
+            params, state = adam_step(params, grads, state)
         val_loss, val_acc = evaluate_epochs(params, config, epochs, val_rows)
         history.append(
             EpochStats(
@@ -295,7 +292,8 @@ def split_adapt(
     Uniform mode samples round(fraction * n) rows; stratified mode samples
     round(fraction * n_c) from each class present, visiting the classes in
     order of first appearance.  Ties round half-to-even.  The two parts are
-    disjoint and exhaustive subsets of rows, each in the order given.
+    disjoint and exhaustive subsets of rows, each in the order given; a
+    selection that leaves either part empty raises TrainingError.
     """
     if not 0 < fraction < 1:
         raise TrainingError(f"fraction must lie in (0, 1), got {fraction}")
@@ -314,6 +312,8 @@ def split_adapt(
         picked[rng.permutation(n)[: round(fraction * n)]] = True
     if not picked.any():
         raise TrainingError(f"fraction {fraction} selects no adaptation epochs from {n}")
+    if picked.all():
+        raise TrainingError(f"fraction {fraction} leaves no holdout epochs from {n}")
     return rows[picked], rows[~picked]
 
 
@@ -335,8 +335,6 @@ def train_fold(
     if not len(pool):
         raise TrainingError("no training epochs outside the test subjects")
     train, val = split_train_val(pool, tc.seed)
-    if not len(train):
-        raise TrainingError("validation split consumed every epoch")
     params = init_params(arch, tc.seed).astype(np.float32)
     return fit(params, arch, epochs, train, val, tc)
 

@@ -28,6 +28,12 @@ class TestSplitAdapt:
         with pytest.raises(TrainingError, match="selects no"):
             split_adapt(epochs, np.arange(3), fraction=0.10, seed=3)
 
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_empty_holdout_rejected(self, stratified):
+        epochs = make_synth_epochs(20, seed=32)
+        with pytest.raises(TrainingError, match="leaves no holdout epochs from 20"):
+            split_adapt(epochs, np.arange(20), fraction=0.99, stratified=stratified, seed=3)
+
     def test_bad_fraction_rejected(self):
         epochs = make_synth_epochs(10, seed=33)
         with pytest.raises(TrainingError, match="fraction"):

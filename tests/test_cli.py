@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import io
@@ -625,10 +626,6 @@ class TestTrainEvalFlow:
             ("--width-multiplier", "0"),
             ("--width-multiplier", "nan"),
             ("--max-epochs", "0"),
-            ("--learning-rate", "0"),
-            ("--learning-rate", "-1"),
-            ("--learning-rate", "nan"),
-            ("--learning-rate", "inf"),
         ],
     )
     def test_train_nonpositive_size_is_a_usage_error(
@@ -810,6 +807,19 @@ class TestAdaptArguments:
         assert main(adapt_argv(paths, model_path, "--epochs", "0", "--out", str(out))) == 0
         (before, _), (after, _) = load_model(model_path), load_model(out)
         assert all(np.array_equal(before[n], after[n]) for n in before.names())
+
+    @pytest.mark.parametrize("flags", [(), ("--stratified",)], ids=["uniform", "stratified"])
+    def test_split_without_holdout_exits_8(self, night_stores, tmp_path, capsys, flags):
+        """--fraction 0.99 of subject 2's 18 epochs picks all 18: exit 8,
+        nothing on stdout and no --out file."""
+        paths, _, model_path = night_stores
+        out = tmp_path / "adapted.slpm"
+        argv = adapt_argv(paths, model_path, "--fraction", "0.99", "--out", str(out), *flags)
+        assert main(argv) == 8
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: fraction 0.99 leaves no holdout epochs from 18\n"
+        assert not out.exists()
 
     def test_adapt_holds_the_store_once(self, two_subject_stores, tmp_path, capsys):
         """Subject, adaptation and holdout epochs are rows of the store, so
@@ -1327,10 +1337,12 @@ class TestCraftedModelFile:
 
 
 class TestRemovedFlags:
-    """The text hypnogram, the device-profile flags and the fine-tune scope
-    are gone: each is a usage error that writes nothing."""
+    """The text hypnogram, the device-profile flags, the fine-tune scope and
+    the learning rate are gone: each is a usage error that writes nothing."""
 
-    @pytest.mark.parametrize("flag", ["--hypnogram-txt", "--scope", "--profile", "--profiles-file"])
+    @pytest.mark.parametrize(
+        "flag", ["--hypnogram-txt", "--scope", "--profile", "--profiles-file", "--learning-rate"]
+    )
     def test_is_a_usage_error(self, night_stores, psg_file, tmp_path, capsys, flag):
         paths, _, model_path = night_stores
         sidecar = tmp_path / "hyp.txt"
@@ -1346,6 +1358,8 @@ class TestRemovedFlags:
             "--profile": ["budget", "--model", str(model_path), "--profile", "nano33ble"],
             "--profiles-file": ["budget", "--model", str(model_path),
                                 "--profiles-file", str(profiles)],
+            "--learning-rate": ["train", "--store", str(paths[0]), "--out-dir", str(out),
+                                "--learning-rate", "1e-3"],
         }[flag]
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -1380,6 +1394,23 @@ class TestReadmeExamples:
     @pytest.mark.parametrize("argv", readme_cli_examples(), ids=lambda argv: argv[0])
     def test_example_parses(self, argv):
         cli.build_parser().parse_args(argv)  # a usage error raises SystemExit
+
+    def test_cli_section_names_every_option(self):
+        """The CLI section names every option the parser defines, and any
+        other `--flag` only as absent, in the form "no `--x` option"."""
+        section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+        absent = set(re.findall(r"no `(--[a-z][a-z0-9-]*)` option", section))
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        defined = {
+            option
+            for command in commands.choices.values()
+            for action in command._actions
+            for option in action.option_strings
+        } - {"-h", "--help"}
+        assert defined - named == set()
+        assert named - defined == absent
 
     def test_every_python_api_name_resolves(self):
         paragraph = README.read_text().split("## Python API", 1)[1].split("\n## ", 1)[0]
@@ -1484,6 +1515,43 @@ class TestErrorSurface:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["eval", "stream"])
+    def test_overflowing_model_prints_one_line(self, tmp_path, capsys, monkeypatch, command):
+        """A finite conv4 bias of 1e38 overflows layer_norm's sum: the
+        typed error is the only line on stderr, with no numpy warning."""
+        config = ArchConfig(width_multiplier=0.25)
+        params = init_params(config, 0)
+        params.tensors["conv4_b"][:] = 1e38
+        model_path = tmp_path / "m.slpm"
+        save_model(params, config, model_path)
+        store = tmp_path / "s.slpe"
+        ep.write_store(make_synth_epochs(3, seed=96), store)
+        feed = np.random.default_rng(96).normal(size=ep.EPOCH_SAMPLES).astype("<f4")
+        stdin = PipeStdin(feed.tobytes(), 400)
+        monkeypatch.setattr("sys.stdin", type("Stdin", (), {"buffer": stdin}))
+        argv = {"eval": ["eval", "--store", str(store)], "stream": ["stream"]}[command]
+        assert main([*argv, "--model", str(model_path)]) == 12
+        assert capsys.readouterr() == ("", "error: layer_norm produced non-finite values\n")
+
+    def test_int16_scaling_past_float32_is_unscorable(self, tmp_path, capsys, monkeypatch):
+        """Samples scaled past float32's range make the window unscorable;
+        stderr holds only the two summary lines."""
+        config = ArchConfig(width_multiplier=0.25)
+        model_path = tmp_path / "m.slpm"
+        save_model(init_params(config, 0), config, model_path)
+        feed = np.random.default_rng(95).integers(-2048, 2048, ep.EPOCH_SAMPLES, dtype="<i2")
+        stdin = PipeStdin(feed.tobytes(), 401)
+        monkeypatch.setattr("sys.stdin", type("Stdin", (), {"buffer": stdin}))
+        code = main(["stream", "--model", str(model_path), "--int16", "--dig-min", "-2048",
+                     "--dig-max", "2047", "--phys-min=-1e300", "--phys-max=1e300"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 1 and out.split("\t")[:2] == ["0", "unscorable"]
+        assert err.splitlines() == [
+            "stream ended: 1 decisions, 0 samples buffered",
+            "latency_ms count=0 p50=nan p99=nan max=nan",
+        ]
 
     def test_model_length_beyond_file_code(self, tmp_path, capsys):
         config = ArchConfig(width_multiplier=0.25)

@@ -497,14 +497,15 @@ class TestStore:
 
 @pytest.fixture(scope="module")
 def store_files(tmp_path_factory):
-    """{name: (file bytes, header plus first record's fields)} of a
-    three-epoch and a one-epoch store, and a path for mutants."""
+    """{name: (path, header plus first record's fields)} of a three-epoch
+    and a one-epoch store, and a path for mutants.  Paths, not bytes: a
+    failing example's report shows its arguments' repr."""
     tmp = tmp_path_factory.mktemp("mutated_stores")
     out = {}
     for name, epochs in (("three", make_synth_epochs(3, seed=60)),
                          ("one", make_synth_epochs(1, seed=61, subject_id=7, night=2))):
         write_store(epochs, tmp / f"{name}.slpe")
-        out[name] = ((tmp / f"{name}.slpe").read_bytes(), STORE_HEADER_BYTES + 8)
+        out[name] = (tmp / f"{name}.slpe", STORE_HEADER_BYTES + 8)
     return out, tmp / "mutant.slpe"
 
 
@@ -523,7 +524,8 @@ class TestMutatedStores:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_rejected_or_reads_valid_records(self, store_files, data):
-        files, path = store_files
+        paths, path = store_files
+        files = {name: (p.read_bytes(), head) for name, (p, head) in paths.items()}
         path.write_bytes(mutate(data, files))
         with allocation_peak() as peak:
             try:

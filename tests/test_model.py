@@ -164,7 +164,9 @@ class TestForward:
         for name in ("ln1_shift", "ln2_shift"):
             neutered.tensors[name] = np.zeros_like(neutered[name])
         _, cache = forward(neutered, x, config, mode="train")
-        np.testing.assert_allclose(cache.resid2, cache.acts[-1], atol=1e-9)
+        np.testing.assert_allclose(
+            cache.flat.reshape(cache.acts[-1].shape), cache.acts[-1], atol=1e-9
+        )
 
 
     def test_batch_equals_stacked_single_epochs(self, small_setup):

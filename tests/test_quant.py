@@ -261,9 +261,10 @@ class TestQuantForward:
 
 
 @pytest.fixture(scope="module")
-def model_bytes(small_quant, tmp_path_factory):
-    """{kind: (file bytes, bytes before the first payload)} of a valid float
-    and a valid int8 model file."""
+def model_files(small_quant, tmp_path_factory):
+    """{kind: (path, bytes before the first payload)} of a valid float and
+    a valid int8 model file.  Paths, not bytes: a failing example's report
+    shows its arguments' repr."""
     config, params, qm = small_quant
     tmp = tmp_path_factory.mktemp("mutated_models")
     out = {}
@@ -271,9 +272,8 @@ def model_bytes(small_quant, tmp_path_factory):
                        ("int8", lambda p: save_quant_model(qm, p))):
         path = tmp / f"{kind}.slpm"
         save(path)
-        raw = path.read_bytes()
         payload = sum(arr.nbytes for arr, _ in read_slpm(path)[1].values())
-        out[kind] = (raw, len(raw) - payload)
+        out[kind] = (path, path.stat().st_size - payload)
     return out, tmp / "mutant.slpm"
 
 
@@ -295,8 +295,9 @@ class TestMutatedModelFiles:
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_rejected_or_loads_finite_tensors(self, model_bytes, data):
-        files, path = model_bytes
+    def test_rejected_or_loads_finite_tensors(self, model_files, data):
+        paths, path = model_files
+        files = {kind: (p.read_bytes(), head) for kind, (p, head) in paths.items()}
         mutant = mutate(data, files)
         path.write_bytes(mutant)
         with allocation_peak() as peak:
