@@ -17,8 +17,12 @@ on the same shapes whatever the leading axes hold -- products are stacked
 matmuls (one BLAS call per row, never one call over rows folded together),
 reductions run over the last axis -- so a forward call on ``[N, L, C]``
 equals N stacked single calls bit for bit, for any N and either dtype.
-The backward kernels may fold the rows into one product, so they equal
-stacked single calls only up to floating-point summation order.
+The backward kernels fold the rows into one product wherever a product
+spans them: every parameter gradient, the input gradients of dense and
+conv1d, and attention's d_ctx and input gradient (_fold_matmul).  BLAS
+may order a dot product differently for a different GEMM shape, so a
+backward call equals stacked single calls only up to floating-point
+summation order.
 """
 
 from __future__ import annotations
@@ -47,6 +51,11 @@ def _finite(out: np.ndarray, op: str) -> np.ndarray:
 def _rows(a: np.ndarray) -> np.ndarray:
     """Fold every leading axis into one: [..., C] -> [M, C]."""
     return a.reshape(-1, a.shape[-1])
+
+
+def _fold_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w as one GEMM over every row of a: [..., N] @ [N, M] -> [..., M]."""
+    return (_rows(a) @ w).reshape(*a.shape[:-1], w.shape[1])
 
 
 def _im2col(x: np.ndarray, K: int, stride: int) -> np.ndarray:
@@ -99,19 +108,35 @@ def conv1d_backward(
     The weight and bias gradients sum over every leading axis, as one GEMM
     over the windows of all rows.  With need_dx=False the input gradient
     is not computed and comes back None.
+
+    The input gradient groups the taps in blocks of `stride` consecutive
+    ones (B = ceil(K / stride), the last block possibly shorter).  Tap
+    k = b*stride + j of window t lands on input position (t + b)*stride + j,
+    so block b's products for every window, one GEMM [rows, Cout] @ [Cout,
+    taps*Cin], add as one slice in runs of taps*Cin contiguous values at
+    group offset b of a zeroed [..., groups, stride*Cin] buffer; the buffer
+    reshapes to [..., groups*stride, Cin] and is cut to L (a view when
+    groups*stride > L).  A position takes at most one tap per block, so its
+    taps add in increasing k, as in a per-tap strided scatter, and the
+    products equal per-tap GEMMs' bit for bit wherever BLAS orders a dot
+    product the same for both GEMM shapes.
     """
-    K, cin, _ = w.shape
+    K, cin, cout = w.shape
     g = _rows(grad_out)
     dw = (_rows(_im2col(x, K, stride)).T @ g).reshape(w.shape)
     db = g.sum(axis=0)
     if not need_dx:
         return None, dw, db
-    dx = np.zeros_like(x)
-    span = stride * (grad_out.shape[-2] - 1) + 1
-    for k in range(K):
-        # rows k, k + stride, ... are distinct for a fixed k, so += is exact
-        dx[..., k : k + span : stride, :] += (g @ w[k].T).reshape(*grad_out.shape[:-1], cin)
-    return dx, dw, db
+    *lead, L, _ = x.shape
+    lout = grad_out.shape[-2]
+    blocks = -(-K // stride)
+    groups = max(lout + blocks - 1, -(-L // stride))
+    dx = np.zeros((*lead, groups, stride * cin), x.dtype)
+    for b in range(blocks):
+        taps = w[b * stride : (b + 1) * stride]
+        n = len(taps) * cin
+        dx[..., b : b + lout, :n] += (g @ taps.reshape(n, cout).T).reshape(*lead, lout, n)
+    return dx.reshape(*lead, groups * stride, cin)[..., :L, :], dw, db
 
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,7 +152,7 @@ def dense_backward(
     x: np.ndarray, w: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     g = _rows(grad_out)
-    return grad_out @ w.T, _rows(x).T @ g, g.sum(axis=0)
+    return _fold_matmul(grad_out, w.T), _rows(x).T @ g, g.sum(axis=0)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -152,23 +177,30 @@ def softmax_backward(probs: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return probs * (grad_out - inner)
 
 
+def _centred(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x - x.mean(-1, keepdims=True), x.var(-1, keepdims=True)) bit for bit,
+    with the mean and variance taken once in numpy's own steps
+    (numpy._core._methods._mean and _var: one add.reduce, then a
+    true_divide by the intp count)."""
+    count = np.intp(x.shape[-1])
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    np.true_divide(mu, count, out=mu, casting="unsafe")
+    xc = x - mu
+    var = np.add.reduce(np.square(xc), axis=-1, keepdims=True)
+    np.true_divide(var, count, out=var, casting="unsafe")
+    return xc, var
+
+
 def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Per-position normalization of [..., T, D] over the D axis, then affine.
 
     Bit for bit (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1,
-    keepdims=True) + LAYER_NORM_EPS) * gain + shift: the mean and variance
-    take numpy's own steps (numpy._core._methods._mean and _var: one
-    add.reduce, then a true_divide by the intp count), but x is centred
-    once and the rest runs in place.
+    keepdims=True) + LAYER_NORM_EPS) * gain + shift: x is centred once
+    (_centred) and the rest runs in place.
     """
     if x.ndim < 2 or x.shape[-1] < 2:
         raise KernelError(f"layer_norm expects [..., T, D>=2], got {x.shape}")
-    count = np.intp(x.shape[-1])
-    mu = np.add.reduce(x, axis=-1, keepdims=True)
-    np.true_divide(mu, count, out=mu, casting="unsafe")
-    xhat = x - mu
-    var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True)
-    np.true_divide(var, count, out=var, casting="unsafe")
+    xhat, var = _centred(x)
     var += LAYER_NORM_EPS
     xhat /= np.sqrt(var, out=var)
     xhat *= gain
@@ -179,10 +211,9 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray
 def layer_norm_backward(
     x: np.ndarray, gain: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xc, var = _centred(x)
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x - mu) * inv_std
+    xhat = xc * inv_std
     dgain = _rows(grad_out * xhat).sum(axis=0)
     dshift = _rows(grad_out).sum(axis=0)
     dxhat = grad_out * gain
@@ -258,7 +289,7 @@ def multi_head_attention_backward(
     heads, _, dh = cache.q_h.shape[-3:]
     scale = 1.0 / np.sqrt(np.asarray(dh, dtype=x.dtype))
 
-    d_ctx = grad_out @ wo.T
+    d_ctx = _fold_matmul(grad_out, wo.T)
     g = _rows(grad_out)
     dwo = _rows(cache.ctx).T @ g
     dbo = g.sum(axis=0)
@@ -284,5 +315,7 @@ def multi_head_attention_backward(
         "wo": dwo,
         "bo": dbo,
     }
-    dx = dq @ wq.T + dk @ wk.T + dv @ wv.T
+    dx = _fold_matmul(dq, wq.T)
+    dx += _fold_matmul(dk, wk.T)
+    dx += _fold_matmul(dv, wv.T)
     return dx, grads

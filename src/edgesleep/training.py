@@ -2,8 +2,9 @@
 per-subject adaptation split.
 
 Everything is deterministic given (seed, data): batches are drawn from a
-seeded generator, gradients reduce in fixed order, and the optimizer is
-purely functional (params in, params out) at the fixed ADAM_LEARNING_RATE.
+seeded generator, gradients reduce in fixed order, and the optimizer
+returns new parameters at the fixed ADAM_LEARNING_RATE while it updates
+its moment estimates in place.
 Subject-specific fine-tuning is `fit` itself, run from the loaded model on
 the rows `split_adapt` carves off one subject, with no validation rows.
 """
@@ -138,21 +139,38 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update of every tensor."""
+    """One bias-corrected Adam update of every tensor.
+
+    The moments update in place in state, which comes back with its step
+    count advanced; the tensors come back as new arrays, so the ModelParams
+    passed in stays as it was.  A bias-corrected second moment that is not
+    finite (a gradient whose square overflows) raises TrainingError naming
+    the tensor, and leaves state part-updated.  A finite one bounds the
+    step, so a finite tensor stays finite.
+    """
     t = state.t + 1
     new_tensors: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    for name, theta in params.tensors.items():
-        g = grads[name]
-        m = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
-        m_hat = m / (1 - ADAM_BETA1**t)
-        v_hat = v / (1 - ADAM_BETA2**t)
-        new_tensors[name] = theta - ADAM_LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-        new_m[name] = m
-        new_v[name] = v
-    return ModelParams(new_tensors), AdamState(m=new_m, v=new_v, t=t)
+    with np.errstate(over="ignore"):
+        for name, theta in params.tensors.items():
+            g = grads[name]
+            m, v = state.m[name], state.v[name]
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            sq = (1 - ADAM_BETA2) * g
+            sq *= g
+            v *= ADAM_BETA2
+            v += sq
+            denom = v / (1 - ADAM_BETA2**t)
+            if not np.isfinite(denom).all():
+                raise TrainingError(f"Adam's second moment of {name} is not finite")
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPSILON
+            step = m / (1 - ADAM_BETA1**t)
+            step *= ADAM_LEARNING_RATE
+            step /= denom
+            new_tensors[name] = theta - step
+    state.t = t
+    return ModelParams(new_tensors), state
 
 
 def make_folds(subject_ids: list[int], k: int = 5, seed: int = 0) -> tuple[tuple[int, ...], ...]:

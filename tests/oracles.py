@@ -139,6 +139,34 @@ def conv1d_reference(x, w, b, stride):
     return out
 
 
+def conv1d_input_gradient_reference(x, w, stride, grad_out):
+    """Input gradient of a valid strided convolution as a per-tap scatter:
+    zeros, then for each tap k in turn the rows k, k + stride, ... take
+    grad_out @ w[k].T, one strided add per tap."""
+    K, cin, _ = w.shape
+    g = grad_out.reshape(-1, grad_out.shape[-1])
+    dx = np.zeros_like(x)
+    span = stride * (grad_out.shape[-2] - 1) + 1
+    for k in range(K):
+        dx[..., k : k + span : stride, :] += (g @ w[k].T).reshape(*grad_out.shape[:-1], cin)
+    return dx
+
+
+def layer_norm_backward_reference(x, gain, grad_out, eps):
+    """(dx, dgain, dshift) of layer normalization over the last axis, by
+    the textbook formula with numpy's own mean and var."""
+    inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv_std
+    dxhat = grad_out * gain
+    dx = inv_std * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    rows = lambda a: a.reshape(-1, a.shape[-1])
+    return dx, rows(grad_out * xhat).sum(axis=0), rows(grad_out).sum(axis=0)
+
+
 def confusion_reference(predictions, labels, n_classes=5):
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
     for p, a in zip(predictions, labels):

@@ -821,6 +821,22 @@ class TestAdaptArguments:
         assert captured.err == "error: fraction 0.99 leaves no holdout epochs from 18\n"
         assert not out.exists()
 
+    def test_overflowing_gradient_exits_8(self, night_stores, tmp_path, capsys):
+        """A finite model whose conv4 bias is 1e36 gives gradients whose
+        square overflows float32: exit 8 with one stderr line naming the
+        tensor, no warning and no --out file (it used to warn, freeze those
+        weights and exit 0)."""
+        paths, _, model_path = night_stores
+        params, config = load_model(model_path)
+        params.tensors["conv4_b"] = np.full_like(params["conv4_b"], 1e36)
+        huge = tmp_path / "huge.slpm"
+        save_model(params, config, huge)
+        out = tmp_path / "adapted.slpm"
+        assert main(adapt_argv(paths, huge, "--out", str(out))) == 8
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: Adam's second moment of \w+ is not finite\n", err), err
+        assert not out.exists()
+
     def test_adapt_holds_the_store_once(self, two_subject_stores, tmp_path, capsys):
         """Subject, adaptation and holdout epochs are rows of the store, so
         the peak above the store stays below one subject's records."""

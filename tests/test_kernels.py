@@ -24,7 +24,13 @@ from edgesleep.kernels import (
 )
 from edgesleep.model import ArchConfig
 
-from oracles import conv1d_reference, numeric_gradient, relative_error
+from oracles import (
+    conv1d_input_gradient_reference,
+    conv1d_reference,
+    layer_norm_backward_reference,
+    numeric_gradient,
+    relative_error,
+)
 
 GRAD_TOL = 1e-4
 
@@ -139,6 +145,81 @@ class TestIm2col:
         for x in (big[:, ::2], big[..., ::2], big[1, 5:200, :3]):
             assert not x.flags.c_contiguous
             assert_same_bits(kernels._im2col(x, 8, 3), im2col_oracle(x, 8, 3))
+
+
+def conv_layer_shapes(width):
+    """(L, Cin, K, stride, Cout) of each conv layer of the network at width."""
+    table = ArchConfig(width_multiplier=width).scaled_conv_table
+    return [(*shape, cout) for shape, (_, _, cout) in zip(conv_input_shapes(width), table)]
+
+
+# (L, Cin, K, stride, Cout): stride above K, stride 1, and two with (L - K) % stride != 0
+SMALL_CONV_SHAPES = [(11, 3, 2, 5, 4), (17, 2, 3, 1, 5), (20, 2, 3, 2, 5), (24, 3, 5, 3, 4)]
+
+
+def conv_gradient_case(rng, lead, shape, dtype, exact=False):
+    """(x, w, stride, grad_out) for one conv shape; exact draws small
+    integers, whose products and sums every summation order gets right."""
+    L, cin, K, stride, cout = shape
+    draw = (lambda size: rng.integers(-4, 5, size=size)) if exact else rng.normal
+    lout = (L - K) // stride + 1
+    return (
+        draw(size=(*lead, L, cin)).astype(dtype),
+        draw(size=(K, cin, cout)).astype(dtype),
+        stride,
+        draw(size=(*lead, lout, cout)).astype(dtype),
+    )
+
+
+class TestConvInputGradient:
+    """conv1d_backward's input gradient, one GEMM per block of `stride`
+    taps added as contiguous slices, against the per-tap strided scatter."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    def test_every_product_lands_where_the_scatter_puts_it(self, dtype, lead):
+        # integer data makes every product exact, so the bits check the
+        # layout of every shape (conv1's Cin = 1 too) on any BLAS
+        rng = np.random.default_rng(25)
+        shapes = SMALL_CONV_SHAPES + conv_layer_shapes(1.0) + conv_layer_shapes(0.25)
+        for shape in shapes:
+            x, w, stride, g = conv_gradient_case(rng, lead, shape, dtype, exact=True)
+            dx, _, _ = conv1d_backward(x, w, stride, g)
+            want = conv1d_input_gradient_reference(x, w, stride, g)
+            assert dx.dtype == want.dtype and dx.shape == want.shape, shape
+            np.testing.assert_array_equal(dx.view(np.uint8), want.view(np.uint8), err_msg=str(shape))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "width, lead",
+        [(1.0, ()), (1.0, (3,)), (1.0, (2, 2)), (1.0, (8,)), (0.25, (3,)), (0.25, (2, 2)), (0.25, (8,))],
+    )
+    def test_bitwise_on_the_shapes_training_runs(self, dtype, width, lead):
+        """Same bits as the per-tap scatter on the layers whose input
+        gradient backprop asks for (conv2-conv4), in chunks of several
+        rows.  A block's GEMM is wider than a tap's, and BLAS may order a
+        dot product differently for another shape: OpenBLAS 0.3.31 on an
+        AVX-512 x86 does for one-row calls at width 0.25 (conv3, conv4) and
+        for Cin = 1 (conv1, whose input gradient is never asked for), which
+        test_close_on_every_shape covers."""
+        rng = np.random.default_rng(26)
+        for shape in SMALL_CONV_SHAPES + conv_layer_shapes(width)[1:]:
+            x, w, stride, g = conv_gradient_case(rng, lead, shape, dtype)
+            dx, _, _ = conv1d_backward(x, w, stride, g)
+            want = conv1d_input_gradient_reference(x, w, stride, g)
+            np.testing.assert_array_equal(dx.view(np.uint8), want.view(np.uint8), err_msg=str(shape))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 2), (8,)])
+    def test_close_on_every_shape(self, dtype, lead):
+        rng = np.random.default_rng(27)
+        shapes = SMALL_CONV_SHAPES + conv_layer_shapes(1.0) + conv_layer_shapes(0.25)
+        for shape in shapes:
+            x, w, stride, g = conv_gradient_case(rng, lead, shape, dtype)
+            dx, _, _ = conv1d_backward(x, w, stride, g)
+            want = conv1d_input_gradient_reference(x, w, stride, g)
+            scale = 64 * np.finfo(dtype).eps * np.abs(want).max()
+            np.testing.assert_allclose(dx, want, rtol=0, atol=scale, err_msg=str(shape))
 
 
 class TestDense:
@@ -266,6 +347,22 @@ class TestLayerNorm:
         got = layer_norm(x, gain, shift)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(19, 128), (4, 19, 96), (8, 19, 32)])
+    def test_backward_matches_numpy_mean_and_var(self, dtype, shape):
+        rng = np.random.default_rng(28)
+        x = rng.normal(size=shape)
+        x[..., 0, :] += 1e4
+        x[..., 1, :] = 3.0 + 1e-6 * rng.normal(size=shape[-1])
+        x = x.astype(dtype)
+        gain = rng.normal(size=shape[-1]).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        got = layer_norm_backward(x, gain, g)
+        want = layer_norm_backward_reference(x, gain, g, LAYER_NORM_EPS)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
 
     def test_gradients_vs_finite_differences(self):
         rng = np.random.default_rng(6)

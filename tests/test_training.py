@@ -9,6 +9,8 @@ from edgesleep.model import ArchConfig, ModelParams, init_params, forward
 from edgesleep.training import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_EPSILON,
+    ADAM_LEARNING_RATE,
     AdamState,
     TrainConfig,
     TrainingError,
@@ -82,6 +84,51 @@ class TestAdam:
         _, state = adam_step(params, {"w": g}, AdamState.zeros_like(params))
         np.testing.assert_allclose(state.m["w"], (1 - ADAM_BETA1) * g)
         np.testing.assert_allclose(state.v["w"], (1 - ADAM_BETA2) * g * g)
+
+    def test_three_steps_equal_the_formula_bitwise(self):
+        rng = np.random.default_rng(7)
+        shapes = {"w": (4, 3), "b": (3,)}
+        params = ModelParams({n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()})
+        grad_seq = [
+            {n: rng.normal(scale=10.0 ** i, size=s).astype(np.float32) for n, s in shapes.items()}
+            for i in range(3)
+        ]
+        want = dict(params.tensors)
+        m = {n: np.zeros_like(a) for n, a in want.items()}
+        v = {n: np.zeros_like(a) for n, a in want.items()}
+        for t, grads in enumerate(grad_seq, start=1):
+            for n, g in grads.items():
+                m[n] = ADAM_BETA1 * m[n] + (1 - ADAM_BETA1) * g
+                v[n] = ADAM_BETA2 * v[n] + (1 - ADAM_BETA2) * g * g
+                m_hat = m[n] / (1 - ADAM_BETA1**t)
+                v_hat = v[n] / (1 - ADAM_BETA2**t)
+                want[n] = want[n] - ADAM_LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        state = AdamState.zeros_like(params)
+        for grads in grad_seq:
+            params, state = adam_step(params, grads, state)
+        assert state.t == 3
+        for n in shapes:
+            for got, ref in ((params[n], want[n]), (state.m[n], m[n]), (state.v[n], v[n])):
+                assert got.dtype == ref.dtype == np.float32
+                np.testing.assert_array_equal(got.view(np.uint8), ref.view(np.uint8))
+
+    def test_step_leaves_the_given_params_as_they_were(self):
+        params = tiny_params({"w": [1.0, -2.0]})
+        before = params["w"].copy()
+        updated, _ = adam_step(params, {"w": np.array([0.5, 0.5])}, AdamState.zeros_like(params))
+        np.testing.assert_array_equal(params["w"], before)
+        assert not np.array_equal(updated["w"], before)
+
+    @pytest.mark.parametrize("g", [1e20, np.inf, np.nan])
+    def test_non_finite_second_moment_names_the_tensor(self, g):
+        """1e20 squares to a finite float32 whose bias correction overflows;
+        the step raises instead of warning and freezing the weight."""
+        params = ModelParams({
+            "a": np.zeros(2, dtype=np.float32), "b": np.zeros(2, dtype=np.float32)
+        })
+        grads = {"a": np.ones(2, dtype=np.float32), "b": np.array([0.5, g], dtype=np.float32)}
+        with pytest.raises(TrainingError, match="^Adam's second moment of b is not finite$"):
+            adam_step(params, grads, AdamState.zeros_like(params))
 
     def test_max_epochs_must_not_be_negative(self):
         assert TrainConfig(max_epochs=0).max_epochs == 0
