@@ -26,6 +26,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -42,11 +43,12 @@ DTYPE_I8 = 1
 # dequantizes to a finite float32.
 INT8_SCALE_MAX = float(np.finfo(np.float32).max) / 128
 
-# Rows per batched forward, in predict (and so eval, adapt and fit's
-# validation) and in training.batch_gradients, which reads it when it runs.
-# predict's bits do not depend on it (the row contract in kernels); the order
-# in which batch_gradients adds chunk gradients does.  The chunk, not the
-# number of epochs, bounds the working memory.  Measured on a 2-core x86 VM
+# Rows per batched forward: the chunks that `chunks` yields, which reads it
+# when it runs, to predict (and so eval, adapt and fit's validation) and to
+# training.batch_gradients.  predict's bits do not depend on it (the row
+# contract in kernels); the order in which batch_gradients adds chunk
+# gradients does.  The chunk, not the number of epochs, bounds the working
+# memory.  Measured on a 2-core x86 VM
 # (float32, width 1.0, one BLAS thread):
 # - train benchmark (batch 64, median of 4 runs): 8 rows trained 558
 #   samples/s at 58.9 MB peak RSS, 4 rows 473/s at 54.9 MB;
@@ -267,22 +269,38 @@ def forward(
     return probs, ForwardCache(acts, attn_cache, resid1, normed2, ffn_hidden, flat, probs)
 
 
+def chunks(
+    X: np.ndarray, rows: np.ndarray, dtype: np.dtype
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (part, standardize(X[rows[part]]) cast to dtype) for each slice
+    part of CHUNK_ROWS positions of rows, in order; the last part is shorter
+    when CHUNK_ROWS does not divide len(rows).
+
+    The one place where stored rows are gathered and standardized for a
+    batched forward, whose parameters' dtype the caller passes.  A chunk is
+    made only when it is drawn, so its DegenerateEpochError (a flat or
+    non-finite epoch) comes then.  The float64 standardized rows are freed
+    before the chunk is yielded, so the caller's forward holds only its own
+    input, and the chunk, not len(rows), bounds the working memory.
+    """
+    for start in range(0, len(rows), CHUNK_ROWS):
+        part = slice(start, start + CHUNK_ROWS)
+        yield part, np.asarray(standardize(X[rows[part]]), dtype=dtype)
+
+
 def predict(
     params: ModelParams, config: ArchConfig, X: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
     """Stage probabilities [len(rows), 5] of the epochs X[rows] of an
-    [N, 3000] array, one forward per CHUNK_ROWS rows.
+    [N, 3000] array, one forward per chunk that `chunks` yields.
 
-    Each chunk of rows is gathered from X and standardized row by row
-    (epochs.standardize; a flat or non-finite epoch raises
-    DegenerateEpochError).  forward is batch-invariant, so each row equals
-    forward(params, standardize(x), config) on that epoch alone, bit for
-    bit, whatever the rows.
+    A flat or non-finite epoch raises DegenerateEpochError.  forward is
+    batch-invariant, so each row equals forward(params, standardize(x),
+    config) on that epoch alone, bit for bit, whatever the rows.
     """
     probs = np.empty((len(rows), config.n_classes), dtype=params["conv1_w"].dtype)
-    for start in range(0, len(rows), CHUNK_ROWS):
-        chunk = slice(start, start + CHUNK_ROWS)
-        probs[chunk] = forward(params, standardize(X[rows[chunk]]), config)[0]
+    for part, x in chunks(X, rows, probs.dtype):
+        probs[part] = forward(params, x, config)[0]
     return probs
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, model
+# unused here, but benchmark/tests/test_tracer.py reads training.standardize
 from .epochs import standardize
 from .model import ArchConfig, ForwardCache, ModelParams, forward, init_params, predict
 
@@ -213,19 +214,15 @@ def batch_gradients(
     """Mean gradient and mean loss over the mini-batch of records
     epochs[rows].
 
-    Rows run through one batched forward and backprop per model.CHUNK_ROWS,
-    each chunk gathered from epochs["samples"] and standardized row by row
-    just before its forward; the chunk gradients add up in place in chunk order
-    and are scaled once.
+    Rows run through one batched forward and backprop per chunk that
+    model.chunks yields from epochs["samples"]; the chunk gradients add up
+    in place in chunk order and are scaled once.
     """
-    samples, stages = epochs["samples"], epochs["stage"]
     total: dict[str, np.ndarray] | None = None
     loss = 0.0
-    chunk_rows = model.CHUNK_ROWS
-    for start in range(0, len(rows), chunk_rows):
-        chunk = rows[start : start + chunk_rows]
-        ys = stages[chunk]
-        probs, cache = forward(params, standardize(samples[chunk]), config, mode="train")
+    for part, x in model.chunks(epochs["samples"], rows, params["conv1_w"].dtype):
+        ys = epochs["stage"][rows[part]]
+        probs, cache = forward(params, x, config, mode="train")
         loss += sum(map(cross_entropy, probs, ys))
         grads = backprop(params, config, cache, ys)
         if total is None:
@@ -252,7 +249,7 @@ def fit(
 
     Batches reshuffle every epoch from a generator seeded by tc.seed; the
     final incomplete batch is used, not dropped.  Epochs stay raw and in
-    place; each chunk of a batch is gathered and standardized where it is
+    place; each chunk of a batch comes from model.chunks where it is
     used.  Returns the parameters of the best-validation-accuracy
     epoch (the last epoch when there is no validation set) plus the
     per-epoch history.

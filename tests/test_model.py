@@ -288,6 +288,45 @@ class TestPredict:
             predict(params, config, samples, np.arange(len(samples)))
 
 
+class TestChunks:
+    """model.chunks, the one gather-and-standardize step of every batched
+    forward."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return make_synth_epochs(21, seed=17).samples
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 13, 21])
+    def test_parts_cover_the_rows_in_order(self, samples, n):
+        parts = [part for part, _ in model_mod.chunks(samples, np.arange(n), np.float64)]
+        assert all(part.stop - part.start <= model_mod.CHUNK_ROWS for part in parts)
+        assert [i for part in parts for i in range(n)[part]] == list(range(n))
+        if n % model_mod.CHUNK_ROWS:
+            assert len(range(n)[parts[-1]]) == n % model_mod.CHUNK_ROWS
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_chunk_is_the_standardized_gather_bitwise(self, samples, dtype):
+        rows = np.random.default_rng(18).permutation(len(samples))[:19]
+        for part, x in model_mod.chunks(samples, rows, dtype):
+            assert x.dtype == dtype
+            assert np.array_equal(x, standardize(samples[rows[part]]).astype(dtype))
+
+    def test_reads_chunk_rows_when_it_runs(self, samples, monkeypatch):
+        drawn = model_mod.chunks(samples, np.arange(7), np.float64)
+        monkeypatch.setattr(model_mod, "CHUNK_ROWS", 3)
+        assert [len(x) for _, x in drawn] == [3, 3, 1]
+
+    def test_a_chunk_is_made_only_when_drawn(self, samples):
+        flat = samples.copy()
+        flat[model_mod.CHUNK_ROWS + 2] = 5.0
+        drawn = model_mod.chunks(flat, np.arange(len(flat)), np.float64)
+        part, x = next(drawn)
+        assert part == slice(0, model_mod.CHUNK_ROWS)
+        assert np.array_equal(x, standardize(flat[: model_mod.CHUNK_ROWS]))
+        with pytest.raises(DegenerateEpochError):
+            next(drawn)
+
+
 class TestSerialization:
     def test_round_trip_bit_identical(self, tmp_path, small_setup):
         config, params, _ = small_setup
