@@ -309,7 +309,10 @@ def multi_head_attention_backward(
         "wq": x2.T @ _rows(dq),
         "bq": _rows(dq).sum(axis=0),
         "wk": x2.T @ _rows(dk),
-        "bk": _rows(dk).sum(axis=0),
+        # softmax is shift-invariant along each query's row, so a key bias
+        # never changes the output: its gradient is exactly zero (summing dk
+        # gives only rounding noise, which Adam would turn into steps)
+        "bk": np.zeros(wk.shape[1], x.dtype),
         "wv": x2.T @ _rows(dv),
         "bv": _rows(dv).sum(axis=0),
         "wo": dwo,

@@ -353,6 +353,20 @@ class TestSplitAndFit:
         _, history = fit(init_params(config, 7), config, data, np.arange(len(data)), [], tc)
         assert history[-1].train_loss < history[0].train_loss
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fit_leaves_the_key_bias_zero(self, dtype):
+        """softmax cancels a key bias, so its gradient is exactly zero and
+        Adam never moves it from init_params' zeros."""
+        config = ArchConfig(width_multiplier=0.25)
+        data = make_synth_epochs(20, seed=21)
+        tc = TrainConfig(max_epochs=2, batch_size=6, seed=13)
+        start = init_params(config, 13).astype(dtype)
+        params, _ = fit(start, config, data, np.arange(len(data)), [], tc)
+        bk = params["attn_bk"]
+        assert bk.dtype == dtype
+        assert bk.tobytes() == bytes(bk.nbytes)
+        assert not np.array_equal(params["attn_bq"], start["attn_bq"])
+
     def test_train_fold_excludes_test_subjects(self):
         epochs = join_epochs(
             *(make_synth_epochs(10, seed=20 + subject, subject_id=subject) for subject in range(4))
@@ -378,8 +392,8 @@ class TestFloat32Training:
     # float32 keeps ~7 significant digits; the largest error measured over
     # several seeds was 3.4e-7 of the global norm (2.5e-7 on these inputs).  The bound is relative to the norm of all
     # gradients together, not to each tensor's own: attn_bk's gradient is
-    # zero in exact arithmetic (softmax cancels a shift of the keys) and
-    # about 4e-17 in float64, so its own relative error is meaningless.
+    # exactly zero (softmax cancels a shift of the keys), so its own
+    # relative error is meaningless.
     GRAD_BOUND = 1e-5
 
     @pytest.mark.parametrize("width", [0.25, 1.0])
