@@ -63,7 +63,9 @@ def materialize(source: str, dest: Path) -> str:
     dest; returns what was copied, for the record."""
     if Path(source).is_dir():
         shutil.copytree(source, dest, ignore=shutil.ignore_patterns(*IGNORED))
-        return f"directory {Path(source).resolve()}"
+        described = subprocess.run(["git", "-C", source, "describe", "--always", "--dirty"],
+                                   capture_output=True, text=True).stdout.strip()
+        return f"directory {described or Path(source).resolve().name}"
     rev = subprocess.run(
         ["git", "-C", str(REPO), "rev-parse", "--verify", "--short", f"{source}^{{commit}}"],
         check=True, capture_output=True, text=True,
