@@ -178,48 +178,30 @@ def cmd_budget(args) -> int:
     return 0
 
 
-def _stdin_samples(raw, args):
-    """Yield one float32 block per read of a binary feed (float32 LE, or int16
-    with an explicit digital->physical scaling, rounded to float32 as
-    `convert` stores a sample, so a window holds the stored epoch's bits).
-
-    Reads with `read1` where the stream has it, which returns what a pipe
-    holds instead of waiting for a full buffer, so a live feed's decisions
-    are not held back."""
-    if args.int16:
-        for flag in ("dig_min", "dig_max", "phys_min", "phys_max"):
-            if getattr(args, flag) is None:
-                raise streaming.StreamGapError(f"--int16 requires --{flag.replace('_', '-')}")
-        if args.dig_max == args.dig_min:
-            raise streaming.StreamGapError(
-                f"--dig-max must differ from --dig-min (both {args.dig_min})"
-            )
-        try:
-            to_physical = edf.physical_map(
-                args.dig_min, args.dig_max, args.phys_min, args.phys_max, "--phys-min/--phys-max"
-            )
-        except edf.EdfError as exc:
-            raise streaming.StreamGapError(str(exc)) from None
-        dtype = np.dtype("<i2")
-        # a sample past float32's range becomes an infinity, and standardize
-        # marks its window unscorable
-        convert = np.errstate(over="ignore")(lambda arr: to_physical(arr).astype(np.float32))
-    else:
-        dtype = np.dtype("<f4")
-        convert = lambda arr: arr
-    read = getattr(raw, "read1", raw.read)
-    carry = b""
-    while True:
-        chunk = read(65536)
-        if not chunk:
-            break
-        carry += chunk
-        usable = len(carry) - len(carry) % dtype.itemsize
-        if usable:
-            yield convert(np.frombuffer(carry[:usable], dtype=dtype))
-            carry = carry[usable:]
-    if carry:
-        raise streaming.StreamGapError(f"{len(carry)} trailing bytes are not a whole sample")
+def _feed_format(args):
+    """(dtype, convert) of the stdin feed: float32 LE as it is, or int16 with
+    an explicit digital->physical scaling, rounded to float32 as `convert`
+    stores a sample, so a window holds the stored epoch's bits."""
+    if not args.int16:
+        return np.dtype("<f4"), lambda arr: arr
+    for flag in ("dig_min", "dig_max", "phys_min", "phys_max"):
+        if getattr(args, flag) is None:
+            raise streaming.StreamGapError(f"--int16 requires --{flag.replace('_', '-')}")
+    if args.dig_max == args.dig_min:
+        raise streaming.StreamGapError(
+            f"--dig-max must differ from --dig-min (both {args.dig_min})"
+        )
+    try:
+        to_physical = edf.physical_map(
+            args.dig_min, args.dig_max, args.phys_min, args.phys_max, "--phys-min/--phys-max"
+        )
+    except edf.EdfError as exc:
+        raise streaming.StreamGapError(str(exc)) from None
+    # a sample past float32's range becomes an infinity, and standardize
+    # marks its window unscorable
+    return np.dtype("<i2"), np.errstate(over="ignore")(
+        lambda arr: to_physical(arr).astype(np.float32)
+    )
 
 
 def cmd_stream(args) -> int:
@@ -232,8 +214,13 @@ def cmd_stream(args) -> int:
         if not decision.unscorable:
             latencies.append(decision.latency_s)
 
-    blocks = _stdin_samples(sys.stdin.buffer, args)
-    decisions, leftover = streaming.stream_classify(blocks, predict, sink)
+    dtype, convert = _feed_format(args)
+    # `read1` returns what a pipe holds instead of waiting for a full
+    # buffer, so a live feed's decisions are not held back
+    raw = sys.stdin.buffer
+    read = getattr(raw, "read1", raw.read)
+    reads = iter(lambda: read(65536), b"")
+    decisions, leftover = streaming.stream_classify(reads, dtype, convert, predict, sink)
     print(f"stream ended: {decisions} decisions, {leftover} samples buffered", file=sys.stderr)
     print(streaming.latency_line(latencies), file=sys.stderr)
     return 0

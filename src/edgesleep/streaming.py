@@ -1,13 +1,13 @@
 """Real-time classification over a 100 Hz sample feed.
 
-The feed arrives as 1-D blocks of consecutive samples, of any length (one
-per stdin read in `edgesleep stream`), sliced into a 3000-slot window;
-every completed window is standardized and classified by a float model
-exactly like a stored epoch, so streaming decisions are bit-identical to
-batch inference over the same samples.  A decision is emitted as soon as
-its window's last sample arrives, before the rest of that sample's block
-is copied.  Windows never overlap and the buffer resets after each
-decision.
+The feed arrives as raw little-endian bytes, read by read (one per stdin
+`read1` in `edgesleep stream`), of any length: a read may end mid-sample.
+Each completed 3000-sample window is decoded once (bytes -> samples ->
+float64), then standardized and classified by a float model exactly like a
+stored epoch, so streaming decisions are bit-identical to batch inference
+over the same samples.  Only an incomplete window is ever buffered; a window
+that lies inside one read is decoded straight from it, and its decision is
+emitted before the rest of that read is copied.  Windows never overlap.
 """
 
 from __future__ import annotations
@@ -68,32 +68,40 @@ def _decide(
 
 
 def stream_classify(
-    blocks: Iterable[np.ndarray],
+    reads: Iterable[bytes],
+    dtype: np.dtype,
+    convert: Callable[[np.ndarray], np.ndarray],
     predict: Callable[[np.ndarray], np.ndarray],
     sink: Callable[[StageDecision], None],
 ) -> tuple[int, int]:
-    """Consume 1-D sample blocks, emit one StageDecision per completed
-    3000-sample window.
+    """Consume a byte feed of `dtype` samples, emit one StageDecision per
+    completed 3000-sample window.
 
-    Decisions are emitted in window order, synchronously: a stalled sink
-    stalls the source, so nothing is ever dropped or reordered.  Returns
-    (decisions emitted, samples left in the partial window).
+    Each window's samples are decoded once, as `convert` of its `dtype`
+    array, cast to float64.  Decisions are emitted in window order,
+    synchronously: a stalled sink stalls the source, so nothing is ever
+    dropped or reordered.  Returns (decisions emitted, samples left in the
+    partial window); a feed that ends inside a sample raises StreamGapError.
     """
-    window = np.empty(EPOCH_SAMPLES, dtype=np.float64)
-    filled = 0
-    epoch_index = 0
-    for block in blocks:
-        taken = 0
-        while taken < len(block):
-            n = min(EPOCH_SAMPLES - filled, len(block) - taken)
-            window[filled : filled + n] = block[taken : taken + n]
-            filled += n
-            taken += n
-            if filled == EPOCH_SAMPLES:
-                sink(_decide(window, predict, epoch_index))
-                epoch_index += 1
-                filled = 0
-    return epoch_index, filled
+    window_bytes = EPOCH_SAMPLES * dtype.itemsize
+    buffered = bytearray()  # never a whole window
+    decided = 0
+    for read in reads:
+        rest = memoryview(read)
+        while len(buffered) + len(rest) >= window_bytes:
+            taken = window_bytes - len(buffered)
+            # a window that lies inside this read is decoded from the read
+            raw = buffered + rest[:taken] if buffered else rest[:taken]
+            buffered.clear()
+            rest = rest[taken:]
+            window = convert(np.frombuffer(raw, dtype=dtype)).astype(np.float64)
+            sink(_decide(window, predict, decided))
+            decided += 1
+        buffered += rest
+    samples, partial = divmod(len(buffered), dtype.itemsize)
+    if partial:
+        raise StreamGapError(f"{partial} trailing bytes are not a whole sample")
+    return decided, samples
 
 
 def decision_line(decision: StageDecision) -> str:
@@ -102,7 +110,7 @@ def decision_line(decision: StageDecision) -> str:
         fields = [str(decision.epoch_index), "unscorable"] + ["nan"] * 5
     else:
         fields = [str(decision.epoch_index), STAGE_NAMES[int(decision.stage)]]
-        fields += [f"{p:.6f}" for p in decision.probs]
+        fields += [f"{p:.6f}" for p in decision.probs.tolist()]
     return "\t".join(fields)
 
 

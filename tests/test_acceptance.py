@@ -284,7 +284,9 @@ class TestCriterion9StreamingEquivalence:
         decisions = []
         replay = np.concatenate([e.samples for e in stored])
         predict = make_predictor(params32, config)
-        count, leftover = stream_classify([replay], predict, decisions.append)
+        count, leftover = stream_classify(
+            [replay.tobytes()], replay.dtype, lambda a: a, predict, decisions.append
+        )
         assert count == len(stored) and leftover == 0
         for d, expected in zip(decisions, batch):
             assert np.array_equal(d.probs, expected)

@@ -3,7 +3,8 @@
 OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, so each
 setting runs in a fresh interpreter.  Every batched forward keeps one BLAS
 call per row (the row contract in kernels), which is what makes inference
-thread-invariant; train is left out, because its folded weight-gradient
+thread-invariant; stream runs on a float32 and an --int16 feed, each ending
+in a partial window.  train is left out, because its folded weight-gradient
 GEMMs still change bits with the thread count.
 """
 
@@ -22,6 +23,7 @@ from conftest import make_synth_epochs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 THREADS = ("1", "2")
+INT16_FLAGS = ("--int16", "--dig-min=-2048", "--dig-max=2047", "--phys-min=-51.2", "--phys-max=51.2")
 
 # Runs eval through the CLI, then writes predict's probabilities over the
 # whole store in full bits: the report's rounded figures alone would hide a
@@ -54,12 +56,14 @@ def night(tmp_path_factory):
     assert len(records) % CHUNK_ROWS != 0
     write_store(records, out / "night.slpe")
     feed = np.concatenate([records.samples.ravel(), records.samples[0, :1234]])
-    return out, feed.astype("<f4").tobytes()
+    # the same samples as int16 digital values, for `stream --int16`
+    digital = np.round(feed * 40).astype("<i2")
+    return out, feed.astype("<f4").tobytes(), digital.tobytes()
 
 
 @pytest.mark.parametrize("width", [1.0, 0.25])
 def test_eval_stream_and_predict_bytes_do_not_depend_on_the_thread_count(night, width):
-    out, feed = night
+    out, feed, digital = night
     config = ArchConfig(width_multiplier=width)
     model_path = out / f"model{width}.slpm"
     save_model(init_params(config, 42), config, model_path)
@@ -70,9 +74,11 @@ def test_eval_stream_and_predict_bytes_do_not_depend_on_the_thread_count(night, 
                      threads)
         files = {p.name[len(prefix.name):]: p.read_bytes() for p in out.glob(prefix.name + "*")}
         assert len(files) == 4  # the report, its CSV, the counts CSV and the probabilities
-        streamed = run(["-m", "edgesleep.cli", "stream", "--model", str(model_path)], threads, feed)
-        assert streamed.count(b"\n") == 21
-        outputs[threads] = (stdout, files, streamed)
+        stream = ["-m", "edgesleep.cli", "stream", "--model", str(model_path)]
+        streamed = run(stream, threads, feed)
+        streamed_int16 = run([*stream, *INT16_FLAGS], threads, digital)
+        assert streamed.count(b"\n") == streamed_int16.count(b"\n") == 21
+        outputs[threads] = (stdout, files, streamed, streamed_int16)
     first = outputs[THREADS[0]]
     for threads in THREADS[1:]:
         assert outputs[threads] == first, threads

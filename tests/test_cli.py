@@ -1092,6 +1092,20 @@ class ReadOnlyStdin:
         return self.pipe.read1(n)
 
 
+class TrickleStdin:
+    """Binary stdin with `read` alone, returning 1 to 7 bytes per call."""
+
+    def __init__(self, data: bytes, seed: int):
+        self.data = data
+        self.pos = 0
+        self.rng = np.random.default_rng(seed)
+
+    def read(self, n: int = -1) -> bytes:
+        piece = self.data[self.pos : self.pos + int(self.rng.integers(1, 8))]
+        self.pos += len(piece)
+        return piece
+
+
 def run_stream(monkeypatch, capsys, model_path, stdin, *flags):
     """(exit code, stdout, first stderr line) of one `stream` run."""
     monkeypatch.setattr("sys.stdin", type("Stdin", (), {"buffer": stdin}))
@@ -1201,6 +1215,25 @@ class TestStreamFeed:
         assert out.split("\t")[:2] == ["0", "unscorable"]
         assert "1 trailing bytes" in err
 
+
+    @pytest.mark.parametrize("flags", [(), INT16_FLAGS], ids=["float32", "int16"])
+    def test_trickled_reads_give_the_output_of_one_read(
+        self, trained_setup, capsys, monkeypatch, flags
+    ):
+        store_path, model_path, _, _ = trained_setup
+        samples = np.concatenate([e.samples for e in ep.read_store(store_path)[:2]])
+        samples = np.concatenate([samples, samples[:7]])
+        feed = (np.round(samples * 40).astype("<i2") if flags else samples.astype("<f4")).tobytes()
+        whole = run_stream(monkeypatch, capsys, model_path, PipeStdin(feed, len(feed)), *flags)
+        trickled = run_stream(monkeypatch, capsys, model_path, TrickleStdin(feed, 11), *flags)
+        assert trickled == whole
+        assert whole[0] == 0 and len(whole[1].splitlines()) == 2
+        assert whole[2] == "stream ended: 2 decisions, 7 samples buffered"
+        code, out, err = run_stream(
+            monkeypatch, capsys, model_path, TrickleStdin(feed + b"\x01", 12), *flags
+        )
+        assert (code, out) == (10, whole[1])
+        assert err == "error: 1 trailing bytes are not a whole sample"
 
 # Byte offsets in the SLPM architecture block of a four-conv model: magic
 # and version/flags take 8 bytes, the conv count 4, then (kernel, stride,

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgesleep.edf import physical_map
 from edgesleep.epochs import EPOCH_SAMPLES, SleepStage, standardize
 from edgesleep.model import ArchConfig, forward, init_params, predict
 from edgesleep.streaming import (
     StageDecision,
+    StreamGapError,
     decision_line,
     latency_line,
     make_predictor,
@@ -23,9 +25,16 @@ def predictor():
     return make_predictor(params, config), params, config
 
 
+def same(arr):
+    return arr
+
+
 def collect(blocks, predict):
+    """Stream each sample block as the bytes of one read, in the blocks' dtype."""
+    dtype = blocks[0].dtype if len(blocks) else np.dtype(np.float64)
+    assert all(block.dtype == dtype for block in blocks)
     decisions = []
-    stats = stream_classify(blocks, predict, decisions.append)
+    stats = stream_classify([b.tobytes() for b in blocks], dtype, same, predict, decisions.append)
     return decisions, stats
 
 
@@ -115,29 +124,33 @@ class TestBlockFrames:
         def source():
             for block in split_blocks(values, [1000]):
                 pulled.append(block)
-                yield block
+                yield block.tobytes()
 
         emitted_after = []
-        stream_classify(source(), predict, lambda d: emitted_after.append(len(pulled)))
+        stream_classify(
+            source(), values.dtype, same, predict, lambda d: emitted_after.append(len(pulled))
+        )
         assert emitted_after == [3, 6]
 
     def test_decision_emitted_before_rest_of_block_is_copied(self, predictor):
         predict = predictor[0]
-        slices = []
+        converted = []
 
-        class SliceCounting(np.ndarray):
-            def __getitem__(self, key):
-                slices.append(key)
-                return np.asarray(self)[key]
+        def counting(arr):
+            converted.append(len(arr))
+            return arr
 
         values = np.random.default_rng(9).normal(size=2 * EPOCH_SAMPLES + 500)
-        slices_at_decision = []
+        converted_at_decision = []
         stream_classify(
-            [values.view(SliceCounting)],
+            [values.tobytes()],
+            values.dtype,
+            counting,
             predict,
-            lambda d: slices_at_decision.append(len(slices)),
+            lambda d: converted_at_decision.append(len(converted)),
         )
-        assert slices_at_decision == [1, 2]
+        assert converted_at_decision == [1, 2]
+        assert converted == [EPOCH_SAMPLES, EPOCH_SAMPLES]
 
     def test_block_completing_several_windows(self, predictor):
         predict = predictor[0]
@@ -157,6 +170,56 @@ class TestBlockFrames:
             decisions, stats = collect(split_blocks(values, sizes), predict)
             assert stats == reference_stats == (1, 3)
             same_decisions(decisions, reference)
+
+
+def feed_format(int16):
+    """(dtype, convert) of a float32 feed, or of an int16 feed scaled as
+    `edgesleep stream --int16` scales it."""
+    if not int16:
+        return np.dtype("<f4"), same
+    to_physical = physical_map(-2048, 2047, -200.0, 200.0, "test scaling")
+    return np.dtype("<i2"), lambda arr: to_physical(arr).astype(np.float32)
+
+
+class TestByteFeed:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        int16=st.booleans(),
+        n_windows=st.integers(0, 2),
+        tail=st.integers(0, EPOCH_SAMPLES - 1),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_any_byte_split_matches_one_read(
+        self, predictor, int16, n_windows, tail, seed, data
+    ):
+        predict = predictor[0]
+        dtype, convert = feed_format(int16)
+        rng = np.random.default_rng(seed)
+        size = n_windows * EPOCH_SAMPLES + tail
+        if int16:
+            values = rng.integers(-2048, 2048, size=size).astype(dtype)
+        else:
+            values = rng.normal(size=size).astype(dtype)
+        feed = values.tobytes()
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(feed)), max_size=8)))
+        reads = [feed[a:b] for a, b in zip([0, *cuts], [*cuts, len(feed)])]
+        whole, split = [], []
+        whole_stats = stream_classify([feed], dtype, convert, predict, whole.append)
+        split_stats = stream_classify(reads, dtype, convert, predict, split.append)
+        assert split_stats == whole_stats == (n_windows, tail)
+        same_decisions(split, whole)
+
+    @pytest.mark.parametrize("int16", [False, True])
+    def test_trailing_partial_sample_raises_after_the_decisions(self, predictor, int16):
+        dtype, convert = feed_format(int16)
+        values = np.random.default_rng(10).integers(-2048, 2048, size=EPOCH_SAMPLES + 2)
+        feed = values.astype(dtype).tobytes() + b"\x01"
+        reads = [feed[i : i + 3] for i in range(0, len(feed), 3)]
+        decisions = []
+        with pytest.raises(StreamGapError, match="^1 trailing bytes are not a whole sample$"):
+            stream_classify(reads, dtype, convert, predictor[0], decisions.append)
+        assert [d.epoch_index for d in decisions] == [0]
 
 
 class TestLatencyLine:
