@@ -1,13 +1,14 @@
 """Real-time classification over a 100 Hz sample feed.
 
-The feed arrives as raw little-endian bytes, read by read (one per stdin
-`read1` in `edgesleep stream`), of any length: a read may end mid-sample.
-Each completed 3000-sample window is decoded once (bytes -> samples ->
-float64), then standardized and classified by a float model exactly like a
-stored epoch, so streaming decisions are bit-identical to batch inference
-over the same samples.  Only an incomplete window is ever buffered; a window
-that lies inside one read is decoded straight from it, and its decision is
-emitted before the rest of that read is copied.  Windows never overlap.
+The feed arrives as raw sample bytes (little-endian float32 or int16 in
+`edgesleep stream`, one read per stdin `read1`), in reads of any length: a
+read may end mid-sample.  Each completed 3000-sample window is decoded once
+(bytes -> samples -> float64), then standardized and classified by a float
+model exactly like a stored epoch, so streaming decisions are bit-identical
+to batch inference over the same samples.  Only an incomplete window is
+ever buffered; a window that lies inside one read is decoded straight from
+it, and its decision is emitted before the rest of that read is copied.
+Windows never overlap.
 """
 
 from __future__ import annotations
@@ -77,11 +78,13 @@ def stream_classify(
     """Consume a byte feed of `dtype` samples, emit one StageDecision per
     completed 3000-sample window.
 
-    Each window's samples are decoded once, as `convert` of its `dtype`
-    array, cast to float64.  Decisions are emitted in window order,
-    synchronously: a stalled sink stalls the source, so nothing is ever
-    dropped or reordered.  Returns (decisions emitted, samples left in the
-    partial window); a feed that ends inside a sample raises StreamGapError.
+    `reads` are bytes of any length, such as what each `read1` of a pipe
+    returns; a read may end mid-sample.  Each window is decoded once: its
+    bytes as a `dtype` array, then `convert`, then a float64 cast.  Decisions
+    are emitted in window order, synchronously: a stalled sink stalls the
+    source, so nothing is ever dropped or reordered.  Returns (decisions
+    emitted, samples left in the partial window); a feed that ends inside a
+    sample raises StreamGapError after the decisions it completed.
     """
     window_bytes = EPOCH_SAMPLES * dtype.itemsize
     buffered = bytearray()  # never a whole window
@@ -90,7 +93,6 @@ def stream_classify(
         rest = memoryview(read)
         while len(buffered) + len(rest) >= window_bytes:
             taken = window_bytes - len(buffered)
-            # a window that lies inside this read is decoded from the read
             raw = buffered + rest[:taken] if buffered else rest[:taken]
             buffered.clear()
             rest = rest[taken:]

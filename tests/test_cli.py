@@ -1215,7 +1215,6 @@ class TestStreamFeed:
         assert out.split("\t")[:2] == ["0", "unscorable"]
         assert "1 trailing bytes" in err
 
-
     @pytest.mark.parametrize("flags", [(), INT16_FLAGS], ids=["float32", "int16"])
     def test_trickled_reads_give_the_output_of_one_read(
         self, trained_setup, capsys, monkeypatch, flags
@@ -1234,6 +1233,7 @@ class TestStreamFeed:
         )
         assert (code, out) == (10, whole[1])
         assert err == "error: 1 trailing bytes are not a whole sample"
+
 
 # Byte offsets in the SLPM architecture block of a four-conv model: magic
 # and version/flags take 8 bytes, the conv count 4, then (kernel, stride,

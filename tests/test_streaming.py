@@ -270,6 +270,16 @@ class TestDecisionLine:
         assert fields[1] == "N2"
         assert fields[2:] == ["0.100000", "0.200000", "0.300000", "0.250000", "0.150000"]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_probs_format_as_numpy_scalars_do(self, dtype):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            probs = rng.dirichlet(np.full(5, 0.3)).astype(dtype)
+            line = decision_line(
+                StageDecision(epoch_index=0, stage=SleepStage.WAKE, probs=probs, latency_s=0.0)
+            )
+            assert line.split("\t")[2:] == [f"{p:.6f}" for p in probs]
+
     def test_unscorable_format(self):
         line = decision_line(
             StageDecision(epoch_index=3, stage=None, probs=None, latency_s=0.0)
