@@ -6,9 +6,8 @@ read may end mid-sample.  Each completed 3000-sample window is decoded once
 (bytes -> samples -> float64), then standardized and classified by a float
 model exactly like a stored epoch, so streaming decisions are bit-identical
 to batch inference over the same samples.  Only an incomplete window is
-ever buffered; a window that lies inside one read is decoded straight from
-it, and its decision is emitted before the rest of that read is copied.
-Windows never overlap.
+ever buffered: a window's decision is emitted before the rest of the read
+that completed it is copied.  Windows never overlap.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ def stream_classify(
         rest = memoryview(read)
         while len(buffered) + len(rest) >= window_bytes:
             taken = window_bytes - len(buffered)
-            raw = buffered + rest[:taken] if buffered else rest[:taken]
+            raw = buffered + rest[:taken]
             buffered.clear()
             rest = rest[taken:]
             window = convert(np.frombuffer(raw, dtype=dtype)).astype(np.float64)

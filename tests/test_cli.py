@@ -1092,20 +1092,6 @@ class ReadOnlyStdin:
         return self.pipe.read1(n)
 
 
-class TrickleStdin:
-    """Binary stdin with `read` alone, returning 1 to 7 bytes per call."""
-
-    def __init__(self, data: bytes, seed: int):
-        self.data = data
-        self.pos = 0
-        self.rng = np.random.default_rng(seed)
-
-    def read(self, n: int = -1) -> bytes:
-        piece = self.data[self.pos : self.pos + int(self.rng.integers(1, 8))]
-        self.pos += len(piece)
-        return piece
-
-
 def run_stream(monkeypatch, capsys, model_path, stdin, *flags):
     """(exit code, stdout, first stderr line) of one `stream` run."""
     monkeypatch.setattr("sys.stdin", type("Stdin", (), {"buffer": stdin}))
@@ -1156,12 +1142,15 @@ class TestStreamFeed:
 
     def test_read_only_stdin_gives_same_output(self, trained_setup, capsys, monkeypatch):
         store_path, model_path, _, _ = trained_setup
-        stored = ep.read_store(store_path)[:2]
-        feed = np.concatenate([e.samples for e in stored]).astype("<f4").tobytes()
-        piped = run_stream(monkeypatch, capsys, model_path, PipeStdin(feed, 400))
-        read_only = run_stream(monkeypatch, capsys, model_path, ReadOnlyStdin(feed, 400))
-        assert read_only == piped
-        assert len(piped[1].splitlines()) == 2
+        samples = np.concatenate([e.samples for e in ep.read_store(store_path)[:2]])
+        # 3-byte reads end mid-sample in both formats
+        for flags, feed in [((), samples.astype("<f4")),
+                            (INT16_FLAGS, np.round(samples * 40).astype("<i2"))]:
+            feed = feed.tobytes()
+            piped = run_stream(monkeypatch, capsys, model_path, PipeStdin(feed, 400), *flags)
+            read_only = run_stream(monkeypatch, capsys, model_path, ReadOnlyStdin(feed, 3), *flags)
+            assert read_only == piped
+            assert piped[0] == 0 and len(piped[1].splitlines()) == 2
 
     def test_stdout_bytes_and_stderr_summary(self, trained_setup, capsys, monkeypatch):
         store_path, _, quant_path, _ = trained_setup
@@ -1210,29 +1199,11 @@ class TestStreamFeed:
     def test_odd_trailing_byte_exits_10(self, trained_setup, capsys, monkeypatch):
         _, model_path, _, _ = trained_setup
         feed = np.zeros(ep.EPOCH_SAMPLES + 2, dtype="<i2").tobytes() + b"\x01"
-        code, out, err = run_stream(monkeypatch, capsys, model_path, PipeStdin(feed, 401), *INT16_FLAGS)
-        assert code == 10
-        assert out.split("\t")[:2] == ["0", "unscorable"]
-        assert "1 trailing bytes" in err
-
-    @pytest.mark.parametrize("flags", [(), INT16_FLAGS], ids=["float32", "int16"])
-    def test_trickled_reads_give_the_output_of_one_read(
-        self, trained_setup, capsys, monkeypatch, flags
-    ):
-        store_path, model_path, _, _ = trained_setup
-        samples = np.concatenate([e.samples for e in ep.read_store(store_path)[:2]])
-        samples = np.concatenate([samples, samples[:7]])
-        feed = (np.round(samples * 40).astype("<i2") if flags else samples.astype("<f4")).tobytes()
-        whole = run_stream(monkeypatch, capsys, model_path, PipeStdin(feed, len(feed)), *flags)
-        trickled = run_stream(monkeypatch, capsys, model_path, TrickleStdin(feed, 11), *flags)
-        assert trickled == whole
-        assert whole[0] == 0 and len(whole[1].splitlines()) == 2
-        assert whole[2] == "stream ended: 2 decisions, 7 samples buffered"
-        code, out, err = run_stream(
-            monkeypatch, capsys, model_path, TrickleStdin(feed + b"\x01", 12), *flags
-        )
-        assert (code, out) == (10, whole[1])
-        assert err == "error: 1 trailing bytes are not a whole sample"
+        for stdin in PipeStdin(feed, 401), ReadOnlyStdin(feed, 3):
+            code, out, err = run_stream(monkeypatch, capsys, model_path, stdin, *INT16_FLAGS)
+            assert code == 10
+            assert out.split("\t")[:2] == ["0", "unscorable"]
+            assert "1 trailing bytes" in err
 
 
 # Byte offsets in the SLPM architecture block of a four-conv model: magic
