@@ -27,7 +27,7 @@ EXIT_CODES = [
     (training.TrainingError, 8),
     (streaming.StreamGapError, 10),
     (metrics.MetricsError, 11),
-    (kernels.KernelError, 12),
+    (kernels.NonFiniteError, 12),
     (OSError, 13),
 ]
 
@@ -181,12 +181,16 @@ def cmd_budget(args) -> int:
 def _feed_format(args):
     """(dtype, convert) of the stdin feed: float32 LE as it is, or int16 with
     an explicit digital->physical scaling, rounded to float32 as `convert`
-    stores a sample, so a window holds the stored epoch's bits."""
+    stores a sample, so a window holds the stored epoch's bits.  The four
+    scaling flags come all together with --int16 or not at all."""
+    for flag in ("dig_min", "dig_max", "phys_min", "phys_max"):
+        option = f"--{flag.replace('_', '-')}"
+        if args.int16 and getattr(args, flag) is None:
+            raise streaming.StreamGapError(f"--int16 requires {option}")
+        if not args.int16 and getattr(args, flag) is not None:
+            raise streaming.StreamGapError(f"{option} requires --int16")
     if not args.int16:
         return np.dtype("<f4"), lambda arr: arr
-    for flag in ("dig_min", "dig_max", "phys_min", "phys_max"):
-        if getattr(args, flag) is None:
-            raise streaming.StreamGapError(f"--int16 requires --{flag.replace('_', '-')}")
     if args.dig_max == args.dig_min:
         raise streaming.StreamGapError(
             f"--dig-max must differ from --dig-min (both {args.dig_min})"

@@ -5,7 +5,10 @@ no autodiff framework is involved.  All kernels are pure functions over
 numpy arrays and preserve the caller's dtype: float32 in training and on
 inference paths, float64 where a caller passes float64 parameters (the
 finite-difference gradient checks).  Outputs are checked finite: a NaN/Inf
-is a hard error, never propagated.
+is a hard error (NonFiniteError, naming the kernel), never propagated.
+Shapes are the caller's contract and are not checked here: the network's
+tensor shapes are fixed by model.expected_shapes, which every model file
+is checked against when it is read.
 
 Shape convention: activations are ``[..., L, C]`` -- any number of leading
 batch axes, then positions, then channels.  Every kernel treats the
@@ -34,11 +37,7 @@ import numpy as np
 LAYER_NORM_EPS = 1e-5
 
 
-class KernelError(ValueError):
-    """Shape mismatch or domain violation in a kernel call."""
-
-
-class NonFiniteError(KernelError):
+class NonFiniteError(ValueError):
     """A kernel produced NaN or Inf."""
 
 
@@ -82,19 +81,9 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
     x: [..., L, Cin], w: [K, Cin, Cout], b: [Cout] -> [..., Lout, Cout] with
     Lout = floor((L - K) / stride) + 1 and
     out[t, co] = b[co] + sum_{k, ci} x[t*stride + k, ci] * w[k, ci, co].
+    The caller keeps L >= K and stride >= 1 (model.expected_shapes).
     """
-    if x.ndim < 2:
-        raise KernelError(f"conv1d expects [..., L, Cin], got {x.shape}")
-    L, cin = x.shape[-2:]
-    K, cin_w, cout = w.shape
-    if cin != cin_w:
-        raise KernelError(f"conv1d: input channels {cin} != weight channels {cin_w}")
-    if b.shape != (cout,):
-        raise KernelError(f"conv1d: bias shape {b.shape} != ({cout},)")
-    if stride < 1:
-        raise KernelError(f"conv1d: stride must be >= 1, got {stride}")
-    if L < K:
-        raise KernelError(f"conv1d: input length {L} shorter than kernel {K}")
+    K, cin, cout = w.shape
     out = _im2col(x, K, stride) @ w.reshape(K * cin, cout)
     out += b
     return _finite(out, "conv1d")
@@ -140,11 +129,7 @@ def conv1d_backward(
 
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine map x @ w + b over the last axis of x: [..., N] -> [..., M]."""
-    if x.shape[-1] != w.shape[0]:
-        raise KernelError(f"dense: input width {x.shape[-1]} != weight rows {w.shape[0]}")
-    if b.shape != (w.shape[1],):
-        raise KernelError(f"dense: bias shape {b.shape} != ({w.shape[1]},)")
+    """Affine map x @ w + b over the last axis of x: [..., N] @ [N, M] + [M] -> [..., M]."""
     return _finite(x @ w + b, "dense")
 
 
@@ -198,8 +183,6 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray
     keepdims=True) + LAYER_NORM_EPS) * gain + shift: x is centred once
     (_centred) and the rest runs in place.
     """
-    if x.ndim < 2 or x.shape[-1] < 2:
-        raise KernelError(f"layer_norm expects [..., T, D>=2], got {x.shape}")
     xhat, var = _centred(x)
     var += LAYER_NORM_EPS
     xhat /= np.sqrt(var, out=var)
@@ -260,11 +243,9 @@ def multi_head_attention_with_cache(
     bo: np.ndarray,
     heads: int,
 ) -> tuple[np.ndarray, AttentionCache]:
-    """Scaled dot-product self-attention over x: [..., T, D], D divisible by heads."""
-    D = x.shape[-1]
-    if D % heads != 0:
-        raise KernelError(f"attention: width {D} not divisible by {heads} heads")
-    dh = D // heads
+    """Scaled dot-product self-attention over x: [..., T, D]; the caller keeps
+    D divisible by heads (ArchConfig rounds every width to a multiple)."""
+    dh = x.shape[-1] // heads
     q_h = _split_heads(x @ wq + bq, heads)
     k_h = _split_heads(x @ wk + bk, heads)
     v_h = _split_heads(x @ wv + bv, heads)

@@ -23,8 +23,8 @@ from .model import ArchConfig, ModelParams, forward
 
 
 class StreamGapError(ValueError):
-    """Malformed feed: a trailing partial sample, or missing or inconsistent
-    --int16 scaling flags."""
+    """Malformed feed: a trailing partial sample, or --int16 scaling flags
+    that are missing, inconsistent or given without --int16."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,10 @@ def stream_classify(
             raw = buffered + rest[:taken]
             buffered.clear()
             rest = rest[taken:]
-            window = convert(np.frombuffer(raw, dtype=dtype)).astype(np.float64)
+            # a signaling NaN sample casts to a quiet one silently, so its
+            # window is unscorable like any other NaN's
+            with np.errstate(invalid="ignore"):
+                window = convert(np.frombuffer(raw, dtype=dtype)).astype(np.float64)
             sink(_decide(window, predict, decided))
             decided += 1
         buffered += rest

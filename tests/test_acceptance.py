@@ -20,7 +20,7 @@ from edgesleep.streaming import make_predictor, stream_classify
 from edgesleep.budget import check_fit, mac_table, peak_ram, activation_table
 from edgesleep.training import TrainConfig, backprop, cross_entropy, fit
 
-from conftest import OVERFIT_SEED
+from helpers import OVERFIT_SEED
 from edf_fixtures import SignalSpec, bookkeeping_tal, build_edf, tal
 from oracles import (
     metrics_reference,

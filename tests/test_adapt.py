@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from edgesleep.epochs import SleepStage
 from edgesleep.training import TrainConfig, TrainingError, evaluate_epochs, fit, split_adapt
 
-from conftest import SYNTH_FREQS, join_epochs, make_synth_epochs
+from helpers import SYNTH_FREQS, join_epochs, make_synth_epochs
 
 
 class TestSplitAdapt:

@@ -19,7 +19,7 @@ import pytest
 from edgesleep.epochs import write_store
 from edgesleep.model import CHUNK_ROWS, ArchConfig, init_params, save_model
 
-from conftest import make_synth_epochs
+from helpers import make_synth_epochs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 THREADS = ("1", "2")

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from edgesleep import model as model_mod
 from edgesleep import streaming
 from edgesleep.cli import main
 from edgesleep.edf import UnknownChannelError, parse_edf
-from edgesleep.kernels import NonFiniteError
 from edgesleep.metrics import counts_from_csv
 from edgesleep.model import (
     CHUNK_ROWS, ArchConfig, init_params, load_model, predict, save_model, forward, write_slpm,
@@ -33,7 +33,7 @@ from edgesleep.model import (
 from edgesleep.quant import load_any_model, quantize_model, save_quant_model
 from edgesleep.streaming import StageDecision, decision_line
 
-from conftest import claim_tensor_length, join_epochs, make_synth_epochs
+from helpers import claim_tensor_length, join_epochs, make_synth_epochs
 from edf_fixtures import SignalSpec, build_edf, hypnogram_edf
 from oracles import edf_channel_reference, store_reference
 
@@ -1057,6 +1057,16 @@ class TestStreamCommand:
         monkeypatch.setattr("sys.stdin", FakeStdin)
         assert main(["stream", "--model", str(model_path), "--int16"]) == 10
 
+    @pytest.mark.parametrize("flag", ["--dig-min", "--dig-max", "--phys-min", "--phys-max"])
+    def test_scaling_flag_requires_int16(self, trained_setup, capsys, monkeypatch, flag):
+        """A scaling flag without --int16 would leave the feed read as
+        float32; the run stops before stdin is read."""
+        _, model_path, _, _ = trained_setup
+        stdin = PipeStdin(np.arange(10, dtype="<i2").tobytes(), 20)
+        code, out, err = run_stream(monkeypatch, capsys, model_path, stdin, flag, "5")
+        assert (code, out, err) == (10, "", f"error: {flag} requires --int16")
+        assert stdin.reads == 0
+
 
 class PipeStdin:
     """Binary stdin over a pipe whose writer sends `chunk` bytes at a time.
@@ -1121,6 +1131,27 @@ class TestStreamFeed:
         params, config = load_model(model_path)
         probs, _ = forward(params, ep.standardize(stored[2].samples), config)
         assert lines[2].split("\t")[2:] == [f"{p:.6f}" for p in probs]
+
+    @pytest.mark.parametrize("bits", [0x7F800001, 0x7FC00000], ids=["signaling", "quiet"])
+    def test_nan_sample_is_unscorable_without_a_warning(
+        self, trained_setup, capsys, monkeypatch, bits
+    ):
+        store_path, model_path, _, _ = trained_setup
+        stored = ep.read_store(store_path)[:2]
+        feed = np.concatenate([e.samples for e in stored]).astype("<f4")
+        feed.view("<u4")[1700] = bits
+        stdin = PipeStdin(feed.tobytes(), 400)
+        monkeypatch.setattr("sys.stdin", type("Stdin", (), {"buffer": stdin}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["stream", "--model", str(model_path)])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert [line.split("\t")[1] == "unscorable" for line in out.splitlines()] == [True, False]
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0] == "stream ended: 2 decisions, 0 samples buffered"
+        assert lines[1].startswith("latency_ms count=1 ")
 
     def test_decision_printed_before_next_read(self, trained_setup, monkeypatch):
         store_path, model_path, _, _ = trained_setup
@@ -1481,7 +1512,6 @@ class TestPackageRoot:
 EXIT_CASES = [(exc_type("boom"), code) for exc_type, code in cli.EXIT_CODES] + [
     (ep.DegenerateEpochError("boom"), 4),
     (UnknownChannelError("boom"), 3),
-    (NonFiniteError("boom"), 12),
     (FileNotFoundError("boom"), 13),
     (RuntimeError("boom"), 1),
 ]

@@ -16,7 +16,7 @@ from edgesleep.edf import (
     read_signal,
 )
 
-from conftest import allocation_peak, mutate
+from helpers import allocation_peak, mutate
 from edf_fixtures import SignalSpec, bookkeeping_tal, build_edf, hypnogram_edf, tal
 from oracles import tal_text_field_count
 

@@ -25,7 +25,7 @@ from edgesleep.epochs import (
     write_store,
 )
 
-from conftest import allocation_peak, join_epochs, make_synth_epochs, mutate
+from helpers import allocation_peak, join_epochs, make_synth_epochs, mutate
 from oracles import RAW_LABELS, random_annotation_sequence, reference_pipeline
 
 

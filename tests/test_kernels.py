@@ -7,7 +7,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from edgesleep import kernels
 from edgesleep.kernels import (
     LAYER_NORM_EPS,
-    KernelError,
     NonFiniteError,
     conv1d,
     conv1d_backward,
@@ -56,14 +55,6 @@ class TestConv1d:
             length = (length - k) // s + 1
             lengths.append(length)
         assert lengths == [492, 122, 39, 19]
-
-    def test_input_shorter_than_kernel(self):
-        with pytest.raises(KernelError, match="shorter"):
-            conv1d(np.zeros((4, 1)), np.zeros((5, 1, 2)), np.zeros(2))
-
-    def test_channel_mismatch(self):
-        with pytest.raises(KernelError, match="channels"):
-            conv1d(np.zeros((10, 2)), np.zeros((3, 1, 4)), np.zeros(4))
 
     @given(
         seed=st.integers(0, 2**31),
@@ -230,10 +221,6 @@ class TestDense:
     def test_small_example(self):
         out = dense(np.array([1.0, 2.0]), np.eye(2), np.array([3.0, 4.0]))
         np.testing.assert_array_equal(out, [4.0, 6.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(KernelError):
-            dense(np.zeros(3), np.zeros((2, 2)), np.zeros(2))
 
     def test_gradients_vs_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -420,12 +407,6 @@ class TestAttention:
             x, w["wq"], w["bq"], w["wk"], w["bk"], w["wv"], w["bv"], w["wo"], w["bo"], 4
         )
         np.testing.assert_allclose(cache.attn.sum(axis=-1), 1.0, atol=1e-6)
-
-    def test_width_not_divisible_by_heads(self):
-        rng = np.random.default_rng(10)
-        w = attention_weights(rng, 6)
-        with pytest.raises(KernelError, match="divisible"):
-            run_attention(rng.normal(size=(3, 6)), w, 4)
 
     def test_gradients_vs_finite_differences(self):
         rng = np.random.default_rng(11)

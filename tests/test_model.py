@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edgesleep import model as model_mod
 from edgesleep.epochs import EPOCH_SAMPLES, DegenerateEpochError, standardize
@@ -19,7 +21,7 @@ from edgesleep.model import (
     save_model,
 )
 
-from conftest import claim_tensor_length, make_synth_epochs
+from helpers import claim_tensor_length, make_synth_epochs
 
 
 def shape_product_recount(config):
@@ -64,6 +66,35 @@ class TestArchConfig:
     def test_bad_sizes_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ArchConfig(**kwargs)
+
+    @given(width=st.floats(min_value=0, max_value=16, exclude_min=True))
+    def test_shapes_meet_the_kernel_contract(self, width):
+        """The kernels take shapes on trust; these are the checks they would
+        make on every call, made once on the shape table that read_slpm holds
+        every model file to."""
+        config = ArchConfig(width_multiplier=width)
+        shapes = expected_shapes(config)
+        cin, length = 1, EPOCH_SAMPLES
+        for i, lout in enumerate(config.conv_lengths(), start=1):
+            k, w_cin, cout = shapes[f"conv{i}_w"]
+            stride = config.scaled_conv_table[i - 1][1]
+            assert w_cin == cin
+            assert shapes[f"conv{i}_b"] == (cout,)
+            assert stride >= 1 and length >= k
+            assert lout == (length - k) // stride + 1
+            cin, length = cout, lout
+        d = config.scaled_d_model
+        assert cin == d and d % config.heads == 0 and d >= 2
+        for name in ("q", "k", "v", "o"):
+            assert shapes[f"attn_w{name}"] == (d, d) and shapes[f"attn_b{name}"] == (d,)
+        for name in ("ln1_gain", "ln1_shift", "ln2_gain", "ln2_shift"):
+            assert shapes[name] == (d,)
+        f = shapes["ffn1_w"][1]
+        assert shapes["ffn1_w"] == (d, f) and shapes["ffn1_b"] == (f,)
+        assert shapes["ffn2_w"] == (f, d) and shapes["ffn2_b"] == (d,)
+        assert config.flat_dim == length * d
+        assert shapes["cls_w"] == (config.flat_dim, config.n_classes)
+        assert shapes["cls_b"] == (config.n_classes,)
 
     def test_only_the_width_is_a_field(self):
         assert [f.name for f in dataclasses.fields(ArchConfig)] == ["width_multiplier"]

@@ -26,7 +26,7 @@ from edgesleep.quant import (
 )
 from edgesleep.streaming import make_predictor
 
-from conftest import allocation_peak, mutate
+from helpers import allocation_peak, mutate
 
 
 def dequantized_forward(qm, x):

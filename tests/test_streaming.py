@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from edgesleep.streaming import (
     stream_classify,
 )
 
-from conftest import make_synth_epochs
+from helpers import make_synth_epochs
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,19 @@ class TestWindowing:
         assert count == 2
         assert decisions[0].unscorable and decisions[0].probs is None
         assert not decisions[1].unscorable
+
+    @pytest.mark.parametrize("bits", [0x7F800001, 0x7FC00000], ids=["signaling", "quiet"])
+    def test_nan_window_is_unscorable_without_a_warning(self, predictor, bits):
+        values = np.random.default_rng(4).normal(size=2 * EPOCH_SAMPLES).astype("<f4")
+        values.view("<u4")[1700] = bits
+        decisions = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = stream_classify(
+                [values.tobytes()], values.dtype, same, predictor[0], decisions.append
+            )
+        assert stats == (2, 0)
+        assert [d.unscorable for d in decisions] == [True, False]
 
     def test_decisions_emitted_in_order(self, predictor):
         predict = predictor[0]

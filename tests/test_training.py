@@ -25,7 +25,7 @@ from edgesleep.training import (
     train_fold,
 )
 
-from conftest import join_epochs, make_synth_epochs
+from helpers import join_epochs, make_synth_epochs
 
 
 class TestCrossEntropy:
