@@ -179,26 +179,14 @@ def cmd_budget(args) -> int:
 
 
 def _feed_format(args):
-    """(dtype, convert) of the stdin feed: float32 LE as it is, or int16 with
-    an explicit digital->physical scaling, rounded to float32 as `convert`
-    stores a sample, so a window holds the stored epoch's bits.  The four
-    scaling flags come all together with --int16 or not at all."""
-    for flag in ("dig_min", "dig_max", "phys_min", "phys_max"):
-        option = f"--{flag.replace('_', '-')}"
-        if args.int16 and getattr(args, flag) is None:
-            raise streaming.StreamGapError(f"--int16 requires {option}")
-        if not args.int16 and getattr(args, flag) is not None:
-            raise streaming.StreamGapError(f"{option} requires --int16")
-    if not args.int16:
+    """(dtype, convert) of the stdin feed: float32 LE as it is, or int16
+    scaled by --int16's four bounds with `convert`'s map (edf.physical_map)
+    and rounded to float32 as a store holds a sample, so a window holds the
+    stored epoch's bits."""
+    if args.int16 is None:
         return np.dtype("<f4"), lambda arr: arr
-    if args.dig_max == args.dig_min:
-        raise streaming.StreamGapError(
-            f"--dig-max must differ from --dig-min (both {args.dig_min})"
-        )
     try:
-        to_physical = edf.physical_map(
-            args.dig_min, args.dig_max, args.phys_min, args.phys_max, "--phys-min/--phys-max"
-        )
+        to_physical = edf.physical_map(*args.int16, "--int16")
     except edf.EdfError as exc:
         raise streaming.StreamGapError(str(exc)) from None
     # a sample past float32's range becomes an infinity, and standardize
@@ -329,11 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     # a bound such as -3.2768e3 is a value, not an option (Python 3.13's rule)
     p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("--model", required=True)
-    p.add_argument("--int16", action="store_true", help="feed is int16 digital samples")
-    p.add_argument("--dig-min", type=int, default=None)
-    p.add_argument("--dig-max", type=int, default=None)
-    p.add_argument("--phys-min", type=float, default=None)
-    p.add_argument("--phys-max", type=float, default=None)
+    p.add_argument(
+        "--int16", nargs=4, type=float, metavar=("DIG_MIN", "DIG_MAX", "PHYS_MIN", "PHYS_MAX"),
+        help="feed is int16 digital samples, scaled as an EDF channel with these bounds",
+    )
     p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("report", help="render a stored confusion-count CSV")

@@ -278,17 +278,20 @@ def _read_header(stream: BinaryIO) -> EdfHeader:
 
 
 def physical_map(
-    dig_min: int, dig_max: int, phys_min: float, phys_max: float, what: str
+    dig_min: float, dig_max: float, phys_min: float, phys_max: float, what: str
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The affine map of digital values onto [phys_min, phys_max], as float64:
     ``phys = (d - dig_min) * (phys_max - phys_min) / (dig_max - dig_min) + phys_min``.
 
-    dig_max must differ from dig_min.  A physical range that is empty or not
-    finite, so that the gain is zero or not finite (an overflowing width
-    included), raises EdfError naming `what`.  A digital value outside
-    [dig_min, dig_max] can still map past float64's range; it comes out
-    infinite, without a warning, for the caller's finiteness check.
+    A digital range with dig_min >= dig_max (the rule an EDF header meets),
+    or a physical range that is empty or not finite, so that the gain is
+    zero or not finite (an overflowing width included), raises EdfError
+    naming `what`.  A digital value outside [dig_min, dig_max] can still map
+    past float64's range; it comes out infinite, without a warning, for the
+    caller's finiteness check.
     """
+    if not dig_min < dig_max:
+        raise EdfError(f"{what}: digital_min {dig_min} must be < digital_max {dig_max}")
     gain = (phys_max - phys_min) / (dig_max - dig_min)
     if gain == 0 or not math.isfinite(gain):
         raise EdfError(f"{what}: physical range {phys_min}..{phys_max} is empty or not finite")

@@ -241,7 +241,10 @@ def standardize(samples: np.ndarray) -> np.ndarray:
     flat row, or one holding a NaN or an infinity, raises
     DegenerateEpochError.
     """
-    x = np.asarray(samples, dtype=np.float64)
+    # a signaling NaN casts to a quiet one silently, so its row is
+    # unscorable like any other NaN's
+    with np.errstate(invalid="ignore"):
+        x = np.asarray(samples, dtype=np.float64)
     hi, lo = x.max(axis=-1), x.min(axis=-1)
     # max > min fails for a flat row, whose mean can be off by a rounding
     # step and leave std > 0, and for a row with a NaN; an infinity is

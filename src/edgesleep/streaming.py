@@ -3,11 +3,12 @@
 The feed arrives as raw sample bytes (little-endian float32 or int16 in
 `edgesleep stream`, one read per stdin `read1`), in reads of any length: a
 read may end mid-sample.  Each completed 3000-sample window is decoded once
-(bytes -> samples -> float64), then standardized and classified by a float
-model exactly like a stored epoch, so streaming decisions are bit-identical
-to batch inference over the same samples.  Only an incomplete window is
-ever buffered: a window's decision is emitted before the rest of the read
-that completed it is copied.  Windows never overlap.
+(its bytes read as the feed's dtype, then `convert`), then standardized,
+which casts it to float64, and classified by a float model exactly like a
+stored epoch, so streaming decisions are bit-identical to batch inference
+over the same samples.  Only an incomplete window is ever buffered: a
+window's decision is emitted before the rest of the read that completed it
+is copied.  Windows never overlap.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .model import ArchConfig, ModelParams, forward
 
 
 class StreamGapError(ValueError):
-    """Malformed feed: a trailing partial sample, or --int16 scaling flags
-    that are missing, inconsistent or given without --int16."""
+    """Malformed feed: a trailing partial sample, or --int16 bounds that
+    make no valid digital->physical map."""
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,12 @@ def stream_classify(
 
     `reads` are bytes of any length, such as what each `read1` of a pipe
     returns; a read may end mid-sample.  Each window is decoded once: its
-    bytes as a `dtype` array, then `convert`, then a float64 cast.  Decisions
-    are emitted in window order, synchronously: a stalled sink stalls the
-    source, so nothing is ever dropped or reordered.  Returns (decisions
-    emitted, samples left in the partial window); a feed that ends inside a
-    sample raises StreamGapError after the decisions it completed.
+    bytes as a `dtype` array, then `convert`; `standardize` does the float64
+    cast.  Decisions are emitted in window order, synchronously: a stalled
+    sink stalls the source, so nothing is ever dropped or reordered.
+    Returns (decisions emitted, samples left in the partial window); a feed
+    that ends inside a sample raises StreamGapError after the decisions it
+    completed.
     """
     window_bytes = EPOCH_SAMPLES * dtype.itemsize
     buffered = bytearray()  # never a whole window
@@ -95,10 +97,7 @@ def stream_classify(
             raw = buffered + rest[:taken]
             buffered.clear()
             rest = rest[taken:]
-            # a signaling NaN sample casts to a quiet one silently, so its
-            # window is unscorable like any other NaN's
-            with np.errstate(invalid="ignore"):
-                window = convert(np.frombuffer(raw, dtype=dtype)).astype(np.float64)
+            window = convert(np.frombuffer(raw, dtype=dtype))
             sink(_decide(window, predict, decided))
             decided += 1
         buffered += rest

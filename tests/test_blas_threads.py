@@ -1,11 +1,16 @@
-"""eval, stream and predict give the same bytes at any OpenBLAS thread count.
+"""eval, stream and predict give the same bytes under 1 and 2 OpenBLAS threads.
 
 OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, so each
 setting runs in a fresh interpreter.  Every batched forward keeps one BLAS
-call per row (the row contract in kernels), which is what makes inference
-thread-invariant; stream runs on a float32 and an --int16 feed, each ending
-in a partial window.  train is left out, because its folded weight-gradient
-GEMMs still change bits with the thread count.
+call per row (the row contract in kernels), which makes a streamed decision
+equal the batch decision over the same samples; it does not make the bits
+independent of the thread count.  They are under OpenBLAS's AVX-512
+(SkylakeX) kernels.  Under its AVX2 kernels (OPENBLAS_CORETYPE=Haswell or
+Zen) the width-1.0 case fails: eval's counts and predict's probabilities
+change with the thread count (ROADMAP item 12).  stream runs on a float32
+and an --int16 feed, each ending in a partial window.  train is left out,
+because its folded weight-gradient GEMMs change bits with the thread count
+under any kernel set.
 """
 
 import os
@@ -23,7 +28,7 @@ from helpers import make_synth_epochs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 THREADS = ("1", "2")
-INT16_FLAGS = ("--int16", "--dig-min=-2048", "--dig-max=2047", "--phys-min=-51.2", "--phys-max=51.2")
+INT16_FLAGS = ("--int16", "-2048", "2047", "-51.2", "51.2")
 
 # Runs eval through the CLI, then writes predict's probabilities over the
 # whole store in full bits: the report's rounded figures alone would hide a

@@ -951,9 +951,7 @@ class TestStreamCommand:
 
         monkeypatch.setattr("sys.stdin", FakeStdin)
         code = main(
-            ["stream", "--model", str(model_path), "--int16",
-             "--dig-min", "-2048", "--dig-max", "2047",
-             "--phys-min", "-200", "--phys-max", "200"]
+            ["stream", "--model", str(model_path), "--int16", "-2048", "2047", "-200", "200"]
         )
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
@@ -981,8 +979,8 @@ class TestStreamCommand:
         # the physical bounds in exponent form, each as a separate argument
         code, _, _ = run_stream(
             monkeypatch, capsys, model_path, PipeStdin(feed, 401), "--int16",
-            "--dig-min", str(sig.digital_min), "--dig-max", str(sig.digital_max),
-            "--phys-min", f"{sig.physical_min:e}", "--phys-max", f"{sig.physical_max:e}",
+            str(sig.digital_min), str(sig.digital_max),
+            f"{sig.physical_min:e}", f"{sig.physical_max:e}",
         )
         assert code == 0
         stored = ep.read_store(store)
@@ -998,18 +996,17 @@ class TestStreamCommand:
 
     @pytest.mark.parametrize("value, parsed", [("-3.2768e3", -3276.8), ("-inf", None)])
     def test_negative_bound_as_a_separate_argument(self, capsys, value, parsed):
-        """A negative number, in exponent form too, is the option's value;
-        -inf is not a number by that rule, so it needs the = form."""
-        argv = ["stream", "--model", "m.slpm", "--int16", "--dig-min", "-32768",
-                "--dig-max", "32767", "--phys-min", value, "--phys-max", "3276.7"]
+        """A negative number, in exponent form too, is one of the option's
+        values; -inf is not a number by that rule, so it reads as an option."""
+        argv = ["stream", "--model", "m.slpm", "--int16", "-32768", "32767", value, "3276.7"]
         if parsed is None:
             with pytest.raises(SystemExit) as exc:
                 cli.build_parser().parse_args(argv)
             assert exc.value.code == 2
-            assert "argument --phys-min: expected one argument" in capsys.readouterr().err
+            assert "argument --int16: expected 4 arguments" in capsys.readouterr().err
         else:
             args = cli.build_parser().parse_args(argv)
-            assert (args.dig_min, args.phys_min) == (-32768, parsed)
+            assert (args.int16[0], args.int16[2]) == (-32768, parsed)
 
     def test_rate_is_a_usage_error(self, trained_setup, capsys):
         _, model_path, _, _ = trained_setup
@@ -1029,12 +1026,11 @@ class TestStreamCommand:
         feed = np.arange(ep.EPOCH_SAMPLES, dtype="<i2").tobytes()
         code, out, err = run_stream(
             monkeypatch, capsys, model_path, PipeStdin(feed, len(feed)),
-            "--int16", "--dig-min", "-2048", "--dig-max", "2047",
-            f"--phys-min={phys_min}", f"--phys-max={phys_max}",
+            "--int16", "-2048", "2047", phys_min, phys_max,
         )
         assert (code, out) == (10, "")
         assert err == (
-            f"error: --phys-min/--phys-max: physical range {float(phys_min)}..{float(phys_max)} "
+            f"error: --int16: physical range {float(phys_min)}..{float(phys_max)} "
             "is empty or not finite"
         )
 
@@ -1043,28 +1039,32 @@ class TestStreamCommand:
         feed = np.arange(10, dtype="<i2").tobytes()
         code, out, err = run_stream(
             monkeypatch, capsys, model_path, PipeStdin(feed, len(feed)),
-            "--int16", "--dig-min", "5", "--dig-max", "5", "--phys-min", "0", "--phys-max", "1",
+            "--int16", "5", "5", "0", "1",
         )
         assert (code, out) == (10, "")
-        assert err == "error: --dig-max must differ from --dig-min (both 5)"
+        assert err == "error: --int16: digital_min 5.0 must be < digital_max 5.0"
 
-    def test_int16_requires_scaling_flags(self, trained_setup, monkeypatch):
+    def test_int16_reversed_digital_range_exits_10_before_reading(
+        self, trained_setup, capsys, monkeypatch
+    ):
         _, model_path, _, _ = trained_setup
+        stdin = PipeStdin(np.arange(ep.EPOCH_SAMPLES, dtype="<i2").tobytes(), 401)
+        code, out, err = run_stream(
+            monkeypatch, capsys, model_path, stdin, "--int16", "2047", "-2048", "-200", "200"
+        )
+        assert (code, out) == (10, "")
+        assert err == "error: --int16: digital_min 2047.0 must be < digital_max -2048.0"
+        assert stdin.reads == 0
 
-        class FakeStdin:
-            buffer = io.BytesIO(b"\x00\x00")
-
-        monkeypatch.setattr("sys.stdin", FakeStdin)
-        assert main(["stream", "--model", str(model_path), "--int16"]) == 10
-
-    @pytest.mark.parametrize("flag", ["--dig-min", "--dig-max", "--phys-min", "--phys-max"])
-    def test_scaling_flag_requires_int16(self, trained_setup, capsys, monkeypatch, flag):
-        """A scaling flag without --int16 would leave the feed read as
-        float32; the run stops before stdin is read."""
+    def test_int16_requires_scaling_flags(self, trained_setup, capsys, monkeypatch):
+        """--int16 takes all four bounds: three are a usage error."""
         _, model_path, _, _ = trained_setup
         stdin = PipeStdin(np.arange(10, dtype="<i2").tobytes(), 20)
-        code, out, err = run_stream(monkeypatch, capsys, model_path, stdin, flag, "5")
-        assert (code, out, err) == (10, "", f"error: {flag} requires --int16")
+        monkeypatch.setattr("sys.stdin", type("Stdin", (), {"buffer": stdin}))
+        with pytest.raises(SystemExit) as exc:
+            main(["stream", "--model", str(model_path), "--int16", "-2048", "2047", "-200"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
         assert stdin.reads == 0
 
 
@@ -1110,8 +1110,7 @@ def run_stream(monkeypatch, capsys, model_path, stdin, *flags):
     return code, out, err.partition("\n")[0]
 
 
-INT16_FLAGS = ("--int16", "--dig-min", "-2048", "--dig-max", "2047",
-               "--phys-min", "-200", "--phys-max", "200")
+INT16_FLAGS = ("--int16", "-2048", "2047", "-200", "200")
 
 
 class TestStreamFeed:
@@ -1388,11 +1387,13 @@ class TestCraftedModelFile:
 
 
 class TestRemovedFlags:
-    """The text hypnogram, the device-profile flags, the fine-tune scope and
-    the learning rate are gone: each is a usage error that writes nothing."""
+    """The text hypnogram, the device-profile flags, the fine-tune scope,
+    the learning rate and stream's separate scaling flags (--int16 takes the
+    four bounds) are gone: each is a usage error that writes nothing."""
 
     @pytest.mark.parametrize(
-        "flag", ["--hypnogram-txt", "--scope", "--profile", "--profiles-file", "--learning-rate"]
+        "flag", ["--hypnogram-txt", "--scope", "--profile", "--profiles-file", "--learning-rate",
+                 "--dig-min", "--dig-max", "--phys-min", "--phys-max"]
     )
     def test_is_a_usage_error(self, night_stores, psg_file, tmp_path, capsys, flag):
         paths, _, model_path = night_stores
@@ -1411,7 +1412,7 @@ class TestRemovedFlags:
                                 "--profiles-file", str(profiles)],
             "--learning-rate": ["train", "--store", str(paths[0]), "--out-dir", str(out),
                                 "--learning-rate", "1e-3"],
-        }[flag]
+        }.get(flag, ["stream", "--model", str(model_path), flag, "5"])
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -1593,8 +1594,8 @@ class TestErrorSurface:
         feed = np.random.default_rng(95).integers(-2048, 2048, ep.EPOCH_SAMPLES, dtype="<i2")
         stdin = PipeStdin(feed.tobytes(), 401)
         monkeypatch.setattr("sys.stdin", type("Stdin", (), {"buffer": stdin}))
-        code = main(["stream", "--model", str(model_path), "--int16", "--dig-min", "-2048",
-                     "--dig-max", "2047", "--phys-min=-1e300", "--phys-max=1e300"])
+        code = main(["stream", "--model", str(model_path), "--int16", "-2048", "2047",
+                     "-1e300", "1e300"])
         assert code == 0
         out, err = capsys.readouterr()
         assert len(out.splitlines()) == 1 and out.split("\t")[:2] == ["0", "unscorable"]

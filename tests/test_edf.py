@@ -169,6 +169,11 @@ class TestReadSignal:
         with pytest.raises(EdfError, match="'EEG Fpz-Cz': physical range .* empty or not finite"):
             physical_map(-2048, 2047, phys_min, phys_max, "signal 'EEG Fpz-Cz'")
 
+    @pytest.mark.parametrize("dig_min, dig_max", [(5, 5), (2047, -2048)], ids=["equal", "reversed"])
+    def test_empty_or_reversed_digital_range_rejected(self, dig_min, dig_max):
+        with pytest.raises(EdfError, match=f"^x: digital_min {dig_min} must be < digital_max"):
+            physical_map(dig_min, dig_max, -200.0, 200.0, "x")
+
     def test_label_trailing_space_trimmed(self, edf_path):
         with self.fixture_edf(edf_path, np.zeros(20)) as edf:
             assert edf.header.signals[0].label == "EEG Fpz-Cz"
