@@ -13,8 +13,10 @@ renders the final tables.  Each step is an `edgesleep` command run through
     skipped
   - train: `train --fold i --store stores/*.slpe` per fold without a model
   - evaluate: `adapt --store <the subject's stores> --out-prefix
-    adapt/subjectSS` per held-out subject of folds.txt, with the count
-    CSVs pooled into the before/after tables; then `quantize` of fold 0
+    adapt/subjectSS` per held-out subject of folds.txt, at adapt's default
+    split (a uniform 10%, the split the accuracy targets are set for), with
+    the count CSVs pooled into the before/after tables; then `quantize` of
+    fold 0
 
 Expected inputs: a directory holding the sleep-cassette files, named like
 
@@ -186,8 +188,7 @@ def stage_evaluate(args) -> None:
         for subject in subjects:
             prefix = args.work / "adapt" / f"subject{subject:02d}"
             edgesleep("adapt", "--store", *stores(args, subject), "--model", model_path,
-                      "--subject", subject, "--fraction", args.fraction, "--seed", args.seed,
-                      *(["--stratified"] if args.stratified else []), "--out-prefix", prefix)
+                      "--subject", subject, "--seed", args.seed, "--out-prefix", prefix)
             for tag in pooled:
                 pooled[tag] += counts_from_csv(Path(f"{prefix}_{tag}_counts.csv").read_text())
         log(f"fold {i}: evaluated {len(subjects)} subjects")
@@ -223,8 +224,6 @@ def main() -> None:
     parser.add_argument("--fold", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-epochs", type=int, default=30)
-    parser.add_argument("--fraction", type=float, default=0.10)
-    parser.add_argument("--stratified", action="store_true")
     args = parser.parse_args()
     args.work.mkdir(parents=True, exist_ok=True)
 

@@ -99,11 +99,6 @@ def _load_float_model(path):
     return (obj.dequantize() if kind == "quant" else obj), config
 
 
-def _evaluate_store(params, config, store, rows):
-    probs = model.predict(params, config, store.samples, rows)
-    return metrics.class_metrics(metrics.confusion(np.argmax(probs, axis=-1), store.stage[rows]))
-
-
 def cmd_eval(args) -> int:
     store = epochs.read_store(args.store)
     rows = np.arange(len(store))
@@ -112,7 +107,7 @@ def cmd_eval(args) -> int:
     if not len(rows):
         raise epochs.StoreError("no epochs selected for evaluation")
     params, config = _load_float_model(args.model)
-    report = _evaluate_store(params, config, store, rows)
+    report = metrics.class_metrics(training.evaluate_epochs(params, config, store, rows)[1])
     text = metrics.render_report(report, "text")
     print(text, end="")
     if args.out_prefix:
@@ -137,10 +132,10 @@ def cmd_adapt(args) -> int:
         f"subject {args.subject}: {len(adapt_rows)} adaptation epochs "
         f"({len(adapt_rows) / len(subject):.0%}), {len(holdout)} holdout"
     )
-    before = _evaluate_store(params, config, store, holdout)
+    before = metrics.class_metrics(training.evaluate_epochs(params, config, store, holdout)[1])
     tc = training.TrainConfig(max_epochs=args.epochs, seed=args.seed)
     tuned, _ = training.fit(params, config, store, adapt_rows, [], tc)
-    after = _evaluate_store(tuned, config, store, holdout)
+    after = metrics.class_metrics(training.evaluate_epochs(tuned, config, store, holdout)[1])
     print(f"holdout accuracy before {before.accuracy:.3f} -> after {after.accuracy:.3f}")
     print(metrics.render_report(after, "text"), end="")
     if args.out_prefix:

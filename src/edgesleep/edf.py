@@ -283,18 +283,28 @@ def physical_map(
     """The affine map of digital values onto [phys_min, phys_max], as float64:
     ``phys = (d - dig_min) * (phys_max - phys_min) / (dig_max - dig_min) + phys_min``.
 
-    A digital range with dig_min >= dig_max (the rule an EDF header meets),
-    or a physical range that is empty or not finite, so that the gain is
-    zero or not finite (an overflowing width included), raises EdfError
-    naming `what`.  A digital value outside [dig_min, dig_max] can still map
+    Each of these raises EdfError naming `what` and the range at fault: a
+    digital range with dig_min >= dig_max (the rule an EDF header meets) or
+    a width that overflows; a physical range that is empty or not finite
+    (an overflowing width included); two valid ranges whose gain is zero or
+    not finite.  A digital value outside [dig_min, dig_max] can still map
     past float64's range; it comes out infinite, without a warning, for the
     caller's finiteness check.
     """
     if not dig_min < dig_max:
         raise EdfError(f"{what}: digital_min {dig_min} must be < digital_max {dig_max}")
-    gain = (phys_max - phys_min) / (dig_max - dig_min)
-    if gain == 0 or not math.isfinite(gain):
+    dig_width = dig_max - dig_min
+    if not math.isfinite(dig_width):
+        raise EdfError(f"{what}: digital range {dig_min}..{dig_max} is wider than float64 holds")
+    phys_width = phys_max - phys_min
+    if phys_width == 0 or not math.isfinite(phys_width):
         raise EdfError(f"{what}: physical range {phys_min}..{phys_max} is empty or not finite")
+    gain = phys_width / dig_width
+    if gain == 0 or not math.isfinite(gain):
+        raise EdfError(
+            f"{what}: physical range {phys_min}..{phys_max} over digital range "
+            f"{dig_min}..{dig_max} gives a gain that is zero or not finite"
+        )
 
     def to_physical(digital: np.ndarray) -> np.ndarray:
         # one float64 array, updated in place: the formula's bits, without

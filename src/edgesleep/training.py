@@ -7,6 +7,9 @@ returns new parameters at the fixed ADAM_LEARNING_RATE while it updates
 its moment estimates in place.
 Subject-specific fine-tuning is `fit` itself, run from the loaded model on
 the rows `split_adapt` carves off one subject, with no validation rows.
+`evaluate_epochs` is the one scorer of a set of epochs: `fit`'s validation
+takes its accuracy from the confusion counts it returns, and the CLI's
+`eval` and `adapt` take their per-class scores from the same counts.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, model
+from . import kernels, metrics, model
 # unused here, but benchmark/tests/test_tracer.py reads training.standardize
 from .epochs import standardize
 from .model import ArchConfig, ForwardCache, ModelParams, forward, init_params, predict
@@ -73,9 +76,11 @@ class EpochStats:
     val_acc: float
 
 
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """Negative log-likelihood of the true class, floored at 1e-12."""
-    return float(-np.log(max(float(probs[int(label)]), PROB_FLOOR)))
+def cross_entropy(probs: np.ndarray, labels: int | np.ndarray) -> np.ndarray:
+    """Float64 negative log-likelihood of the true class of each row of
+    [..., 5] probabilities, floored at 1e-12; labels has shape [...]."""
+    true = np.take_along_axis(probs, np.asarray(labels)[..., None], axis=-1)[..., 0]
+    return -np.log(np.maximum(true.astype(np.float64), PROB_FLOOR))
 
 
 def backprop(
@@ -196,16 +201,16 @@ def make_folds(subject_ids: list[int], k: int = 5, seed: int = 0) -> tuple[tuple
 
 def evaluate_epochs(
     params: ModelParams, config: ArchConfig, epochs: np.ndarray, rows: np.ndarray
-) -> tuple[float, float]:
-    """(mean cross-entropy, accuracy) of model.predict on the records
-    epochs[rows]; nan for no rows."""
+) -> tuple[float, np.ndarray]:
+    """(mean cross-entropy, 5x5 confusion counts of the argmax stage) of
+    model.predict on the records epochs[rows]; nan and all-zero counts for
+    no rows."""
     ys = epochs["stage"][rows]
     if not len(ys):
-        return float("nan"), float("nan")
+        return float("nan"), metrics.confusion([], [])
     probs = predict(params, config, epochs["samples"], rows)
-    loss = sum(map(cross_entropy, probs, ys))
-    correct = int((np.argmax(probs, axis=-1) == ys).sum())
-    return loss / len(ys), correct / len(ys)
+    loss = sum(cross_entropy(probs, ys).tolist())
+    return loss / len(ys), metrics.confusion(np.argmax(probs, axis=-1), ys)
 
 
 def batch_gradients(
@@ -223,7 +228,7 @@ def batch_gradients(
     for part, x in model.chunks(epochs["samples"], rows, params["conv1_w"].dtype):
         ys = epochs["stage"][rows[part]]
         probs, cache = forward(params, x, config, mode="train")
-        loss += sum(map(cross_entropy, probs, ys))
+        loss += sum(cross_entropy(probs, ys).tolist())
         grads = backprop(params, config, cache, ys)
         if total is None:
             total = grads
@@ -270,7 +275,8 @@ def fit(
             grads, batch_loss = batch_gradients(params, config, epochs, batch)
             running += batch_loss * len(batch)
             params, state = adam_step(params, grads, state)
-        val_loss, val_acc = evaluate_epochs(params, config, epochs, val_rows)
+        val_loss, counts = evaluate_epochs(params, config, epochs, val_rows)
+        val_acc = int(np.trace(counts)) / len(val_rows) if len(val_rows) else float("nan")
         history.append(
             EpochStats(
                 epoch=epoch,

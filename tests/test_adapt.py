@@ -120,8 +120,8 @@ class TestFineTune:
         permuted = {s: SYNTH_FREQS[(s + 1) % 5] for s in range(5)}
         subject = make_synth_epochs(100, seed=40, subject_id=9, freqs=permuted)
         adapt_rows, holdout = split_adapt(subject, np.arange(100), fraction=0.10, seed=11)
-        _, acc_before = evaluate_epochs(params, config, subject, holdout)
+        acc_before = np.trace(evaluate_epochs(params, config, subject, holdout)[1]) / len(holdout)
         tuned = fit(params, config, subject, adapt_rows, [], TrainConfig(max_epochs=20, seed=11))[0]
-        _, acc_after = evaluate_epochs(tuned, config, subject, holdout)
+        acc_after = np.trace(evaluate_epochs(tuned, config, subject, holdout)[1]) / len(holdout)
         assert acc_before < 0.3  # the permutation breaks the base model
         assert acc_after > acc_before

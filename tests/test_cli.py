@@ -1034,6 +1034,27 @@ class TestStreamCommand:
             "is empty or not finite"
         )
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (("-1e308", "1e308", "-200", "200"),
+             "digital range -1e+308..1e+308 is wider than float64 holds"),
+            (("0", "1e-320", "-200", "200"),
+             "physical range -200.0..200.0 over digital range 0.0..1e-320 "
+             "gives a gain that is zero or not finite"),
+        ],
+        ids=["overflowing-digital-width", "overflowing-gain"],
+    )
+    def test_int16_range_past_float64_exits_10_naming_the_range_at_fault(
+        self, trained_setup, capsys, monkeypatch, bounds, message
+    ):
+        _, model_path, _, _ = trained_setup
+        feed = np.arange(ep.EPOCH_SAMPLES, dtype="<i2").tobytes()
+        code, out, err = run_stream(
+            monkeypatch, capsys, model_path, PipeStdin(feed, len(feed)), "--int16", *bounds
+        )
+        assert (code, out, err) == (10, "", f"error: --int16: {message}")
+
     def test_int16_equal_digital_range_exits_10(self, trained_setup, capsys, monkeypatch):
         _, model_path, _, _ = trained_setup
         feed = np.arange(10, dtype="<i2").tobytes()

@@ -174,6 +174,22 @@ class TestReadSignal:
         with pytest.raises(EdfError, match=f"^x: digital_min {dig_min} must be < digital_max"):
             physical_map(dig_min, dig_max, -200.0, 200.0, "x")
 
+    def test_overflowing_digital_width_names_the_digital_range(self):
+        with pytest.raises(EdfError, match=r"^x: digital range -1e\+308\.\.1e\+308 is wider "):
+            physical_map(-1e308, 1e308, -200.0, 200.0, "x")
+
+    @pytest.mark.parametrize(
+        "dig_max, phys_min, phys_max", [(1e-320, -200.0, 200.0), (1e300, 0.0, 1e-300)],
+        ids=["gain-overflows", "gain-underflows"],
+    )
+    def test_gain_past_float64_names_both_ranges(self, dig_max, phys_min, phys_max):
+        with pytest.raises(EdfError) as exc:
+            physical_map(0.0, dig_max, phys_min, phys_max, "x")
+        assert str(exc.value) == (
+            f"x: physical range {phys_min}..{phys_max} over digital range 0.0..{dig_max} "
+            "gives a gain that is zero or not finite"
+        )
+
     def test_label_trailing_space_trimmed(self, edf_path):
         with self.fixture_edf(edf_path, np.zeros(20)) as edf:
             assert edf.header.signals[0].label == "EEG Fpz-Cz"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesleep import model, training
+from edgesleep import metrics, model, training
 from edgesleep.epochs import standardize
 from edgesleep.model import ArchConfig, ModelParams, init_params, forward
 from edgesleep.training import (
@@ -42,6 +42,21 @@ class TestCrossEntropy:
     def test_floor_prevents_infinity(self):
         loss = cross_entropy(np.array([1.0, 0.0, 0, 0, 0]), 1)
         assert loss == pytest.approx(-np.log(1e-12))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_match_the_per_row_formula_bitwise(self, dtype):
+        # the reference is the one-row formula as the losses were computed
+        # with np.log: math.log can round differently from NumPy's SIMD log
+        rng = np.random.default_rng(33)
+        probs = rng.dirichlet(np.ones(5), size=405).astype(dtype)
+        labels = rng.integers(0, 5, size=405).astype(np.uint8)
+        probs[7, labels[7]] = 0  # the 1e-12 floor applies
+        want = [float(-np.log(max(float(p[y]), 1e-12))) for p, y in zip(probs, labels)]
+        losses = cross_entropy(probs, labels)
+        assert losses.dtype == np.float64 and losses.shape == (405,)
+        assert losses.tolist() == want
+        assert losses[7] == -np.log(1e-12)
+        assert sum(losses.tolist()) == sum(want)
 
 
 def tiny_params(value_map):
@@ -223,14 +238,14 @@ class TestBackprop:
 
     def test_evaluate_matches_per_epoch_forward(self):
         epochs = make_synth_epochs(5, seed=28)
-        loss, acc = evaluate_epochs(self.params, self.config, epochs, np.arange(len(epochs)))
-        losses, hits = [], []
+        loss, counts = evaluate_epochs(self.params, self.config, epochs, np.arange(len(epochs)))
+        losses, argmaxes = [], []
         for e in epochs:
             probs, _ = forward(self.params, standardize(e.samples), self.config)
             losses.append(cross_entropy(probs, int(e.stage)))
-            hits.append(int(np.argmax(probs)) == int(e.stage))
+            argmaxes.append(int(np.argmax(probs)))
         assert loss == pytest.approx(np.mean(losses), abs=1e-12)
-        assert acc == np.mean(hits)
+        assert np.array_equal(counts, metrics.confusion(argmaxes, epochs.stage))
 
 
 def reference_fit(params, config, train, tc):
